@@ -55,7 +55,7 @@ func NewAdaptiveQueueWithConfig[T any](cfg QueueConfig, pol AdaptivePolicy) (*Ad
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := adapt.New(twodqueue.Steer(inner), pol)
+	ctrl, err := adapt.New(inner, pol)
 	if err != nil {
 		return nil, err
 	}

@@ -358,8 +358,8 @@ func BenchmarkDirectorGate(b *testing.B) {
 	}{{"window", window}, {"contended", contended}} {
 		b.Run(w.name+"/gate-nil", w.run)
 		b.Run(w.name+"/gate-armed-noop", func(b *testing.B) {
-			core.Gate = func(yield.Point) {}
-			defer func() { core.Gate = nil }()
+			yield.Gate = func(yield.Point) {}
+			defer func() { yield.Gate = nil }()
 			w.run(b)
 		})
 	}

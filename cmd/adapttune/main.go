@@ -780,8 +780,8 @@ func nativeDemo(spec goalSpec, start core.Config, placement core.PlacementPolicy
 }
 
 // nativeQueueDemo is nativeDemo for the 2D-Queue: the same phased workload
-// and controller, driving the queue through the twodqueue.Steer adapter,
-// with the FIFO error-distance oracle instead of the LIFO one.
+// and controller, driving the queue directly (it speaks core.Config), with
+// the FIFO error-distance oracle instead of the LIFO one.
 func nativeQueueDemo(spec goalSpec, start core.Config, placement core.PlacementPolicy, kceil int64, threads int, phaseDur, tick time.Duration,
 	prefill int, seed uint64, quality bool, maxDepth int64, sink *csvSink, plane *obsPlane) bool {
 
@@ -791,17 +791,17 @@ func nativeQueueDemo(spec goalSpec, start core.Config, placement core.PlacementP
 
 	fmt.Printf("\n## native queue run (P=%d, %v/phase, quality=%v, placement %s)\n", threads, phaseDur, quality, placement.Name())
 
-	staticQueue := twodqueue.MustNew[uint64](twodqueue.FromCore(start))
+	staticQueue := twodqueue.MustNew[uint64](start)
 	staticQueue.SetPlacement(placement, sockets)
 	staticRes, err := harness.RunPhasedQueue(staticQueue, phases, w)
 	if err != nil {
 		fatal("static run failed: %v", err)
 	}
 
-	adaptQueue := twodqueue.MustNew[uint64](twodqueue.FromCore(start))
+	adaptQueue := twodqueue.MustNew[uint64](start)
 	plane.instrumentQueue(adaptQueue)
 	adaptQueue.SetPlacement(placement, sockets)
-	ctrl, err := adapt.New(twodqueue.Steer(adaptQueue), spec.policy(adapt.Policy{
+	ctrl, err := adapt.New(adaptQueue, spec.policy(adapt.Policy{
 		KCeiling: kceil,
 		Tick:     tick,
 		MinWidth: start.Width,

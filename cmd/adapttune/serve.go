@@ -65,15 +65,14 @@ func (p *obsPlane) instrumentStack(s *core.Stack[uint64]) {
 	obs.RegisterStructure(p.reg, "stack", s, nil)
 }
 
-// instrumentQueue is instrumentStack for the 2D-Queue, bridged through the
-// Steer adapter (which carries Config/StatsSnapshot and the shrink
-// displacement bound).
+// instrumentQueue is instrumentStack for the 2D-Queue, which carries
+// Config/StatsSnapshot and the shrink displacement bound itself.
 func (p *obsPlane) instrumentQueue(q *twodqueue.Queue[uint64]) {
 	if p == nil {
 		return
 	}
 	q.SetObserver(obs.StructTracer{Structure: "queue", Ring: p.ring})
-	obs.RegisterStructure(p.reg, "queue", twodqueue.Steer(q), nil)
+	obs.RegisterStructure(p.reg, "queue", q, nil)
 }
 
 // instrumentSwitcher wires the hot-swap engine (-backend auto) into the

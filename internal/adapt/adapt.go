@@ -253,9 +253,9 @@ func (p Policy) Validate() error {
 // Reconfigurable is the structure the controller steers: anything that
 // exposes a 2D window geometry, accepts live reconfiguration, and
 // aggregates its handles' operation counters. It is satisfied by
-// *core.Stack[T] for any T, by the 2D-Queue through twodqueue.Steer (whose
-// structurally identical Config converts via Config.Core/FromCore), and by
-// the simulation adapters in cmd/adapttune — one controller implementation
+// *core.Stack[T] and *twodqueue.Queue[T] for any T (both embed the window
+// shell, core.Window, and the queue's Config is core.Config), and by the
+// simulation adapters in cmd/adapttune — one controller implementation
 // drives all of them, because the decision logic reads only the
 // geometry-normalised signals, never the structure itself.
 type Reconfigurable interface {
@@ -265,7 +265,7 @@ type Reconfigurable interface {
 }
 
 // SocketAware is optionally implemented by Reconfigurables that place
-// sub-structures on sockets (core.Stack, twodqueue.Steerable and the
+// sub-structures on sockets (core.Stack, twodqueue.Queue and the
 // simulation targets in cmd/adapttune all do). When the target advertises
 // it, the controller routes every geometry change through
 // ReconfigureOnSocket with the interval's CAS-pressure socket
@@ -351,19 +351,32 @@ type Controller struct {
 }
 
 // New builds a controller for target; the policy is defaulted, then
-// validated. The target keeps its current geometry until the first
-// decision says otherwise.
+// validated. KCeiling holds from construction: a target whose current
+// geometry exceeds the ceiling is stepped down before New returns, with
+// the controller's own moves (shallower depth first, then narrower width,
+// within the policy's bounds), and New fails if the policy's minimum
+// geometry still exceeds it. Otherwise the target keeps its current
+// geometry until the first decision says otherwise.
 func New(target Reconfigurable, pol Policy) (*Controller, error) {
 	pol = pol.withDefaults()
 	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{
-		target:   target,
-		pol:      pol,
-		prev:     target.StatsSnapshot(),
-		pressure: -1,
-	}, nil
+	c := &Controller{target: target, pol: pol, pressure: -1}
+	for cur := target.Config(); !c.underCeiling(cur); cur = target.Config() {
+		cand, ok := c.shallowerDepth(cur)
+		if !ok {
+			cand, ok = c.narrowerWidth(cur)
+		}
+		if !ok {
+			return nil, fmt.Errorf("adapt: geometry %+v has k=%d above KCeiling %d and the policy allows no smaller one", cur, cur.K(), pol.KCeiling)
+		}
+		if err := target.Reconfigure(cand); err != nil {
+			return nil, fmt.Errorf("adapt: clamping to KCeiling: %w", err)
+		}
+	}
+	c.prev = target.StatsSnapshot()
+	return c, nil
 }
 
 // Policy returns the defaulted policy the controller runs.

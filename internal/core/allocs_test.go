@@ -36,8 +36,8 @@ func TestOpAllocsPinned(t *testing.T) {
 	// way: nil (production) is the baseline above; an armed no-op hook may
 	// add indirect calls on the slow paths but never an allocation.
 	t.Run("gate-armed-noop", func(t *testing.T) {
-		Gate = func(yield.Point) {}
-		defer func() { Gate = nil }()
+		yield.Gate = func(yield.Point) {}
+		defer func() { yield.Gate = nil }()
 		// Depth 1 churns the window so the window-move gate site actually
 		// executes inside the measured loop.
 		s := MustNew[uint64](Config{Width: 1, Depth: 1, Shift: 1, RandomHops: 0})

@@ -1,32 +1,59 @@
 package core
 
-// Per-handle operation buffering: the raw-speed campaign's combined-
-// publication fast path (DESIGN.md §11). An armed handle batches its
-// pushes locally and publishes them through PushBatch when the buffer
-// fills, and refills a local pop prefetch through PopBatch — so the
+// Per-handle operation buffering: the combined-publication fast path
+// (DESIGN.md §11). An armed handle batches its pushes locally and
+// publishes them through its structure's batch push when the buffer
+// fills, and refills a local pop prefetch through the batch pop — so the
 // uncontended steady state touches shared cache lines once per bufCap
 // operations instead of once per operation. Buffering is opt-in per handle
-// (SetOpBuffer) and invisible to the singleton Push/Pop paths, which stay
-// exactly as fast as before.
+// (SetOpBuffer) and invisible to the singleton paths, which stay exactly
+// as fast as before.
+//
+// The buffer state and its mechanics — arming, the epoch flush, publishing
+// pending pushes, serving the prefetch, the resident count — live here in
+// the window shell, once for both structures. What differs is policy, kept
+// with each structure: the stack serves a pop from its newest pending push
+// (LIFO elision) and hands undelivered prefetch back in order-restoring
+// reverse (Handle.returnPrefetch below); the queue never elides, flushes
+// on a pop miss, and returns its prefetch at the back (internal/twodqueue).
 //
 // Semantics: a buffered operation takes effect (linearizes) at its publish
 // or serve point, not at its API call. The displacement this adds to the
 // realised k-out-of-order distance is budgeted by the checkers'
 // BufferAllowance term (seqspec; DESIGN.md §11 gives the accounting
 // argument and its fairness premise). Buffered-but-unpublished items are
-// counted by Stack.Len via the handle registry, so sizing never sees
-// phantom emptiness; Drain and teardown require the owner to FlushOps
-// first, since only the owning goroutine may touch a handle's buffers.
+// counted by the structures' Len via the handle registry, so sizing never
+// sees phantom emptiness; Drain and teardown require the owner to FlushOps
+// first, since only the owning goroutine may touch a handle's buffers. A
+// handle dropped with residents loses them; AbandonedItems counts them.
+
+// BufferHooks are a structure's batch steps, which the shell's op buffer
+// calls: Publish is the batch push the pending pushes flush through,
+// Refill the batch pop that refills the prefetch (appending up to max
+// values to out), and Return hands undelivered prefetched values (in
+// delivery order, never empty) back to the structure when buffering is
+// disarmed.
+type BufferHooks[T any] struct {
+	Publish func(vs []T)
+	Refill  func(out []T, max int) []T
+	Return  func(undelivered []T)
+}
 
 // SetOpBuffer arms (n >= 1) or disarms (n <= 0) operation buffering on the
 // handle with a combined-publication threshold of n operations.
 // Disarming — and re-arming with a different threshold — first flushes
 // pending pushes and hands undelivered prefetched values back to the
-// structure. Owner-goroutine only, like every Handle method.
-func (h *Handle[T]) SetOpBuffer(n int) {
+// structure. Owner-goroutine only, like every handle method.
+func (h *WindowHandle[T, S]) SetOpBuffer(n int) {
 	if h.bufCap > 0 {
 		h.FlushOps()
-		h.returnPrefetch()
+		if h.prefStart < len(h.prefetch) {
+			h.buf.Return(h.prefetch[h.prefStart:])
+		}
+		clear(h.prefetch)
+		h.prefetch = h.prefetch[:0]
+		h.prefStart = 0
+		h.syncBufCount()
 	}
 	if n <= 0 {
 		h.bufCap = 0
@@ -38,124 +65,95 @@ func (h *Handle[T]) SetOpBuffer(n int) {
 	h.pending = make([]T, 0, n)
 	h.prefetch = make([]T, 0, n)
 	h.prefStart = 0
-	h.bufEpoch = h.s.geo.Load().epoch
+	h.bufEpoch = h.w.geo.Load().Epoch
 }
 
 // OpBuffer returns the armed combined-publication threshold (0 when
 // buffering is off).
-func (h *Handle[T]) OpBuffer() int { return h.bufCap }
+func (h *WindowHandle[T, S]) OpBuffer() int { return h.bufCap }
 
 // BufferedCounts reports the handle's private residents: pending pushes
 // not yet published, and prefetched values not yet delivered.
-// Owner-goroutine only; foreign readers get the sum via Stack.Len.
-func (h *Handle[T]) BufferedCounts() (pending, undelivered int) {
+// Owner-goroutine only; foreign readers get the sum via Len.
+func (h *WindowHandle[T, S]) BufferedCounts() (pending, undelivered int) {
 	return len(h.pending), len(h.prefetch) - h.prefStart
 }
 
-// syncBufCount republishes the atomically readable buffered total after
-// any buffer mutation; one uncontended store to the handle's own line.
-func (h *Handle[T]) syncBufCount() {
-	h.bufCount.Store(int64(len(h.pending) + len(h.prefetch) - h.prefStart))
+// syncBufCount republishes the atomically readable resident total after
+// any buffer mutation; one uncontended store to the handle's own mirror.
+func (h *WindowHandle[T, S]) syncBufCount() {
+	h.shared.residents.Store(int64(len(h.pending) + len(h.prefetch) - h.prefStart))
 }
 
-// maybeEpochFlush reconciles the buffers with a geometry change: pending
-// pushes buffered under a superseded geometry are published into the new
-// one before the next buffered operation proceeds, so a reconfiguration is
-// never followed by an arbitrarily stale combined publish. Prefetched
-// values were already popped from the structure (under the old windows)
-// and are unaffected by the swap; they keep serving.
-func (h *Handle[T]) maybeEpochFlush() {
-	if e := h.s.geo.Load().epoch; e != h.bufEpoch {
+// Buffering reports whether the op buffer is armed. When it is, it first
+// reconciles the buffers with a geometry change: pending pushes buffered
+// under a superseded geometry are published into the new one before the
+// buffered operation proceeds, so a reconfiguration is never followed by
+// an arbitrarily stale combined publish. Prefetched values were already
+// popped from the structure (under the old windows) and are unaffected by
+// the swap; they keep serving.
+func (h *WindowHandle[T, S]) Buffering() bool {
+	if h.bufCap <= 0 {
+		return false
+	}
+	if e := h.w.geo.Load().Epoch; e != h.bufEpoch {
 		h.bufEpoch = e
 		if len(h.pending) > 0 {
 			h.flushPending()
 		}
 	}
+	return true
 }
 
 // flushPending publishes the pending pushes as one combined batch.
-func (h *Handle[T]) flushPending() {
-	h.PushBatch(h.pending)
+func (h *WindowHandle[T, S]) flushPending() {
+	h.buf.Publish(h.pending)
 	clear(h.pending)
 	h.pending = h.pending[:0]
 	h.syncBufCount()
 }
 
-// returnPrefetch hands undelivered prefetched values back to the
-// structure, newest-delivery-first so the re-push restores their relative
-// order. Used when buffering is disarmed; delivery normally drains the
-// prefetch through BufferedPop instead.
-func (h *Handle[T]) returnPrefetch() {
-	if n := len(h.prefetch) - h.prefStart; n > 0 {
-		// prefetch[prefStart:] is topmost-first; push back in reverse so
-		// the former topmost is pushed last and surfaces first again.
-		for i := len(h.prefetch) - 1; i >= h.prefStart; i-- {
-			h.Push(h.prefetch[i])
-		}
-	}
-	clear(h.prefetch)
-	h.prefetch = h.prefetch[:0]
-	h.prefStart = 0
-	h.syncBufCount()
-}
-
 // FlushOps publishes all pending buffered pushes immediately. It does not
 // disturb the pop prefetch: prefetched values were already removed from
-// the structure and remain deliverable through BufferedPop. Call before
-// quiescing, draining the stack, or abandoning the handle (an abandoned
-// handle's buffered values are lost, exactly like any popped-but-
-// unprocessed value held by its goroutine). No-op when nothing is pending.
-func (h *Handle[T]) FlushOps() {
+// the structure and remain deliverable. Call before quiescing, draining
+// the structure, or abandoning the handle (an abandoned handle's buffered
+// values are lost, exactly like any popped-but-unprocessed value held by
+// its goroutine; AbandonedItems counts them). No-op when nothing is
+// pending.
+func (h *WindowHandle[T, S]) FlushOps() {
 	if len(h.pending) > 0 {
 		h.flushPending()
 	}
 }
 
-// BufferedPush adds v through the operation buffer: the value is retained
-// locally and published — together with every pending neighbour — as one
-// combined PushBatch once bufCap values are pending. With buffering
-// disarmed it is exactly Push.
-func (h *Handle[T]) BufferedPush(v T) {
-	if h.bufCap <= 0 {
-		h.Push(v)
-		return
+// Stash adds v to the pending pushes and publishes them — together with
+// every pending neighbour — as one combined batch once bufCap values are
+// pending. It reports false, buffering nothing, while the op buffer is
+// disarmed: the caller then runs its singleton push.
+func (h *WindowHandle[T, S]) Stash(v T) bool {
+	if !h.Buffering() {
+		return false
 	}
-	h.maybeEpochFlush()
 	h.pending = append(h.pending, v)
 	if len(h.pending) >= h.bufCap {
 		h.flushPending()
-		return
+	} else {
+		h.syncBufCount()
 	}
-	h.syncBufCount()
+	return true
 }
 
-// BufferedPop removes a value through the operation buffer. The newest
-// pending push is served first (the push/pop pair linearizes back to
-// back), then the prefetch; an empty prefetch is refilled with one
-// combined PopBatch of up to bufCap values. ok is false only when the
-// refill itself came back empty — the same observation Pop's empty verdict
-// rests on, since by then no pending push exists either. With buffering
-// disarmed it is exactly Pop.
-func (h *Handle[T]) BufferedPop() (v T, ok bool) {
-	if h.bufCap <= 0 {
-		return h.Pop()
-	}
-	h.maybeEpochFlush()
-	if n := len(h.pending); n > 0 {
-		v = h.pending[n-1]
-		var zero T
-		h.pending[n-1] = zero
-		h.pending = h.pending[:n-1]
-		h.syncBufCount()
-		return v, true
-	}
+// ServePrefetch delivers the next prefetched value, first refilling an
+// exhausted prefetch with one combined batch pop of up to bufCap values.
+// ok is false only when that refill came back empty. Call it on an armed
+// buffer (Buffering).
+func (h *WindowHandle[T, S]) ServePrefetch() (v T, ok bool) {
 	if h.prefStart >= len(h.prefetch) {
-		h.prefetch = h.popBatchInto(h.prefetch[:0], h.bufCap)
+		h.prefetch = h.buf.Refill(h.prefetch[:0], h.bufCap)
 		h.prefStart = 0
 		if len(h.prefetch) == 0 {
 			h.syncBufCount()
-			var zero T
-			return zero, false
+			return v, false
 		}
 	}
 	v = h.prefetch[h.prefStart]
@@ -164,4 +162,43 @@ func (h *Handle[T]) BufferedPop() (v T, ok bool) {
 	h.prefStart++
 	h.syncBufCount()
 	return v, true
+}
+
+// BufferedPush adds v through the operation buffer (Stash). With
+// buffering disarmed it is exactly Push.
+func (h *Handle[T]) BufferedPush(v T) {
+	if !h.Stash(v) {
+		h.Push(v)
+	}
+}
+
+// BufferedPop removes a value through the operation buffer. The newest
+// pending push is served first (the push/pop pair linearizes back to
+// back — LIFO elision), then the prefetch (ServePrefetch). ok is false
+// only when the prefetch refill itself came back empty — the same
+// observation Pop's empty verdict rests on, since by then no pending push
+// exists either. With buffering disarmed it is exactly Pop.
+func (h *Handle[T]) BufferedPop() (v T, ok bool) {
+	if !h.Buffering() {
+		return h.Pop()
+	}
+	if n := len(h.pending); n > 0 {
+		v = h.pending[n-1]
+		var zero T
+		h.pending[n-1] = zero
+		h.pending = h.pending[:n-1]
+		h.syncBufCount()
+		return v, true
+	}
+	return h.ServePrefetch()
+}
+
+// returnPrefetch hands undelivered prefetched values back to the stack,
+// newest-delivery-first so the re-push restores their relative order: the
+// values arrive topmost-first, so pushing them in reverse makes the former
+// topmost surface first again.
+func (h *Handle[T]) returnPrefetch(undelivered []T) {
+	for i := len(undelivered) - 1; i >= 0; i-- {
+		h.Push(undelivered[i])
+	}
 }

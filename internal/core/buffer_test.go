@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"stack2d/internal/pad"
@@ -11,14 +13,14 @@ import (
 // batch interference: batch operations (and buffered combined publishes,
 // which ride on them) must neither open a sample nor consume a countdown
 // tick, so interleaving any number of batches between singletons leaves
-// the stride exactly latencySampleInterval singleton operations. The old
+// the stride exactly LatencySampleInterval singleton operations. The old
 // cancel-after-pin behaviour failed this: a batch landing on the sample
 // point ate the tick, deferring the next sample by a full stride.
 func TestLatencySampleStridePinned(t *testing.T) {
 	cfg := Config{Width: 2, Depth: 64, Shift: 64, RandomHops: 0}
 	t.Run("stack-batches", func(t *testing.T) {
 		h := MustNew[uint64](cfg).NewHandle()
-		for i := 0; i < latencySampleInterval-1; i++ {
+		for i := 0; i < LatencySampleInterval-1; i++ {
 			h.Push(uint64(i))
 			h.PushBatch([]uint64{1, 2, 3})
 			if got := h.PopBatch(3); len(got) != 3 {
@@ -27,11 +29,11 @@ func TestLatencySampleStridePinned(t *testing.T) {
 		}
 		if n := h.Stats().LatencySamples(); n != 0 {
 			t.Fatalf("%d samples after %d singletons with interleaved batches, want 0",
-				n, latencySampleInterval-1)
+				n, LatencySampleInterval-1)
 		}
-		h.Push(0) // singleton number latencySampleInterval
+		h.Push(0) // singleton number LatencySampleInterval
 		if n := h.Stats().LatencySamples(); n != 1 {
-			t.Fatalf("%d samples after %d singletons, want exactly 1", n, latencySampleInterval)
+			t.Fatalf("%d samples after %d singletons, want exactly 1", n, LatencySampleInterval)
 		}
 	})
 	t.Run("buffered-ops-do-not-sample", func(t *testing.T) {
@@ -39,7 +41,7 @@ func TestLatencySampleStridePinned(t *testing.T) {
 		// buffered cycle must leave the singleton stride untouched too.
 		h := MustNew[uint64](cfg).NewHandle()
 		h.SetOpBuffer(4)
-		for i := 0; i < 8*latencySampleInterval; i++ {
+		for i := 0; i < 8*LatencySampleInterval; i++ {
 			h.BufferedPush(uint64(i))
 			if _, ok := h.BufferedPop(); !ok {
 				t.Fatal("BufferedPop missed directly after BufferedPush")
@@ -236,4 +238,44 @@ func TestOpBufferSemantics(t *testing.T) {
 			delete(want, v)
 		}
 	})
+}
+
+// TestAbandonedItemsCounted closes the item-loss hole's silent half: a
+// buffered handle dropped with residents loses them (only its goroutine
+// could have published them), and once the collector takes the handle
+// AbandonedItems counts them and Len stops counting them.
+func TestAbandonedItemsCounted(t *testing.T) {
+	s := MustNew[int](Config{Width: 2, Depth: 8, Shift: 8, RandomHops: 1})
+	s.NewHandle().Push(100) // published: stays in Len
+	func() {
+		h := s.NewHandle()
+		h.SetOpBuffer(8)
+		for i := 0; i < 3; i++ {
+			h.BufferedPush(i)
+		}
+		if got := s.Len(); got != 4 {
+			t.Fatalf("Len with 3 pending = %d, want 4", got)
+		}
+	}()
+	// The handle is unreferenced now. Collection is asynchronous, so poll:
+	// each registration prunes collected entries, and a registry of one
+	// entry after registering means every earlier handle was pruned.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		s.NewHandle()
+		if s.RegisteredHandles() == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("registry still holds %d entries", s.RegisteredHandles())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := s.AbandonedItems(); got != 3 {
+		t.Fatalf("AbandonedItems = %d, want 3", got)
+	}
+	if got := s.Len(); got != 1 {
+		t.Fatalf("Len after the handle was pruned = %d, want 1 (published item only)", got)
+	}
 }

@@ -59,7 +59,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"stack2d/internal/pad"
@@ -127,69 +126,35 @@ func (c Config) K() int64 {
 
 // Stack is a lock-free 2D-Stack. Create with New; use per-goroutine Handles
 // for operations. A Stack must not be copied.
+//
+// The window shell (Window) carries the geometry, reconfiguration,
+// placement, the handle registry and the observer; the stack adds its
+// Global ceiling and its own reconfiguration steps (fresh sub-stacks on
+// growth, the Global fix-up, the spliceStranded shrink handoff).
 type Stack[T any] struct {
-	// geo is the active geometry (window parameters + sub-stack array),
-	// replaced wholesale by Reconfigure. Padded away from global so window
-	// movement does not invalidate the read-mostly geometry pointer.
-	geo atomic.Pointer[geometry[T]]
-	_   pad.CacheLinePad
+	Window[T, subStack[T]]
 	// global is the paper's Global counter: the per-sub-stack item ceiling
 	// of the current window. Steady-state invariant: global >= depth, so
 	// the window floor (global - depth) is non-negative; reconfiguration
 	// can break it transiently, which operations tolerate by clamping the
 	// floor at zero.
 	global pad.Int64Line
-	// seed feeds handle RNGs; purely to give each handle an independent
-	// deterministic stream.
-	seed pad.Uint64Line
-
-	// reMu serialises reconfigurations. It also guards the placement
-	// settings below, which every geometry build reads, and the structural
-	// observer (obsv), whose events are emitted only under it.
-	reMu sync.Mutex
-	// obsv receives structural transition events (reconfigurations, shrink
-	// handoffs, placement re-homes); nil — the default — costs nothing.
-	// See SetObserver and DESIGN.md §8.
-	obsv Observer
-	// placePolicy/placeSockets are the socket-placement model installed by
-	// SetPlacement (nil policy / 1 socket = placement off, the default):
-	// the policy homes new slots on width growth and picks shrink
-	// survivors; the active geometry carries the resulting slot→socket
-	// map. See DESIGN.md §7.
-	placePolicy  PlacementPolicy
-	placeSockets int
-	// handleSeq counts NewHandle calls; the creation-order heuristic
-	// derives each handle's default socket hint from it (HeuristicSocket).
-	handleSeq atomic.Int64
-	// shrinkDisp accumulates, over all width shrinks, the stranded-plus-
-	// target populations of the warm handoff's splices — an upper bound on
-	// the extra LIFO displacement the migrations can have caused (see
-	// spliceStranded and ShrinkDisplacementBound).
-	shrinkDisp atomic.Int64
-
-	// hMu guards the handle registry, which powers both epoch quiescence
-	// detection and StatsSnapshot. Each entry holds its handle weakly — so
-	// an abandoned handle (e.g. one dropped from the convenience API's
-	// sync.Pool on a GC cycle) is collectable — but the handle's published
-	// counters strongly: a collected handle's final counters stay readable
-	// until a later registration prunes the entry and folds them into
-	// retired. StatsSnapshot is therefore exact with no dependence on
-	// GC-cleanup timing (the same scheme as internal/twodqueue's).
-	hMu     sync.Mutex
-	handles []handleEntry[T]
-	// retired accumulates the last published counters of pruned handles,
-	// so StatsSnapshot never loses completed work.
-	retired OpStats
 }
 
 // New returns an empty 2D-Stack with the given configuration.
 func New[T any](cfg Config) (*Stack[T], error) {
-	if err := cfg.Validate(); err != nil {
+	s := &Stack[T]{}
+	err := s.Init(cfg, Hooks[subStack[T]]{
+		Grow: growSubStacks[T],
+		// Global >= depth keeps Pop's floor arithmetic sane. (Stale-geometry
+		// pops may pull it below again for a moment; the operations clamp
+		// the floor at zero.)
+		Raise:   func(depth int64) { RaiseTo(&s.global.V, depth) },
+		Handoff: s.spliceStranded,
+	})
+	if err != nil {
 		return nil, err
 	}
-	s := &Stack[T]{placeSockets: 1}
-	s.geo.Store(freshGeometry[T](cfg, 1))
-	s.global.V.Store(cfg.Depth)
 	return s, nil
 }
 
@@ -203,56 +168,57 @@ func MustNew[T any](cfg Config) *Stack[T] {
 	return s
 }
 
-// Config returns the stack's active configuration. Under live
-// reconfiguration the value is the geometry current at the call, which a
-// concurrent Reconfigure may immediately supersede.
-func (s *Stack[T]) Config() Config { return s.geo.Load().config() }
+// growSubStacks is the stack's Hooks.Grow: new slots start as fresh empty
+// sub-stacks, since a sub-stack's count is its population and zero is
+// always window-valid for a push.
+func growSubStacks[T any](subs []*subStack[T], cfg Config) []*subStack[T] {
+	empty := &descriptor[T]{}
+	for len(subs) < cfg.Width {
+		ss := new(subStack[T])
+		ss.desc.P.Store(empty)
+		subs = append(subs, ss)
+	}
+	return subs
+}
 
-// Width returns the current number of sub-stacks.
-func (s *Stack[T]) Width() int { return s.geo.Load().width }
-
-// Epoch returns the active geometry's epoch; it increases by one per
-// successful reconfiguration. Diagnostics only.
-func (s *Stack[T]) Epoch() uint64 { return s.geo.Load().epoch }
+// RaiseTo lifts c to at least v with a raise-if-below CAS loop. A window
+// ceiling is not monotone (the stack's Global moves both ways), but one
+// successful raise or one observation at or above v is all the callers
+// need.
+func RaiseTo(c *atomic.Int64, v int64) {
+	for {
+		cur := c.Load()
+		if cur >= v || c.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
 
 // Global exposes the current window ceiling; diagnostics only.
 func (s *Stack[T]) Global() int64 { return s.global.V.Load() }
 
-// ShrinkDisplacementBound returns the cumulative upper bound on LIFO
-// displacement attributable to width-shrink migrations: the sum over all
-// warm-handoff splices of the stranded chain's length plus its target's
-// population. Zero while no shrink has migrated anything. Diagnostics —
-// cmd/adapttune uses it to budget its realised-distance check.
-func (s *Stack[T]) ShrinkDisplacementBound() int64 { return s.shrinkDisp.Load() }
-
 // Len returns the total number of items the stack is responsible for: the
 // residents of every sub-stack plus, for handles with an armed op buffer
 // (SetOpBuffer), their pending-but-unpublished pushes and prefetched-but-
-// undelivered pops — so combined publication never makes items phantom-
-// invisible to sizing. It is exact when quiescent and approximate under
-// concurrency (each addend is an atomic snapshot, but the sum is not).
+// undelivered pops (BufferedItems) — so combined publication never makes
+// items phantom-invisible to sizing. It is exact when quiescent and
+// approximate under concurrency (each addend is an atomic snapshot, but
+// the sum is not).
 func (s *Stack[T]) Len() int {
 	g := s.geo.Load()
 	var n int64
-	for i := range g.subs {
-		n += g.subs[i].load().count
+	for i := range g.Subs {
+		n += g.Subs[i].load().count
 	}
-	s.hMu.Lock()
-	for _, e := range s.handles {
-		if h := e.wp.Value(); h != nil {
-			n += h.bufCount.Load()
-		}
-	}
-	s.hMu.Unlock()
-	return int(n)
+	return int(n) + s.BufferedItems()
 }
 
 // Empty reports whether every sub-stack was observed empty. Like Len, the
 // answer is exact only in quiescent states.
 func (s *Stack[T]) Empty() bool {
 	g := s.geo.Load()
-	for i := range g.subs {
-		if g.subs[i].load().count != 0 {
+	for i := range g.Subs {
+		if g.Subs[i].load().count != 0 {
 			return false
 		}
 	}
@@ -263,9 +229,9 @@ func (s *Stack[T]) Empty() bool {
 // diagnostics, tests and the relaxtune CLI.
 func (s *Stack[T]) SubCounts() []int64 {
 	g := s.geo.Load()
-	out := make([]int64, len(g.subs))
-	for i := range g.subs {
-		out[i] = g.subs[i].load().count
+	out := make([]int64, len(g.Subs))
+	for i := range g.Subs {
+		out[i] = g.Subs[i].load().count
 	}
 	return out
 }
@@ -300,11 +266,11 @@ func (s *Stack[T]) CheckInvariants() error {
 		return fmt.Errorf("core: Global %d must be positive", g)
 	}
 	geo := s.geo.Load()
-	if len(geo.subs) != geo.width {
-		return fmt.Errorf("core: geometry width %d but %d sub-stacks", geo.width, len(geo.subs))
+	if len(geo.Subs) != geo.Width {
+		return fmt.Errorf("core: geometry width %d but %d sub-stacks", geo.Width, len(geo.Subs))
 	}
-	for i := range geo.subs {
-		d := geo.subs[i].load()
+	for i := range geo.Subs {
+		d := geo.Subs[i].load()
 		if d.count < 0 {
 			return fmt.Errorf("core: sub-stack %d has negative count %d", i, d.count)
 		}
@@ -320,4 +286,81 @@ func (s *Stack[T]) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// spliceStranded is the warm shrink handoff: each dropped sub-stack's whole
+// chain is spliced, in one descriptor CAS, on top of the surviving sub-stack
+// currently holding the fewest items (read from the live descriptor
+// counters), followed by one batched Global raise that restores push
+// headroom. Compared with the earlier approach — re-pushing every stranded
+// item through one internal handle's normal Push path, which forced a
+// window raise each time the re-pushes exhausted the band (the transient
+// k-spike of DESIGN.md §4 invariant 2) — this advances the window once
+// instead of once per exhausted band, touches each target once per dropped
+// slot instead of once per item, and spreads the load by the live counters
+// instead of piling it wherever one handle's search happened to land. The
+// stranded chain keeps its internal order; the descriptor count stays equal
+// to the real list length, so window validity and emptiness detection are
+// unaffected.
+//
+// Safety: after old-epoch quiescence the dropped slots and their nodes are
+// exclusively ours, so writing the chain bottom's next pointer is race-free
+// until the CAS publishes it; a CAS loss to a concurrent operation on the
+// target just re-picks the least-loaded target and retries.
+//
+// The returned value is this migration's addition to the displacement
+// bound, which the shell accumulates into ShrinkDisplacementBound and
+// forwards to the shrink-handoff observer event.
+func (s *Stack[T]) spliceStranded(next *Geometry[subStack[T]], dropped []*subStack[T]) int64 {
+	var disp int64
+	for _, ss := range dropped {
+		d := ss.load()
+		ss.desc.P.Store(&descriptor[T]{})
+		if d.count == 0 {
+			continue
+		}
+		bottom := d.top
+		for bottom.next != nil {
+			bottom = bottom.next
+		}
+		for {
+			tgt, td := next.Subs[0], next.Subs[0].load()
+			for _, cand := range next.Subs[1:] {
+				if cd := cand.load(); cd.count < td.count {
+					tgt, td = cand, cd
+				}
+			}
+			bottom.next = td.top
+			if tgt.cas(td, &descriptor[T]{top: d.top, count: td.count + d.count}) {
+				disp += td.count + d.count
+				break
+			}
+		}
+	}
+	// Each migrated item lands above at most its target's population and
+	// below nothing it displaced; the sum of (stranded + target) populations
+	// over the splices is therefore an upper bound on the extra LIFO
+	// displacement this shrink can have caused.
+
+	// Restore push headroom. On a large shrink every survivor receives a
+	// chain, so all counts can sit at or above the untouched Global at
+	// once and the next Push would stall through repeated full-coverage
+	// passes, each raising Global by only shift and restarting every
+	// concurrent search — the funnel's spike in client clothing. One
+	// batched raise to shift headroom above the least-loaded survivor is
+	// the advance the window would have made had the migrated items been
+	// pushed normally; counts stay within the usual band, and pops at
+	// worst lower the window one extra round. (Global is not monotone —
+	// concurrent pops may lower it — but one successful raise-if-below
+	// CAS is all this needs.)
+	if disp > 0 {
+		minCount := next.Subs[0].load().count
+		for _, ss := range next.Subs[1:] {
+			if c := ss.load().count; c < minCount {
+				minCount = c
+			}
+		}
+		RaiseTo(&s.global.V, minCount+next.Shift)
+	}
+	return disp
 }

@@ -1,126 +1,101 @@
 package core
 
-import (
-	"runtime"
+import "stack2d/internal/yield"
 
-	"stack2d/internal/yield"
-)
-
-// geometry is one immutable snapshot of the stack's structure: the window
-// parameters plus the sub-stack array they govern. The Stack publishes the
+// Geometry is one immutable snapshot of a window's structure: the window
+// parameters plus the slot array they govern. The Window publishes the
 // active geometry through an atomic pointer; operations pin the pointer for
-// their whole duration (see Handle.pin), so a reconfiguration never changes
-// the rules under a running search — in-flight operations finish on the
-// geometry they started with.
+// their whole duration (see WindowHandle.PinOp), so a reconfiguration never
+// changes the rules under a running search — in-flight operations finish
+// on the geometry they started with.
 //
 // Geometries are linked by a monotonically increasing epoch. Width changes
-// build a new sub-stack slice that *shares* the surviving slots with the
-// old geometry (slot pointers, not copies), which is what makes growth free
-// of migration: items stay where they are and simply become visible to the
+// build a new slot slice that *shares* the surviving slots with the old
+// geometry (slot pointers, not copies), which is what makes growth free of
+// migration: items stay where they are and simply become visible to the
 // wider geometry. Only a shrink strands items, in the dropped slots; those
-// are migrated after the old epoch quiesces (see Stack.reconfigureLocked).
-type geometry[T any] struct {
-	epoch uint64
-	width int
-	depth int64
-	shift int64
-	hops  int
-	subs  []*subStack[T]
+// are migrated after the old epoch quiesces (see Window.reconfigureLocked).
+type Geometry[S any] struct {
+	Epoch uint64
+	Width int
+	Depth int64
+	Shift int64
+	Hops  int
+	Subs  []*S
 
 	// Placement (DESIGN.md §7): homes maps each slot to its socket
 	// (len == width; all zeros while placement is off), nsockets is the
 	// socket count the homes were computed for, and localProbe selects the
 	// socket-aware search (false keeps the pre-placement hot path
 	// unchanged). Handles derive their probe permutations from homes
-	// lazily (Handle.probe), each with a private rotation of the remote
-	// section, so same-socket handles don't convoy when they spill.
+	// lazily (WindowHandle.Probe), each with a private rotation of the
+	// remote section, so same-socket handles don't convoy when they spill.
 	homes      []int
 	nsockets   int
 	localProbe bool
 }
 
 // config re-packages the geometry's parameters as a Config.
-func (g *geometry[T]) config() Config {
-	return Config{Width: g.width, Depth: g.depth, Shift: g.shift, RandomHops: g.hops}
-}
-
-// freshGeometry allocates a geometry with all-new empty sub-stacks.
-func freshGeometry[T any](cfg Config, epoch uint64) *geometry[T] {
-	g := &geometry[T]{
-		epoch: epoch,
-		width: cfg.Width,
-		depth: cfg.Depth,
-		shift: cfg.Shift,
-		hops:  cfg.RandomHops,
-		subs:  make([]*subStack[T], cfg.Width),
-	}
-	empty := &descriptor[T]{}
-	for i := range g.subs {
-		ss := new(subStack[T])
-		ss.desc.P.Store(empty)
-		g.subs[i] = ss
-	}
-	g.homes = make([]int, cfg.Width)
-	g.nsockets = 1
-	return g
+func (g *Geometry[S]) config() Config {
+	return Config{Width: g.Width, Depth: g.Depth, Shift: g.Shift, RandomHops: g.Hops}
 }
 
 // stampPlacement writes the slot-home map and the probe mode onto a
 // geometry being built. Caller holds reMu, so placePolicy/placeSockets are
 // stable.
-func (s *Stack[T]) stampPlacement(g *geometry[T], homes []int) {
+func (w *Window[T, S]) stampPlacement(g *Geometry[S], homes []int) {
 	g.homes = homes
-	g.nsockets = s.placeSockets
-	g.localProbe = s.placePolicy != nil && s.placePolicy.LocalProbeOrder() && s.placeSockets > 1
+	g.nsockets = w.placeSockets
+	g.localProbe = w.placePolicy != nil && w.placePolicy.LocalProbeOrder() && w.placeSockets > 1
 }
 
-// SetPlacement installs the stack's socket-placement model (DESIGN.md §7):
-// policy decides the home socket of every sub-stack slot — the current
-// slots are re-homed immediately from scratch, and every future width
-// growth places its new slots through the policy with the requesting
-// socket's attribution (see ReconfigureOnSocket) — and sockets is the
-// machine's socket count, clamped to [1, MaxPlacementSockets]. Under a
-// local-probe policy (LocalFirst) operation searches visit slots homed on
-// the handle's socket (Handle.Pin, or the creation-order heuristic) before
-// remote ones. Placement never changes the window validity rules — only
-// slot homes and visit order — so the Theorem 1 relaxation bound is
-// unaffected. Pass sockets <= 1, or the RoundRobin policy, to restore the
-// placement-blind behaviour. Re-homing swaps the geometry wholesale (no
-// item moves), so SetPlacement is safe concurrently with operations,
-// though handles created before it keep the heuristic socket computed for
-// the old socket count until they are re-pinned.
-func (s *Stack[T]) SetPlacement(policy PlacementPolicy, sockets int) {
-	s.reMu.Lock()
-	defer s.reMu.Unlock()
+// SetPlacement installs the structure's socket-placement model (DESIGN.md
+// §7): policy decides the home socket of every slot — the current slots
+// are re-homed immediately from scratch, and every future width growth
+// places its new slots through the policy with the requesting socket's
+// attribution (see ReconfigureOnSocket) — and sockets is the machine's
+// socket count, clamped to [1, MaxPlacementSockets]. Under a local-probe
+// policy (LocalFirst) operation searches visit slots homed on the handle's
+// socket (WindowHandle.Pin, or the creation-order heuristic) before remote
+// ones. Placement never changes the window validity rules — only slot
+// homes and visit order — so the relaxation bound is unaffected. Pass
+// sockets <= 1, or the RoundRobin policy, to restore the placement-blind
+// behaviour. Re-homing swaps the geometry wholesale (no item moves), so
+// SetPlacement is safe concurrently with operations, though handles
+// created before it keep the heuristic socket computed for the old socket
+// count until they are re-pinned.
+func (w *Window[T, S]) SetPlacement(policy PlacementPolicy, sockets int) {
+	w.reMu.Lock()
+	defer w.reMu.Unlock()
 	if sockets < 1 {
 		sockets = 1
 	}
 	if sockets > MaxPlacementSockets {
 		sockets = MaxPlacementSockets
 	}
-	s.placePolicy, s.placeSockets = policy, sockets
-	old := s.geo.Load()
-	next := &geometry[T]{
-		epoch: old.epoch + 1,
-		width: old.width,
-		depth: old.depth,
-		shift: old.shift,
-		hops:  old.hops,
-		subs:  old.subs,
+	w.placePolicy, w.placeSockets = policy, sockets
+	old := w.geo.Load()
+	next := &Geometry[S]{
+		Epoch: old.Epoch + 1,
+		Width: old.Width,
+		Depth: old.Depth,
+		Shift: old.Shift,
+		Hops:  old.Hops,
+		Subs:  old.Subs,
 	}
-	s.stampPlacement(next, PlaceSlots(policy, nil, old.width, -1, sockets))
-	s.geo.Store(next)
-	s.emitStruct(StructEvent{
-		Kind: StructPlacement, Epoch: next.epoch,
-		OldWidth: old.width, Width: next.width, Depth: next.depth, Shift: next.shift,
+	w.stampPlacement(next, PlaceSlots(policy, nil, old.Width, -1, sockets))
+	w.geo.Store(next)
+	w.emitStruct(StructEvent{
+		Kind: StructPlacement, Epoch: next.Epoch,
+		OldWidth: old.Width, Width: next.Width, Depth: next.Depth, Shift: next.Shift,
 		Requester: -1, Sockets: sockets,
 	})
 }
 
 // Placement returns a copy of the current slot→socket home map (all zeros
 // while placement is off). Diagnostics, tests and cmd/adapttune reporting.
-func (s *Stack[T]) Placement() []int {
-	g := s.geo.Load()
+func (w *Window[T, S]) Placement() []int {
+	g := w.geo.Load()
 	out := make([]int, len(g.homes))
 	copy(out, g.homes)
 	return out
@@ -131,43 +106,41 @@ func (s *Stack[T]) Placement() []int {
 // count): the harness pins worker i's handle with it so the native
 // structures see the same fill-socket-0-first layout the simulated
 // machine uses.
-func (s *Stack[T]) PlacementSocketFor(i int) int {
-	return HeuristicSocket(i, s.geo.Load().nsockets)
+func (w *Window[T, S]) PlacementSocketFor(i int) int {
+	return HeuristicSocket(i, w.geo.Load().nsockets)
 }
 
-// Reconfigure atomically replaces the stack's geometry with cfg. It is safe
-// to call concurrently with operations (and with other Reconfigure calls,
-// which serialise). Items are never lost or duplicated:
+// Reconfigure atomically replaces the structure's geometry with cfg. It is
+// safe to call concurrently with operations (and with other Reconfigure
+// calls, which serialise). Items are never lost or duplicated:
 //
-//   - Depth/shift/hops changes swap only the parameters; the sub-stack
-//     array is shared between the old and new geometry.
-//   - Width growth appends fresh empty sub-stacks; existing slots are
+//   - Depth/shift/hops changes swap only the parameters; the slot array is
+//     shared between the old and new geometry.
+//   - Width growth appends empty slots (Hooks.Grow); existing slots are
 //     shared, so no item moves.
-//   - Width shrink drops the trailing slots from the new geometry, waits
-//     for every operation pinned to the old geometry to finish (epoch
-//     quiescence), then splices each stranded chain onto the least-loaded
-//     surviving sub-stack in one descriptor CAS (the warm handoff; see
-//     spliceStranded), preserving the chain's relative LIFO order; the
-//     Global window advances once, batched, instead of once per exhausted
-//     band as under the retired funnel migration.
+//   - Width shrink drops slots from the new geometry, waits for every
+//     operation pinned to the old geometry to finish (epoch quiescence),
+//     then hands the stranded items to the survivors (Hooks.Handoff: the
+//     stack's one-CAS chain splice, the queue's round-robin drain), with
+//     one batched advance of the window instead of one per exhausted band.
 //
 // Semantics during a transition: operations still in flight on the old
-// geometry follow its window rules, so for the duration of the handover the
-// effective relaxation bound is max(K_old, K_new) plus (for a shrink) the
-// spliced chain's length plus its target's population — the quantity
-// tracked by ShrinkDisplacementBound. A shrink additionally makes the stranded items
+// geometry follow its window rules, so for the duration of the handover
+// the effective relaxation bound combines K_old and K_new (DESIGN.md §4
+// for the stack, §5 for the queue) plus the migration's addition to
+// ShrinkDisplacementBound. A shrink additionally makes the stranded items
 // invisible to new-geometry operations until the migration completes
-// (Reconfigure returns only after it has): a concurrent Pop inside that
+// (Reconfigure returns only after it has): a concurrent pop inside that
 // window may report empty even though stranded items exist. Callers that
 // treat empty as terminal — drain loops, shutdown paths — should therefore
-// not shrink width concurrently with consumers racing the stack to empty.
-// Once the migration finishes the active geometry's Theorem 1 bound
-// applies again. See DESIGN.md §4.
+// not shrink width concurrently with consumers racing the structure to
+// empty. Once the migration finishes the active geometry's bound applies
+// again.
 //
 // Reconfigure must not be called from inside an operation on the same
-// stack (there is no way to do so through the public API).
-func (s *Stack[T]) Reconfigure(cfg Config) error {
-	return s.ReconfigureOnSocket(cfg, -1)
+// structure (there is no way to do so through the public API).
+func (w *Window[T, S]) Reconfigure(cfg Config) error {
+	return w.ReconfigureOnSocket(cfg, -1)
 }
 
 // ReconfigureOnSocket is Reconfigure with placement attribution: requester
@@ -179,108 +152,96 @@ func (s *Stack[T]) Reconfigure(cfg Config) error {
 // off (or no attribution) it behaves exactly like Reconfigure. This is the
 // entry point internal/adapt's controller uses when the target advertises
 // placement (adapt.SocketAware).
-func (s *Stack[T]) ReconfigureOnSocket(cfg Config, requester int) error {
+func (w *Window[T, S]) ReconfigureOnSocket(cfg Config, requester int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	s.reMu.Lock()
-	defer s.reMu.Unlock()
-	return s.reconfigureLocked(cfg, requester)
+	w.reMu.Lock()
+	defer w.reMu.Unlock()
+	return w.reconfigureLocked(cfg, requester)
 }
 
 // SetWindow adjusts depth and shift, keeping width and hops. This is the
 // cheap reconfiguration path: no migration, no quiescence wait.
-func (s *Stack[T]) SetWindow(depth, shift int64) error {
-	s.reMu.Lock()
-	defer s.reMu.Unlock()
-	cfg := s.geo.Load().config()
+func (w *Window[T, S]) SetWindow(depth, shift int64) error {
+	w.reMu.Lock()
+	defer w.reMu.Unlock()
+	cfg := w.geo.Load().config()
 	cfg.Depth, cfg.Shift = depth, shift
-	return s.reconfigureLocked(cfg, -1)
+	return w.reconfigureLocked(cfg, -1)
 }
 
-// SetWidth adjusts the sub-stack count, keeping the window parameters.
-func (s *Stack[T]) SetWidth(width int) error {
-	s.reMu.Lock()
-	defer s.reMu.Unlock()
-	cfg := s.geo.Load().config()
+// SetWidth adjusts the sub-structure count, keeping the window parameters.
+func (w *Window[T, S]) SetWidth(width int) error {
+	w.reMu.Lock()
+	defer w.reMu.Unlock()
+	cfg := w.geo.Load().config()
 	cfg.Width = width
-	return s.reconfigureLocked(cfg, -1)
+	return w.reconfigureLocked(cfg, -1)
 }
 
-func (s *Stack[T]) reconfigureLocked(cfg Config, requester int) error {
+func (w *Window[T, S]) reconfigureLocked(cfg Config, requester int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	old := s.geo.Load()
+	old := w.geo.Load()
 	if old.config() == cfg {
 		return nil
 	}
-	next := &geometry[T]{
-		epoch: old.epoch + 1,
-		width: cfg.Width,
-		depth: cfg.Depth,
-		shift: cfg.Shift,
-		hops:  cfg.RandomHops,
+	next := &Geometry[S]{
+		Epoch: old.Epoch + 1,
+		Width: cfg.Width,
+		Depth: cfg.Depth,
+		Shift: cfg.Shift,
+		Hops:  cfg.RandomHops,
 	}
-	var dropped []*subStack[T]
+	var dropped []*S
 	switch {
-	case cfg.Width == old.width:
-		next.subs = old.subs
-		s.stampPlacement(next, old.homes)
-	case cfg.Width > old.width:
-		next.subs = make([]*subStack[T], cfg.Width)
-		copy(next.subs, old.subs)
-		empty := &descriptor[T]{}
-		for i := old.width; i < cfg.Width; i++ {
-			ss := new(subStack[T])
-			ss.desc.P.Store(empty)
-			next.subs[i] = ss
-		}
+	case cfg.Width == old.Width:
+		next.Subs = old.Subs
+		w.stampPlacement(next, old.homes)
+	case cfg.Width > old.Width:
+		next.Subs = w.hooks.Grow(append(make([]*S, 0, cfg.Width), old.Subs...), cfg)
 		// New slots are homed by the placement policy, requester first
 		// under LocalFirst (a no-op map of zeros while placement is off).
-		s.stampPlacement(next, PlaceSlots(s.placePolicy, old.homes, cfg.Width, requester, s.placeSockets))
+		w.stampPlacement(next, PlaceSlots(w.placePolicy, old.homes, cfg.Width, requester, w.placeSockets))
 	default:
 		// Shrink: keep the survivors ShrinkPlan picks (the leading slots
 		// when placement-blind; preferring to drop slots remote to the
 		// requester otherwise), strand the rest for migration.
-		surv, homes := ShrinkPlan(s.placePolicy, old.homes, cfg.Width, requester)
+		surv, homes := ShrinkPlan(w.placePolicy, old.homes, cfg.Width, requester)
 		keep := make(map[int]bool, len(surv))
-		next.subs = make([]*subStack[T], 0, cfg.Width)
+		next.Subs = make([]*S, 0, cfg.Width)
 		for _, i := range surv {
 			keep[i] = true
-			next.subs = append(next.subs, old.subs[i])
+			next.Subs = append(next.Subs, old.Subs[i])
 		}
-		for i, ss := range old.subs {
+		for i, sub := range old.Subs {
 			if !keep[i] {
-				dropped = append(dropped, ss)
+				dropped = append(dropped, sub)
 			}
 		}
-		s.stampPlacement(next, homes)
+		w.stampPlacement(next, homes)
 	}
 	// Director yield point: the instant before the new window rules become
 	// visible to fresh pins — a suspended schedule here interleaves
 	// old-geometry operations against the fully built successor.
-	gate(yield.PointGeometryPublish)
-	s.geo.Store(next)
+	yield.Fire(yield.PointGeometryPublish)
+	w.geo.Store(next)
 
-	// Re-establish global >= depth so Pop's floor arithmetic starts sane on
-	// the new geometry. (Stale-geometry pops may pull it below again for a
-	// moment; the operations clamp the floor at zero, so this is a
-	// performance nicety, not a safety requirement.)
-	for {
-		g := s.global.V.Load()
-		if g >= cfg.Depth || s.global.V.CompareAndSwap(g, cfg.Depth) {
-			break
-		}
-	}
+	// Re-establish ceiling >= depth so the window arithmetic starts sane on
+	// the new geometry. (Stale-geometry operations may disturb it again for
+	// a moment; the operations tolerate that, so this is a performance
+	// nicety, not a safety requirement.)
+	w.hooks.Raise(cfg.Depth)
 
 	// The reconfiguration event marks the publish point: it precedes any
 	// handoff event of the same shrink, so a drained trace reads causally
 	// (reconfig, then its migration, then the controller tick that reported
 	// both).
-	s.emitStruct(StructEvent{
-		Kind: StructReconfig, Epoch: next.epoch,
-		OldWidth: old.width, Width: next.width, Depth: next.depth, Shift: next.shift,
+	w.emitStruct(StructEvent{
+		Kind: StructReconfig, Epoch: next.Epoch,
+		OldWidth: old.Width, Width: next.Width, Depth: next.Depth, Shift: next.Shift,
 		Requester: requester, Stranded: len(dropped),
 	})
 
@@ -289,127 +250,14 @@ func (s *Stack[T]) reconfigureLocked(cfg Config, requester int) error {
 		// Wait until no operation can touch them through the old one, then
 		// move them into the live window. After quiescence the slots are
 		// exclusively ours (new-geometry searches never index past width).
-		s.waitQuiesce(old.epoch)
-		disp := s.spliceStranded(next, dropped)
-		s.emitStruct(StructEvent{
-			Kind: StructShrinkHandoff, Epoch: next.epoch,
-			OldWidth: old.width, Width: next.width, Depth: next.depth, Shift: next.shift,
+		w.waitQuiesce(old.Epoch)
+		disp := w.hooks.Handoff(next, dropped)
+		w.shrinkDisp.Add(disp)
+		w.emitStruct(StructEvent{
+			Kind: StructShrinkHandoff, Epoch: next.Epoch,
+			OldWidth: old.Width, Width: next.Width, Depth: next.Depth, Shift: next.Shift,
 			Requester: requester, Stranded: len(dropped), Displacement: disp,
 		})
 	}
 	return nil
-}
-
-// spliceStranded is the warm shrink handoff: each dropped sub-stack's whole
-// chain is spliced, in one descriptor CAS, on top of the surviving sub-stack
-// currently holding the fewest items (read from the live descriptor
-// counters), followed by one batched Global raise that restores push
-// headroom. Compared with the earlier approach — re-pushing every stranded
-// item through one internal handle's normal Push path, which forced a
-// window raise each time the re-pushes exhausted the band (the transient
-// k-spike of DESIGN.md §4 invariant 2) — this advances the window once
-// instead of once per exhausted band, touches each target once per dropped
-// slot instead of once per item, and spreads the load by the live counters
-// instead of piling it wherever one handle's search happened to land. The
-// stranded chain keeps its internal order; the descriptor count stays equal
-// to the real list length, so window validity and emptiness detection are
-// unaffected.
-//
-// Safety: after old-epoch quiescence the dropped slots and their nodes are
-// exclusively ours, so writing the chain bottom's next pointer is race-free
-// until the CAS publishes it; a CAS loss to a concurrent operation on the
-// target just re-picks the least-loaded target and retries.
-//
-// The returned value is this migration's addition to the displacement
-// bound (also accumulated into shrinkDisp), which the caller forwards to
-// the shrink-handoff observer event.
-func (s *Stack[T]) spliceStranded(next *geometry[T], dropped []*subStack[T]) int64 {
-	var disp int64
-	for _, ss := range dropped {
-		d := ss.load()
-		ss.desc.P.Store(&descriptor[T]{})
-		if d.count == 0 {
-			continue
-		}
-		bottom := d.top
-		for bottom.next != nil {
-			bottom = bottom.next
-		}
-		for {
-			tgt, td := next.subs[0], next.subs[0].load()
-			for _, cand := range next.subs[1:] {
-				if cd := cand.load(); cd.count < td.count {
-					tgt, td = cand, cd
-				}
-			}
-			bottom.next = td.top
-			if tgt.cas(td, &descriptor[T]{top: d.top, count: td.count + d.count}) {
-				disp += td.count + d.count
-				break
-			}
-		}
-	}
-	// Each migrated item lands above at most its target's population and
-	// below nothing it displaced; the sum of (stranded + target) populations
-	// over the splices is therefore an upper bound on the extra LIFO
-	// displacement this shrink can have caused.
-	s.shrinkDisp.Add(disp)
-
-	// Restore push headroom. On a large shrink every survivor receives a
-	// chain, so all counts can sit at or above the untouched Global at
-	// once and the next Push would stall through repeated full-coverage
-	// passes, each raising Global by only shift and restarting every
-	// concurrent search — the funnel's spike in client clothing. One
-	// batched raise to shift headroom above the least-loaded survivor is
-	// the advance the window would have made had the migrated items been
-	// pushed normally; counts stay within the usual band, and pops at
-	// worst lower the window one extra round. (Global is not monotone —
-	// concurrent pops may lower it — but one successful raise-if-below
-	// CAS is all this needs.)
-	if disp > 0 {
-		minCount := next.subs[0].load().count
-		for _, ss := range next.subs[1:] {
-			if c := ss.load().count; c < minCount {
-				minCount = c
-			}
-		}
-		for target := minCount + next.shift; ; {
-			cur := s.global.V.Load()
-			if cur >= target || s.global.V.CompareAndSwap(cur, target) {
-				break
-			}
-		}
-	}
-	return disp
-}
-
-// waitQuiesce blocks until no handle is pinned to an epoch <= oldEpoch.
-// Operations are lock-free and finite, so this terminates; new operations
-// pin the already-published new geometry and do not delay it. A collected
-// handle (weak pointer gone nil) is idle by definition: a goroutine still
-// running an operation keeps its handle reachable.
-func (s *Stack[T]) waitQuiesce(oldEpoch uint64) {
-	for {
-		busy := false
-		s.hMu.Lock()
-		for _, entry := range s.handles {
-			h := entry.wp.Value()
-			if h == nil {
-				continue
-			}
-			if e := h.epoch.Load(); e != 0 && e <= oldEpoch {
-				busy = true
-				break
-			}
-		}
-		s.hMu.Unlock()
-		if !busy {
-			return
-		}
-		// Director yield point: a directed reconfiguration parks here so
-		// the scheduler can run the pinned operations to completion instead
-		// of spinning the wait loop forever (yield.PointWait semantics).
-		gate(yield.PointWait)
-		runtime.Gosched()
-	}
 }

@@ -1,257 +1,44 @@
 package core
 
-import (
-	"sync/atomic"
-	"time"
-	"weak"
+import "stack2d/internal/yield"
 
-	"stack2d/internal/xrand"
-	"stack2d/internal/yield"
-)
-
-// Handle carries the per-thread state of the 2D-Stack algorithm: the index
-// of the sub-stack where the owner last succeeded (the locality anchor), a
-// private RNG for hop selection, and work counters (see OpStats). Obtain
-// one per goroutine with NewHandle.
+// Handle carries the per-thread state of the 2D-Stack algorithm: the
+// window shell's per-handle half (WindowHandle: the locality anchor
+// Last[0], a private RNG for hop selection, work counters, the epoch pin,
+// the latency sampler and the op buffer) plus the stack it operates on.
+// Obtain one per goroutine with NewHandle.
 //
 // A Handle is NOT safe for concurrent use; the Stack is, across handles.
 type Handle[T any] struct {
-	s     *Stack[T]
-	rng   *xrand.State
-	last  int // sub-stack index of the most recent success
-	stats OpStats
-
-	// socket is the placement hint: the socket the owning goroutine is
-	// believed to run on, defaulted by the creation-order heuristic and
-	// overridden by Pin. Under a local-probe placement policy searches
-	// visit slots homed on this socket first; CAS failures are attributed
-	// to it in OpStats.SocketCAS. Always in [0, MaxPlacementSockets).
-	socket int
-
-	// planGeo/planSocket key the cached probe plan below: the local-first
-	// permutation this handle walks (BuildProbePlan over the geometry's
-	// slot homes, with a handle-private rotation of the remote section),
-	// rebuilt lazily when the geometry or the pinned socket changes.
-	// Owner-goroutine only, like all search state.
-	planGeo    *geometry[T]
-	planSocket int
-	planOrd    []int
-	planPos    []int
-	planLocalN int
-
-	// sinceFlush counts operations since stats were last published to
-	// shared (see maybeFlush in stats.go).
-	sinceFlush int
-
-	// latCountdown counts operations down to the next latency sample: one
-	// operation in latencySampleInterval is timed end to end
-	// (latSampling/latStart carry the in-flight sample between pin and
-	// unpin). A decrement-and-test countdown instead of the former
-	// counter-and-modulo keeps the uncontended fast path to one predicted-
-	// untaken branch and defers the clock read until after the sample
-	// decision. Owner-goroutine only.
-	latCountdown int
-	latSampling  bool
-	latStart     time.Time
-
-	// Op-buffer state (see buffer.go; inert until SetOpBuffer arms it).
-	// bufCap is the combined-publication threshold; pending holds buffered,
-	// not-yet-published pushes oldest-first; prefetch[prefStart:] holds
-	// structurally popped but not-yet-delivered values, topmost-first;
-	// bufEpoch is the geometry epoch the buffers were last reconciled with.
-	// All owner-goroutine only, except bufCount: the atomically readable
-	// total of both buffers, summed by Stack.Len through the handle
-	// registry so buffered items are never phantom-invisible to sizing.
-	bufCap    int
-	pending   []T
-	prefetch  []T
-	prefStart int
-	bufEpoch  uint64
-	bufCount  atomic.Int64
-
-	// epoch is the geometry epoch the handle is currently operating under,
-	// or 0 when idle. Written only by the owner, read by reconfigurers to
-	// detect quiescence of a superseded geometry.
-	epoch atomic.Uint64
-
-	// shared is the periodically flushed, atomically readable copy of
-	// stats, consumed by Stack.StatsSnapshot. It is a separate allocation,
-	// held strongly by the handle registry, so the final published
-	// counters outlive the handle itself.
-	shared *SharedCounters
-}
-
-// handleEntry is one registry slot: the weak handle for liveness/epoch
-// checks plus a strong reference to its atomic counter mirror, so pruning
-// can fold every dead entry's counters into retired unconditionally.
-type handleEntry[T any] struct {
-	wp     weak.Pointer[Handle[T]]
-	shared *SharedCounters
+	WindowHandle[T, subStack[T]]
+	s *Stack[T]
 }
 
 // NewHandle returns an operation handle anchored at a random sub-stack and
 // registers it with the stack for reconfiguration quiescence tracking and
-// stats aggregation. The handle itself is held weakly: one the caller
-// drops becomes collectable, its registry entry is pruned on a later
-// registration (folding its last published counters into the retired
-// total), so the convenience API's handle pool does not grow the registry
-// without bound. (Counters not yet flushed when a handle is abandoned — at
-// most statsFlushInterval operations — are lost; call FlushStats before
-// dropping a handle if they matter.) One handle per goroutine is still the
-// intended pattern.
+// stats aggregation (Window.Register: the registry holds the handle
+// weakly, so the convenience API's handle pool does not grow it without
+// bound). One handle per goroutine is the intended pattern.
 func (s *Stack[T]) NewHandle() *Handle[T] {
-	seed := s.seed.V.Add(0x9e3779b97f4a7c15)
-	rng := xrand.New(seed)
-	order := int(s.handleSeq.Add(1) - 1)
-	h := &Handle[T]{
-		s:            s,
-		rng:          rng,
-		last:         rng.Intn(s.geo.Load().width),
-		socket:       HeuristicSocket(order, s.geo.Load().nsockets),
-		latCountdown: latencySampleInterval,
-		shared:       &SharedCounters{},
-	}
-	s.hMu.Lock()
-	live := s.handles[:0]
-	for _, old := range s.handles {
-		if old.wp.Value() != nil {
-			live = append(live, old)
-		} else {
-			s.retired.Add(old.shared.Load())
-		}
-	}
-	s.handles = append(live, handleEntry[T]{wp: weak.Make(h), shared: h.shared})
-	s.hMu.Unlock()
+	h := &Handle[T]{s: s}
+	s.Register(&h.WindowHandle, 1, BufferHooks[T]{Publish: h.PushBatch, Refill: h.popBatchInto, Return: h.returnPrefetch})
 	return h
 }
 
-// Pin declares the socket the owning goroutine runs on, overriding the
-// creation-order heuristic NewHandle applied. Under a local-probe
-// placement policy (see Stack.SetPlacement and DESIGN.md §7) subsequent
-// operations visit slots homed on this socket before remote ones, and the
-// handle's CAS failures are attributed to it in StatsSnapshot — the signal
-// the adaptive controller uses to home new slots near the contention.
-// Negative ids are treated as 0 and ids are folded modulo
-// MaxPlacementSockets; at operation time a hint beyond the configured
-// socket count is further folded modulo that count (see sockIdx), so the
-// socket a handle probes as always matches the socket its contention is
-// attributed to. Pinning never affects window semantics, only probe
-// order. Owner-goroutine only, like every Handle method.
-func (h *Handle[T]) Pin(socket int) {
-	if socket < 0 {
-		socket = 0
+// SetAnchor forces the handle's next search to start at sub-stack idx,
+// overriding the locality anchor of the most recent success. With
+// RandomHops = 0 and no concurrent operations the next Push or Pop then
+// lands on idx whenever idx is window-valid — the property the
+// deterministic director's exact trace replay relies on to drive the real
+// stack through a seqspec explorer trace (sub-stack choices included).
+// Out-of-range indices are re-anchored randomly by the next pin, exactly
+// like a dangling anchor after a width shrink. Owner-goroutine only, like
+// every Handle method; diagnostics and directed replay, not a tuning knob.
+func (h *Handle[T]) SetAnchor(idx int) {
+	if idx < 0 {
+		idx = 0
 	}
-	h.socket = socket % MaxPlacementSockets
-}
-
-// Socket returns the handle's current placement hint.
-func (h *Handle[T]) Socket() int { return h.socket }
-
-// sockIdx reduces the handle's socket hint to the geometry's socket count
-// — the same reduction probe() applies when building the walk — so the
-// socket a handle contends AS is the socket its CAS pressure is
-// attributed TO. Without this, a handle pinned beyond the configured
-// socket count would probe as socket (hint mod nsockets) but report
-// pressure on the raw hint, and LocalFirst would discard the requester.
-func (h *Handle[T]) sockIdx(geo *geometry[T]) int {
-	if geo.nsockets > 1 {
-		return h.socket % geo.nsockets
-	}
-	return h.socket
-}
-
-// probe returns the handle's probe plan for the pinned geometry: the slot
-// permutation to walk (same-socket slots first, remote spill section
-// privately rotated), its slot→position inverse, and the local-slot
-// count. All nil/0 for placement-blind geometries, selecting the plain
-// index-order search. The plan is cached per (geometry, socket), so the
-// steady-state cost is two pointer compares.
-func (h *Handle[T]) probe(geo *geometry[T]) (ord, pos []int, localN int) {
-	if !geo.localProbe {
-		return nil, nil, 0
-	}
-	if h.planGeo != geo || h.planSocket != h.socket {
-		s := h.socket % geo.nsockets
-		h.planOrd, h.planPos, h.planLocalN = BuildProbePlan(geo.homes, s, h.rng.Intn(geo.width))
-		h.planGeo, h.planSocket = geo, h.socket
-	}
-	return h.planOrd, h.planPos, h.planLocalN
-}
-
-// armLatSample opens a latency sample: reset the countdown, mark the
-// sample in flight, read the clock. Deliberately noinline: it runs once per
-// latencySampleInterval operations, and keeping its body (the time.Now
-// call above all) out of pin's inlined code leaves the uncontended fast
-// path with only the countdown decrement-and-test — the clock is read
-// strictly after the sample decision.
-//
-//go:noinline
-func (h *Handle[T]) armLatSample() {
-	h.latCountdown = latencySampleInterval
-	h.latSampling = true
-	h.latStart = time.Now()
-}
-
-// closeLatSample records the in-flight sample's bucket; noinline for the
-// same reason as armLatSample — unpin's inlined body keeps only the
-// predicted-untaken latSampling test.
-//
-//go:noinline
-func (h *Handle[T]) closeLatSample() {
-	h.latSampling = false
-	h.stats.Latency[LatencyBucket(time.Since(h.latStart))]++
-}
-
-// pinGeo publishes the handle as active on the current geometry and
-// returns it. The re-check after the epoch store closes the race with a
-// concurrent geometry swap: once pinGeo returns, any reconfigurer that
-// superseded geo will wait for this handle's unpin before touching
-// stranded sub-stacks.
-func (h *Handle[T]) pinGeo() *geometry[T] {
-	for {
-		geo := h.s.geo.Load()
-		h.epoch.Store(geo.epoch)
-		if h.s.geo.Load() == geo {
-			if h.last >= geo.width {
-				// The anchor can dangle after a width shrink; re-anchor.
-				h.last = h.rng.Intn(geo.width)
-			}
-			return geo
-		}
-	}
-}
-
-// pin is pinGeo plus the 1-in-N latency sample decision: a sampled
-// operation is timed from here to the matching unpin, so the estimate
-// covers the whole search including window maintenance and restarts.
-func (h *Handle[T]) pin() *geometry[T] {
-	h.latCountdown--
-	if h.latCountdown <= 0 {
-		h.armLatSample()
-	}
-	return h.pinGeo()
-}
-
-// pinBatch is pin without the sampling countdown. A batch is many
-// operations under one pin: its end-to-end time is not a per-operation
-// latency, so it must not open a sample — and it must not consume a
-// countdown tick either. (Batches used to run the full pin and cancel the
-// sample afterwards, which silently ate the tick whenever one landed on
-// the sample point: a batch-heavy phase skewed the stride and could starve
-// post-batch sampling entirely. TestLatencySampleStridePinned pins the
-// corrected behaviour.)
-func (h *Handle[T]) pinBatch() *geometry[T] {
-	return h.pinGeo()
-}
-
-// unpin marks the handle idle, closes an in-flight latency sample, and
-// periodically publishes its counters.
-func (h *Handle[T]) unpin() {
-	h.epoch.Store(0)
-	if h.latSampling {
-		h.closeLatSample()
-	}
-	h.maybeFlush()
+	h.Last[0] = idx
 }
 
 // Push adds v to the stack. It is lock-free: it retries until its CAS
@@ -265,51 +52,51 @@ func (h *Handle[T]) unpin() {
 // raised. A failed CAS (contention) triggers a random hop and restarts the
 // count; any observed Global change restarts the search outright.
 func (h *Handle[T]) Push(v T) {
-	geo := h.pin()
+	geo := h.PinOp()
 	s := h.s
-	width := geo.width
+	width := geo.Width
 	// Under a local-probe placement policy the search walks a per-socket
 	// permutation (same-socket slots first) instead of plain index order;
 	// ord is nil otherwise and the pre-placement path runs unchanged. Both
 	// walks cover all width slots, so the coverage discipline — and with
 	// it the Theorem 1 bound — is identical (DESIGN.md §7).
-	ord, pos, localN := h.probe(geo)
-	sockIdx := h.sockIdx(geo)
+	ord, pos, localN := h.Probe(geo)
+	sockIdx := h.SockIdx(geo)
 	n := &node[T]{value: v}
 	for {
 		global := s.global.V.Load()
-		idx := h.last
+		idx := h.Last[0]
 		at := 0 // position of idx in ord (local-probe walks only)
 		if ord != nil {
 			at = pos[idx]
 		}
 		probes := 0 // consecutive round-robin validation failures
-		randLeft := geo.hops
+		randLeft := geo.Hops
 		for probes < width {
 			// Track Global on every hop; restart the search on any change.
 			if g := s.global.V.Load(); g != global {
 				global = g
 				probes = 0
-				randLeft = geo.hops
-				h.stats.Restarts++
+				randLeft = geo.Hops
+				h.Count.Restarts++
 			}
-			d := geo.subs[idx].load()
-			h.stats.Probes++
+			d := geo.Subs[idx].load()
+			h.Count.Probes++
 			if d.count < global {
 				// Valid for push: attempt the descriptor swap.
 				n.next = d.top
-				if geo.subs[idx].cas(d, &descriptor[T]{top: n, count: d.count + 1}) {
-					h.last = idx
-					h.stats.Pushes++
-					h.unpin()
+				if geo.Subs[idx].cas(d, &descriptor[T]{top: n, count: d.count + 1}) {
+					h.Last[0] = idx
+					h.Count.Pushes++
+					h.Unpin()
 					return
 				}
 				// Contention: the colliding operation made progress; hop to
 				// a random sub-stack and restart the coverage count.
-				h.stats.CASFailures++
-				h.stats.SocketCAS[sockIdx]++
-				gate(yield.PointCASFail)
-				idx = HopIdx(h.rng, width, ord, localN)
+				h.Count.CASFailures++
+				h.Count.SocketCAS[sockIdx]++
+				yield.Fire(yield.PointCASFail)
+				idx = HopIdx(h.RNG, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -320,8 +107,8 @@ func (h *Handle[T]) Push(v T) {
 			// Invalid (at the window ceiling): hop on.
 			if randLeft > 0 {
 				randLeft--
-				h.stats.RandomHops++
-				idx = HopIdx(h.rng, width, ord, localN)
+				h.Count.RandomHops++
+				idx = HopIdx(h.RNG, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -344,9 +131,9 @@ func (h *Handle[T]) Push(v T) {
 		// A full round-robin pass found every sub-stack at the ceiling:
 		// raise the window. Whether our CAS or a competitor's wins, Global
 		// has changed; re-read and retry with a fresh search count.
-		gate(yield.PointWindowMove)
-		if s.global.V.CompareAndSwap(global, global+geo.shift) {
-			h.stats.WindowRaises++
+		yield.Fire(yield.PointWindowMove)
+		if s.global.V.CompareAndSwap(global, global+geo.Shift) {
+			h.Count.WindowRaises++
 		}
 	}
 }
@@ -356,12 +143,12 @@ func (h *Handle[T]) Push(v T) {
 // threshold zero) and a full round-robin pass saw every sub-stack at count
 // zero.
 func (h *Handle[T]) Pop() (v T, ok bool) {
-	geo := h.pin()
+	geo := h.PinOp()
 	s := h.s
-	width := geo.width
-	depth := geo.depth
-	ord, pos, localN := h.probe(geo) // see Push
-	sockIdx := h.sockIdx(geo)
+	width := geo.Width
+	depth := geo.Depth
+	ord, pos, localN := h.Probe(geo) // see Push
+	sockIdx := h.SockIdx(geo)
 	for {
 		global := s.global.V.Load()
 		// Steady state guarantees global >= depth; a racing depth change
@@ -371,13 +158,13 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 		if floor < 0 {
 			floor = 0
 		}
-		idx := h.last
+		idx := h.Last[0]
 		at := 0
 		if ord != nil {
 			at = pos[idx]
 		}
 		probes := 0
-		randLeft := geo.hops
+		randLeft := geo.Hops
 		for probes < width {
 			if g := s.global.V.Load(); g != global {
 				global = g
@@ -386,23 +173,23 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 					floor = 0
 				}
 				probes = 0
-				randLeft = geo.hops
-				h.stats.Restarts++
+				randLeft = geo.Hops
+				h.Count.Restarts++
 			}
-			d := geo.subs[idx].load()
-			h.stats.Probes++
+			d := geo.Subs[idx].load()
+			h.Count.Probes++
 			if d.count > floor {
 				// Valid for pop. count > floor >= 0 implies top != nil.
-				if geo.subs[idx].cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
-					h.last = idx
-					h.stats.Pops++
-					h.unpin()
+				if geo.Subs[idx].cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
+					h.Last[0] = idx
+					h.Count.Pops++
+					h.Unpin()
 					return d.top.value, true
 				}
-				h.stats.CASFailures++
-				h.stats.SocketCAS[sockIdx]++
-				gate(yield.PointCASFail)
-				idx = HopIdx(h.rng, width, ord, localN)
+				h.Count.CASFailures++
+				h.Count.SocketCAS[sockIdx]++
+				yield.Fire(yield.PointCASFail)
+				idx = HopIdx(h.RNG, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -412,8 +199,8 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 			}
 			if randLeft > 0 {
 				randLeft--
-				h.stats.RandomHops++
-				idx = HopIdx(h.rng, width, ord, localN)
+				h.Count.RandomHops++
+				idx = HopIdx(h.RNG, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -436,20 +223,20 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 		if global <= depth {
 			// Window at its floor: the coverage pass proved every
 			// sub-stack held zero items at this Global. Report empty.
-			h.stats.EmptyPops++
-			h.unpin()
+			h.Count.EmptyPops++
+			h.Unpin()
 			var zero T
 			return zero, false
 		}
 		// Lower the window (floored at depth so the validity threshold
 		// never goes negative) and retry with a fresh search count.
-		gate(yield.PointWindowMove)
-		next := global - geo.shift
+		yield.Fire(yield.PointWindowMove)
+		next := global - geo.Shift
 		if next < depth {
 			next = depth
 		}
 		if s.global.V.CompareAndSwap(global, next) {
-			h.stats.WindowLowers++
+			h.Count.WindowLowers++
 		}
 	}
 }
@@ -459,34 +246,34 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 // miss over window maintenance; ok=false means "nothing in the current
 // window", not necessarily that the stack is empty.
 func (h *Handle[T]) TryPop() (v T, ok bool) {
-	geo := h.pin()
+	geo := h.PinOp()
 	s := h.s
-	width := geo.width
-	ord, pos, _ := h.probe(geo) // single pass, same-socket slots first
-	sockIdx := h.sockIdx(geo)
+	width := geo.Width
+	ord, pos, _ := h.Probe(geo) // single pass, same-socket slots first
+	sockIdx := h.SockIdx(geo)
 	global := s.global.V.Load()
-	floor := global - geo.depth
+	floor := global - geo.Depth
 	if floor < 0 {
 		floor = 0
 	}
-	idx := h.last
+	idx := h.Last[0]
 	at := 0
 	if ord != nil {
 		at = pos[idx]
 	}
 	for probes := 0; probes < width; probes++ {
-		d := geo.subs[idx].load()
-		h.stats.Probes++
+		d := geo.Subs[idx].load()
+		h.Count.Probes++
 		if d.count > floor {
-			if geo.subs[idx].cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
-				h.last = idx
-				h.stats.Pops++
-				h.unpin()
+			if geo.Subs[idx].cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
+				h.Last[0] = idx
+				h.Count.Pops++
+				h.Unpin()
 				return d.top.value, true
 			}
-			h.stats.CASFailures++
-			h.stats.SocketCAS[sockIdx]++
-			gate(yield.PointCASFail)
+			h.Count.CASFailures++
+			h.Count.SocketCAS[sockIdx]++
+			yield.Fire(yield.PointCASFail)
 		}
 		if ord == nil {
 			idx++
@@ -501,7 +288,7 @@ func (h *Handle[T]) TryPop() (v T, ok bool) {
 			idx = ord[at]
 		}
 	}
-	h.unpin()
+	h.Unpin()
 	var zero T
 	return zero, false
 }

@@ -1,9 +1,8 @@
 package core
 
 // StructEventKind enumerates the structural transitions a core.Observer is
-// told about. The twodqueue package reuses this vocabulary (and the
-// Observer interface) so one consumer — internal/obs's tracer — serves
-// both structures.
+// told about. Both window structures emit them through the shared shell
+// (Window), so one consumer — internal/obs's tracer — serves both.
 type StructEventKind uint8
 
 const (
@@ -48,22 +47,22 @@ type Observer interface {
 	ObserveStruct(StructEvent)
 }
 
-// SetObserver installs (or, with nil, removes) the stack's structural
+// SetObserver installs (or, with nil, removes) the structure's structural
 // observer. Emission sites all run under the reconfiguration lock, which
 // SetObserver also takes, so installation is race-free against concurrent
 // reconfigurations. The operation hot path never reads the observer —
-// events exist only on reconfiguration paths — so an uninstrumented stack
-// pays literally nothing and an instrumented one pays nothing per
+// events exist only on reconfiguration paths — so an uninstrumented
+// structure pays literally nothing and an instrumented one pays nothing per
 // operation (DESIGN.md §8).
-func (s *Stack[T]) SetObserver(o Observer) {
-	s.reMu.Lock()
-	s.obsv = o
-	s.reMu.Unlock()
+func (w *Window[T, S]) SetObserver(o Observer) {
+	w.reMu.Lock()
+	w.obsv = o
+	w.reMu.Unlock()
 }
 
 // emitStruct reports ev to the installed observer, if any; reMu held.
-func (s *Stack[T]) emitStruct(ev StructEvent) {
-	if s.obsv != nil {
-		s.obsv.ObserveStruct(ev)
+func (w *Window[T, S]) emitStruct(ev StructEvent) {
+	if w.obsv != nil {
+		w.obsv.ObserveStruct(ev)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Latency sampling. One operation in latencySampleInterval is timed
+// Latency sampling. One operation in LatencySampleInterval is timed
 // end-to-end (pin to unpin) and recorded into a log2-bucketed histogram in
 // the handle's OpStats. The buckets are monotone counters like every other
 // field, so they flush through the same SharedCounters mirror, aggregate
@@ -14,11 +14,11 @@ import (
 // StatsSnapshots — which is what lets internal/adapt compute interval P50/
 // P99 estimates at runtime without the harness's offline sampler.
 const (
-	// latencySampleInterval is the sampling stride: 1 operation in this many
+	// LatencySampleInterval is the sampling stride: 1 operation in this many
 	// is timed. A power of two so the hot-path check is a mask test. At this
 	// stride the amortised cost of the two clock reads is well under a
 	// nanosecond per operation.
-	latencySampleInterval = 64
+	LatencySampleInterval = 64
 
 	// NumLatencyBuckets is the histogram size. Bucket i holds samples whose
 	// duration in nanoseconds has bit-length i, i.e. [2^(i-1), 2^i) ns;
@@ -54,7 +54,7 @@ func latencyBucketBounds(i int) (lo, hi time.Duration) {
 // sub-stacks an operation inspects, how often CAS fails (contention), and
 // how often the window has to move. Counters are handle-local and updated
 // without atomics; read them from the owning goroutine only (or after it
-// has quiesced). For cross-goroutine sampling use Stack.StatsSnapshot,
+// has quiesced). For cross-goroutine sampling use Window.StatsSnapshot,
 // which reads the periodically flushed atomic copies instead.
 type OpStats struct {
 	Pushes    uint64 // completed Push operations
@@ -77,7 +77,7 @@ type OpStats struct {
 	SocketCAS [MaxPlacementSockets]uint64
 
 	// Latency is the log2-bucketed histogram of sampled operation
-	// latencies (1 operation in latencySampleInterval is timed; see
+	// latencies (1 operation in LatencySampleInterval is timed; see
 	// LatencyBucket for the bucket layout). Estimate percentiles with
 	// LatencyPercentile.
 	Latency [NumLatencyBuckets]uint64
@@ -209,14 +209,14 @@ func (s OpStats) Sub(other OpStats) OpStats {
 }
 
 // Stats returns a copy of the handle's counters. Owner-goroutine only.
-func (h *Handle[T]) Stats() OpStats { return h.stats }
+func (h *WindowHandle[T, S]) Stats() OpStats { return h.Count }
 
 // ResetStats zeroes the handle's counters (and their published copy).
 // Owner-goroutine only. Samplers holding a previous StatsSnapshot baseline
 // will see this as a shrinking total; OpStats.Sub saturates, so the
 // affected interval reads as zero rather than garbage.
-func (h *Handle[T]) ResetStats() {
-	h.stats = OpStats{}
+func (h *WindowHandle[T, S]) ResetStats() {
+	h.Count = OpStats{}
 	h.FlushStats()
 }
 
@@ -243,6 +243,12 @@ const statsFlushInterval = 64
 // lines overlap and turn every 64-op flush into cross-core invalidation
 // traffic — false sharing on exactly the slots the audit exists to keep
 // private. TestSharedCountersPadded pins the size.
+//
+// residents sits outside the seqlock: the handle's op-buffer resident
+// count, stored by the owner after every buffer mutation (one store per
+// buffered operation, on the mirror's last line, which every flush writes
+// anyway) and read by Window.BufferedItems and, once the handle is
+// collected, by Window.AbandonedItems.
 type SharedCounters struct {
 	gen                                  atomic.Uint64
 	pushes, pops, emptyPops              atomic.Uint64
@@ -250,7 +256,8 @@ type SharedCounters struct {
 	windowRaises, windowLowers, restarts atomic.Uint64
 	socketCAS                            [MaxPlacementSockets]atomic.Uint64
 	latency                              [NumLatencyBuckets]atomic.Uint64
-	_                                    [16]byte // pad to a cache-line multiple (384 B)
+	residents                            atomic.Int64
+	_                                    [8]byte // pad to a cache-line multiple (384 B)
 }
 
 func (c *SharedCounters) Store(st OpStats) {
@@ -306,7 +313,7 @@ func (c *SharedCounters) Load() OpStats {
 
 // maybeFlush publishes the handle's counters every statsFlushInterval
 // completed operations; called from unpin on the owner goroutine.
-func (h *Handle[T]) maybeFlush() {
+func (h *WindowHandle[T, S]) maybeFlush() {
 	h.sinceFlush++
 	if h.sinceFlush >= statsFlushInterval {
 		h.FlushStats()
@@ -314,31 +321,9 @@ func (h *Handle[T]) maybeFlush() {
 }
 
 // FlushStats immediately publishes the handle's counters to the shared
-// copy read by Stack.StatsSnapshot. Owner-goroutine only. Useful when a
+// copy read by Window.StatsSnapshot. Owner-goroutine only. Useful when a
 // worker quiesces and a sampler should see its final totals at once.
-func (h *Handle[T]) FlushStats() {
+func (h *WindowHandle[T, S]) FlushStats() {
 	h.sinceFlush = 0
-	h.shared.Store(h.stats)
-}
-
-// StatsSnapshot aggregates the published counters of every registered
-// handle plus the retired totals of pruned ones. It is safe to call from
-// any goroutine and does not perturb the operation hot path: handles
-// publish their counters every statsFlushInterval operations, so the
-// snapshot trails the truth by at most that many operations per active
-// handle (and by the same amount, permanently, per abandoned handle).
-// Because the registry holds each handle's counter mirror strongly, a
-// collected-but-not-yet-pruned handle's work is still read here — the
-// snapshot never transiently loses completed operations. Reconfiguration
-// traffic does not read as client operations: the warm shrink handoff
-// splices stranded items directly at the descriptor level, without a
-// handle. This is the feed for internal/adapt's controller.
-func (s *Stack[T]) StatsSnapshot() OpStats {
-	s.hMu.Lock()
-	out := s.retired
-	for _, e := range s.handles {
-		out.Add(e.shared.Load())
-	}
-	s.hMu.Unlock()
-	return out
+	h.shared.Store(h.Count)
 }

@@ -1,0 +1,276 @@
+package core
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"weak"
+
+	"stack2d/internal/pad"
+	"stack2d/internal/xrand"
+	"stack2d/internal/yield"
+)
+
+// Window is the two-dimensional window shell shared by the 2D-Stack (this
+// package) and the 2D-Queue (internal/twodqueue): everything about the
+// technique that does not depend on what the window's slots hold. S is the
+// sub-structure type — the descriptor sub-stack here, the Michael–Scott
+// sub-queue there. The shell owns the published geometry and its epochs,
+// the weak-handle registry (quiescence detection, stats aggregation, the
+// buffered-resident and abandoned-item totals), socket placement,
+// reconfiguration and the structural observer. A structure embeds a Window
+// by value, next to its own window ceilings, and supplies its Hooks for the
+// three reconfiguration steps that do depend on S; its handles embed a
+// WindowHandle the same way. DESIGN.md §4 gives the invariants.
+//
+// A Window must not be copied.
+type Window[T, S any] struct {
+	// geo is the active geometry (window parameters + slot array),
+	// replaced wholesale by reconfiguration. Padded away from whatever the
+	// structure lays out next, so window movement never invalidates the
+	// read-mostly geometry pointer.
+	geo atomic.Pointer[Geometry[S]]
+	_   pad.CacheLinePad
+	// seed feeds handle RNGs; purely to give each handle an independent
+	// deterministic stream.
+	seed pad.Uint64Line
+
+	// reMu serialises reconfigurations. It also guards the placement
+	// settings below, which every geometry build reads, and the structural
+	// observer (obsv), whose events are emitted only under it.
+	reMu  sync.Mutex
+	hooks Hooks[S]
+	// obsv receives structural transition events (reconfigurations, shrink
+	// handoffs, placement re-homes); nil — the default — costs nothing.
+	// See SetObserver and DESIGN.md §8.
+	obsv Observer
+	// placePolicy/placeSockets are the socket-placement model installed by
+	// SetPlacement (nil policy / 1 socket = placement off, the default):
+	// the policy homes new slots on width growth and picks shrink
+	// survivors; the active geometry carries the resulting slot→socket
+	// map. See DESIGN.md §7.
+	placePolicy  PlacementPolicy
+	placeSockets int
+	// handleSeq counts registrations; the creation-order heuristic derives
+	// each handle's default socket hint from it (HeuristicSocket).
+	handleSeq atomic.Int64
+	// shrinkDisp accumulates, over all width shrinks, the displacement
+	// bound each handoff reported (see Hooks.Handoff and
+	// ShrinkDisplacementBound).
+	shrinkDisp atomic.Int64
+
+	// hMu guards the handle registry, which powers epoch quiescence
+	// detection, StatsSnapshot, BufferedItems and AbandonedItems. Each
+	// entry holds its handle weakly — so an abandoned handle (e.g. one
+	// dropped from the convenience API's sync.Pool on a GC cycle) is
+	// collectable — but the handle's published counters strongly: a
+	// collected handle's final counters and resident count stay readable
+	// until a later registration prunes the entry and folds them into
+	// retired and abandoned. StatsSnapshot is therefore exact with no
+	// dependence on GC-cleanup timing.
+	hMu     sync.Mutex
+	handles []handleEntry[T, S]
+	// retired accumulates the last published counters of pruned handles,
+	// so StatsSnapshot never loses completed work; abandoned accumulates
+	// their op-buffer residents, the items lost with them.
+	retired   OpStats
+	abandoned int64
+}
+
+// Hooks are a structure's own steps in the shell's reconfiguration. They
+// run only under the reconfiguration lock, never per operation.
+type Hooks[S any] struct {
+	// Grow appends empty sub-structures to subs until it holds cfg.Width
+	// and returns the result; the shell passes the surviving slots of the
+	// superseded geometry (none at construction). The stack appends fresh
+	// sub-stacks; the queue's newcomers join at the current window floors.
+	Grow func(subs []*S, cfg Config) []*S
+	// Raise lifts the structure's window ceilings to at least depth; it
+	// runs at construction and right after every geometry publish.
+	Raise func(depth int64)
+	// Handoff migrates the items stranded in the dropped slots into next
+	// once no operation can reach them through the superseded geometry,
+	// and returns the displacement bound the migration adds. The stack
+	// splices chains; the queue drains round-robin.
+	Handoff func(next *Geometry[S], dropped []*S) int64
+}
+
+// handleEntry is one registry slot: the weak handle for liveness/epoch
+// checks plus a strong reference to its atomic counter mirror, so pruning
+// can fold every dead entry's counters and residents unconditionally.
+type handleEntry[T, S any] struct {
+	wp     weak.Pointer[WindowHandle[T, S]]
+	shared *SharedCounters
+}
+
+// Init validates cfg and installs the structure's first geometry and its
+// hooks. Call it once, from the structure's constructor, before any handle
+// exists.
+func (w *Window[T, S]) Init(cfg Config, hooks Hooks[S]) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	w.hooks, w.placeSockets = hooks, 1
+	w.geo.Store(&Geometry[S]{
+		Epoch: 1, Width: cfg.Width, Depth: cfg.Depth, Shift: cfg.Shift, Hops: cfg.RandomHops,
+		Subs:  hooks.Grow(make([]*S, 0, cfg.Width), cfg),
+		homes: make([]int, cfg.Width), nsockets: 1,
+	})
+	hooks.Raise(cfg.Depth)
+	return nil
+}
+
+// Geometry returns the active geometry. The snapshot is immutable; a
+// concurrent reconfiguration may supersede it at once.
+func (w *Window[T, S]) Geometry() *Geometry[S] { return w.geo.Load() }
+
+// Config returns the structure's active configuration. Under live
+// reconfiguration the value is the geometry current at the call, which a
+// concurrent Reconfigure may immediately supersede.
+func (w *Window[T, S]) Config() Config { return w.geo.Load().config() }
+
+// Width returns the current number of sub-structures.
+func (w *Window[T, S]) Width() int { return w.geo.Load().Width }
+
+// Epoch returns the active geometry's epoch; it increases by one per
+// successful reconfiguration. Diagnostics only.
+func (w *Window[T, S]) Epoch() uint64 { return w.geo.Load().Epoch }
+
+// ShrinkDisplacementBound returns the cumulative upper bound on the
+// displacement attributable to width-shrink migrations: the sum of what
+// every handoff reported (DESIGN.md §4 for the stack's splices, §5 for the
+// queue's drains). Zero while no shrink has migrated anything. Diagnostics
+// — cmd/adapttune uses it to budget its realised-distance check.
+func (w *Window[T, S]) ShrinkDisplacementBound() int64 { return w.shrinkDisp.Load() }
+
+// Register initialises h as a handle of this structure — its RNG, the
+// first `anchors` of its locality anchors (drawn at random in index
+// order), its creation-order socket hint — gives it the structure's buffer
+// steps, and adds it to the registry, pruning entries whose handles were
+// collected. The registry holds h weakly: a handle its owner drops becomes
+// collectable, and its entry is pruned on a later registration, folding
+// its last published counters into the retired total and its buffered
+// residents into AbandonedItems. (Counters not yet flushed when a handle
+// is abandoned — at most statsFlushInterval operations — are lost; call
+// FlushStats before dropping a handle if they matter.)
+func (w *Window[T, S]) Register(h *WindowHandle[T, S], anchors int, buf BufferHooks[T]) {
+	h.w, h.buf = w, buf
+	h.RNG = xrand.New(w.seed.V.Add(0x9e3779b97f4a7c15))
+	order := int(w.handleSeq.Add(1) - 1)
+	geo := w.geo.Load()
+	for i := 0; i < anchors; i++ {
+		h.Last[i] = h.RNG.Intn(geo.Width)
+	}
+	h.socket = HeuristicSocket(order, geo.nsockets)
+	h.latCountdown = LatencySampleInterval
+	h.shared = &SharedCounters{}
+	w.hMu.Lock()
+	live := w.handles[:0]
+	for _, old := range w.handles {
+		if old.wp.Value() != nil {
+			live = append(live, old)
+		} else {
+			w.retired.Add(old.shared.Load())
+			w.abandoned += old.shared.residents.Load()
+		}
+	}
+	w.handles = append(live, handleEntry[T, S]{wp: weak.Make(h), shared: h.shared})
+	w.hMu.Unlock()
+}
+
+// RegisteredHandles returns the number of registry entries: live handles
+// plus collected ones not yet pruned. Diagnostics and tests.
+func (w *Window[T, S]) RegisteredHandles() int {
+	w.hMu.Lock()
+	defer w.hMu.Unlock()
+	return len(w.handles)
+}
+
+// BufferedItems returns the op-buffer residents of every live handle:
+// pending-but-unpublished pushes plus prefetched-but-undelivered pops
+// (SetOpBuffer). The structures' Len adds it to their slot populations, so
+// combined publication never makes items phantom-invisible to sizing.
+// Approximate under concurrency, like Len.
+func (w *Window[T, S]) BufferedItems() int {
+	var n int64
+	w.hMu.Lock()
+	for _, e := range w.handles {
+		if e.wp.Value() != nil {
+			n += e.shared.residents.Load()
+		}
+	}
+	w.hMu.Unlock()
+	return int(n)
+}
+
+// AbandonedItems returns how many op-buffered items were lost with handles
+// their owners dropped without FlushOps (and without delivering their
+// prefetch) once the garbage collector took the handle: only the owning
+// goroutine may touch a handle's buffers, so those items cannot be
+// recovered, only counted. Exact as soon as the handle is collected, before
+// or after its registry entry is pruned. The counterpart of FlushOps:
+// flush before dropping a buffered handle and this stays zero.
+func (w *Window[T, S]) AbandonedItems() int64 {
+	w.hMu.Lock()
+	defer w.hMu.Unlock()
+	n := w.abandoned
+	for _, e := range w.handles {
+		if e.wp.Value() == nil {
+			n += e.shared.residents.Load()
+		}
+	}
+	return n
+}
+
+// waitQuiesce blocks until no handle is pinned to an epoch <= oldEpoch.
+// Operations are lock-free and finite, so this terminates; new operations
+// pin the already-published new geometry and do not delay it. A collected
+// handle (weak pointer gone nil) is idle by definition: a goroutine still
+// running an operation keeps its handle reachable.
+func (w *Window[T, S]) waitQuiesce(oldEpoch uint64) {
+	for {
+		busy := false
+		w.hMu.Lock()
+		for _, entry := range w.handles {
+			h := entry.wp.Value()
+			if h == nil {
+				continue
+			}
+			if e := h.epoch.Load(); e != 0 && e <= oldEpoch {
+				busy = true
+				break
+			}
+		}
+		w.hMu.Unlock()
+		if !busy {
+			return
+		}
+		// Director yield point: a directed reconfiguration parks here so
+		// the scheduler can run the pinned operations to completion instead
+		// of spinning the wait loop forever (yield.PointWait semantics).
+		yield.Fire(yield.PointWait)
+		runtime.Gosched()
+	}
+}
+
+// StatsSnapshot aggregates the published counters of every registered
+// handle plus the retired totals of pruned ones. It is safe to call from
+// any goroutine and does not perturb the operation hot path: handles
+// publish their counters every statsFlushInterval operations, so the
+// snapshot trails the truth by at most that many operations per active
+// handle (and by the same amount, permanently, per abandoned handle).
+// Because the registry holds each handle's counter mirror strongly, a
+// collected-but-not-yet-pruned handle's work is still read here — the
+// snapshot never transiently loses completed operations. Reconfiguration
+// traffic does not read as client operations: the shrink handoffs move
+// stranded items without a handle. This is the feed for internal/adapt's
+// controller.
+func (w *Window[T, S]) StatsSnapshot() OpStats {
+	w.hMu.Lock()
+	out := w.retired
+	for _, e := range w.handles {
+		out.Add(e.shared.Load())
+	}
+	w.hMu.Unlock()
+	return out
+}

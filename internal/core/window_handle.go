@@ -1,0 +1,219 @@
+package core
+
+import (
+	"sync/atomic"
+	"time"
+
+	"stack2d/internal/xrand"
+)
+
+// WindowHandle is the per-handle half of the window shell: the state every
+// search of either structure runs on (locality anchors, RNG, socket hint
+// and probe-plan cache, work counters), the epoch pin that reconfiguration
+// waits on, the 1-in-N latency sampler, the periodic stats flush, and the
+// op-buffer state (buffer.go). A structure's handle embeds one by value
+// and writes its own search loops against the exported members; Register
+// initialises it. Like the handle embedding it, a WindowHandle is NOT safe
+// for concurrent use: every method is owner-goroutine only.
+type WindowHandle[T, S any] struct {
+	w *Window[T, S]
+	// RNG is the handle's private stream for hop selection.
+	RNG *xrand.State
+	// Last holds the locality anchors: the slot index of the most recent
+	// success at each end of the structure. The stack uses Last[0]; the
+	// queue's enqueue end is Last[0] and its dequeue end Last[1].
+	Last [2]int
+	// Count is the handle's work counters, updated by the search loops
+	// without atomics (see OpStats; Stats returns a copy).
+	Count OpStats
+
+	// socket is the placement hint: the socket the owning goroutine is
+	// believed to run on, defaulted by the creation-order heuristic and
+	// overridden by Pin. Under a local-probe placement policy searches
+	// visit slots homed on this socket first; CAS failures are attributed
+	// to it in OpStats.SocketCAS. Always in [0, MaxPlacementSockets).
+	socket int
+
+	// planGeo/planSocket key the cached probe plan below: the local-first
+	// permutation this handle walks (BuildProbePlan over the geometry's
+	// slot homes, with a handle-private rotation of the remote section),
+	// rebuilt lazily when the geometry or the pinned socket changes.
+	planGeo    *Geometry[S]
+	planSocket int
+	planOrd    []int
+	planPos    []int
+	planLocalN int
+
+	// sinceFlush counts operations since stats were last published to
+	// shared (see maybeFlush in stats.go).
+	sinceFlush int
+
+	// latCountdown counts operations down to the next latency sample: one
+	// operation in LatencySampleInterval is timed end to end
+	// (latSampling/latStart carry the in-flight sample between pin and
+	// unpin). A decrement-and-test countdown instead of a counter-and-
+	// modulo keeps the uncontended fast path to one predicted-untaken
+	// branch and defers the clock read until after the sample decision.
+	latCountdown int
+	latSampling  bool
+	latStart     time.Time
+
+	// Op-buffer state (see buffer.go; inert until SetOpBuffer arms it).
+	// bufCap is the combined-publication threshold; pending holds buffered,
+	// not-yet-published pushes oldest-first; prefetch[prefStart:] holds
+	// structurally popped but not-yet-delivered values in delivery order;
+	// bufEpoch is the geometry epoch the buffers were last reconciled with;
+	// buf is the structure's batch steps. The resident total is published
+	// in shared (SharedCounters.residents) for Len and AbandonedItems.
+	bufCap    int
+	pending   []T
+	prefetch  []T
+	prefStart int
+	bufEpoch  uint64
+	buf       BufferHooks[T]
+
+	// epoch is the geometry epoch the handle is currently operating under,
+	// or 0 when idle. Written only by the owner, read by reconfigurers to
+	// detect quiescence of a superseded geometry.
+	epoch atomic.Uint64
+
+	// shared is the periodically flushed, atomically readable copy of
+	// the counters, consumed by Window.StatsSnapshot. It is a separate
+	// allocation, held strongly by the handle registry, so the final
+	// published counters and resident count outlive the handle itself.
+	shared *SharedCounters
+}
+
+// Pin declares the socket the owning goroutine runs on, overriding the
+// creation-order heuristic Register applied. Under a local-probe
+// placement policy (see Window.SetPlacement and DESIGN.md §7) subsequent
+// operations visit slots homed on this socket before remote ones, and the
+// handle's CAS failures are attributed to it in StatsSnapshot — the signal
+// the adaptive controller uses to home new slots near the contention.
+// Negative ids are treated as 0 and ids are folded modulo
+// MaxPlacementSockets; at operation time a hint beyond the configured
+// socket count is further folded modulo that count (see SockIdx), so the
+// socket a handle probes as always matches the socket its contention is
+// attributed to. Pinning never affects window semantics, only probe
+// order.
+func (h *WindowHandle[T, S]) Pin(socket int) {
+	if socket < 0 {
+		socket = 0
+	}
+	h.socket = socket % MaxPlacementSockets
+}
+
+// Socket returns the handle's current placement hint.
+func (h *WindowHandle[T, S]) Socket() int { return h.socket }
+
+// SockIdx reduces the handle's socket hint to the geometry's socket count
+// — the same reduction Probe applies when building the walk — so the
+// socket a handle contends AS is the socket its CAS pressure is
+// attributed TO. Without this, a handle pinned beyond the configured
+// socket count would probe as socket (hint mod nsockets) but report
+// pressure on the raw hint, and LocalFirst would discard the requester.
+func (h *WindowHandle[T, S]) SockIdx(geo *Geometry[S]) int {
+	if geo.nsockets > 1 {
+		return h.socket % geo.nsockets
+	}
+	return h.socket
+}
+
+// Probe returns the handle's probe plan for the pinned geometry: the slot
+// permutation to walk (same-socket slots first, remote spill section
+// privately rotated), its slot→position inverse, and the local-slot
+// count. All nil/0 for placement-blind geometries, selecting the plain
+// index-order search. The plan is cached per (geometry, socket), so the
+// steady-state cost is two pointer compares.
+func (h *WindowHandle[T, S]) Probe(geo *Geometry[S]) (ord, pos []int, localN int) {
+	if !geo.localProbe {
+		return nil, nil, 0
+	}
+	if h.planGeo != geo || h.planSocket != h.socket {
+		s := h.socket % geo.nsockets
+		h.planOrd, h.planPos, h.planLocalN = BuildProbePlan(geo.homes, s, h.RNG.Intn(geo.Width))
+		h.planGeo, h.planSocket = geo, h.socket
+	}
+	return h.planOrd, h.planPos, h.planLocalN
+}
+
+// armLatSample opens a latency sample: reset the countdown, mark the
+// sample in flight, read the clock. Deliberately noinline: it runs once per
+// LatencySampleInterval operations, and keeping its body (the time.Now
+// call above all) out of PinOp's inlined code leaves the uncontended fast
+// path with only the countdown decrement-and-test — the clock is read
+// strictly after the sample decision.
+//
+//go:noinline
+func (h *WindowHandle[T, S]) armLatSample() {
+	h.latCountdown = LatencySampleInterval
+	h.latSampling = true
+	h.latStart = time.Now()
+}
+
+// closeLatSample records the in-flight sample's bucket; noinline for the
+// same reason as armLatSample — Unpin's inlined body keeps only the
+// predicted-untaken latSampling test.
+//
+//go:noinline
+func (h *WindowHandle[T, S]) closeLatSample() {
+	h.latSampling = false
+	h.Count.Latency[LatencyBucket(time.Since(h.latStart))]++
+}
+
+// pinGeo publishes the handle as active on the current geometry and
+// returns it. The re-check after the epoch store closes the race with a
+// concurrent geometry swap: once pinGeo returns, any reconfigurer that
+// superseded geo will wait for this handle's Unpin before touching
+// stranded slots.
+func (h *WindowHandle[T, S]) pinGeo() *Geometry[S] {
+	for {
+		geo := h.w.geo.Load()
+		h.epoch.Store(geo.Epoch)
+		if h.w.geo.Load() == geo {
+			// An anchor can dangle after a width shrink; re-anchor. (The
+			// stack's unused Last[1] stays 0, always in range.)
+			if h.Last[0] >= geo.Width {
+				h.Last[0] = h.RNG.Intn(geo.Width)
+			}
+			if h.Last[1] >= geo.Width {
+				h.Last[1] = h.RNG.Intn(geo.Width)
+			}
+			return geo
+		}
+	}
+}
+
+// PinOp pins the current geometry for one operation (pinGeo) and makes
+// the 1-in-N latency sample decision: a sampled operation is timed from
+// here to the matching Unpin, so the estimate covers the whole search
+// including window maintenance and restarts.
+func (h *WindowHandle[T, S]) PinOp() *Geometry[S] {
+	h.latCountdown--
+	if h.latCountdown <= 0 {
+		h.armLatSample()
+	}
+	return h.pinGeo()
+}
+
+// PinBatch is PinOp without the sampling countdown. A batch is many
+// operations under one pin: its end-to-end time is not a per-operation
+// latency, so it must not open a sample — and it must not consume a
+// countdown tick either. (Batches used to run the full pin and cancel the
+// sample afterwards, which silently ate the tick whenever one landed on
+// the sample point: a batch-heavy phase skewed the stride and could starve
+// post-batch sampling entirely. TestLatencySampleStridePinned pins the
+// corrected behaviour.)
+func (h *WindowHandle[T, S]) PinBatch() *Geometry[S] {
+	return h.pinGeo()
+}
+
+// Unpin marks the handle idle, closes an in-flight latency sample, and
+// periodically publishes its counters.
+func (h *WindowHandle[T, S]) Unpin() {
+	h.epoch.Store(0)
+	if h.latSampling {
+		h.closeLatSample()
+	}
+	h.maybeFlush()
+}

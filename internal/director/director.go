@@ -30,10 +30,7 @@ import (
 	"runtime/debug"
 	"strings"
 
-	"stack2d/internal/core"
-	"stack2d/internal/engine"
 	"stack2d/internal/seqspec"
-	"stack2d/internal/twodqueue"
 	"stack2d/internal/yield"
 )
 
@@ -190,11 +187,9 @@ func (d *Director) Run() error {
 		return nil
 	}
 
-	prevCore, prevQueue, prevEngine := core.Gate, twodqueue.Gate, engine.Gate
-	core.Gate, twodqueue.Gate, engine.Gate = d.gateYield, d.gateYield, d.gateYield
-	defer func() {
-		core.Gate, twodqueue.Gate, engine.Gate = prevCore, prevQueue, prevEngine
-	}()
+	prev := yield.Gate
+	yield.Gate = d.gateYield
+	defer func() { yield.Gate = prev }()
 
 	if d.coverage != nil {
 		d.coverage.Begin()

@@ -30,7 +30,7 @@ const (
 	// NameBufferedShrinkDuringDrain reruns the shrink-during-drain storm
 	// with every worker handle armed with an op buffer (DESIGN.md §11):
 	// pending pushes and pop prefetches cross the geometry epoch, probing
-	// the maybeEpochFlush handoff; the history is checked under the
+	// the op buffer's epoch flush; the history is checked under the
 	// composed budget K + shrink displacement + seqspec.BufferAllowance.
 	NameBufferedShrinkDuringDrain = "buffered-shrink-during-drain"
 	// NameBufferedSwapDuringStorm reruns the backend-swap storm through

@@ -455,7 +455,7 @@ func directedSwapDuringStorm(seed uint64, strat director.Strategy) (*Outcome, er
 // The buffered scenarios rerun the two reconfiguration storms with every
 // worker handle armed with an op buffer, so the adversarial schedules probe
 // the combined-publication fast path exactly where it is weakest: pending
-// pushes crossing a geometry epoch (the maybeEpochFlush handoff) and
+// pushes crossing a geometry epoch (the op buffer's epoch flush) and
 // pending pushes crossing a backend swap (the engine buffer's swap-safety
 // claim). Worker-end protocol: FlushOps publishes the pending pushes (their
 // history ops were recorded at BufferedPush time — that deferral is what

@@ -204,9 +204,9 @@ func (s *Switcher[T]) Swap(name, reason string) (SwapRecord, error) {
 	from.draining.Store(true)
 	// Director yield point: drain entry — the outgoing slot just stopped
 	// admitting operations, pinned ones are still in flight.
-	gate(yield.PointSwapDrain)
+	yield.Fire(yield.PointSwapDrain)
 	for from.pins.Load() != 0 {
-		gate(yield.PointWait)
+		yield.Fire(yield.PointWait)
 		runtime.Gosched()
 	}
 
@@ -346,7 +346,7 @@ func (h *Handle[T]) pin() *slot[T] {
 		}
 		s.pins.Add(-1)
 		// Draining slot: park under the director until the swap publishes.
-		gate(yield.PointWait)
+		yield.Fire(yield.PointWait)
 		runtime.Gosched()
 	}
 }

@@ -235,10 +235,13 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 			}
 			continue
 		}
-		// Condemn, rescan for stragglers, then unlink.
+		// Condemn, rescan for stragglers, then unlink. A straggler found by
+		// the rescan is returned with the segment left in place: other
+		// pushes may have landed in it before the condemnation too, and
+		// unlinking it here would strand them. Condemned, it takes no new
+		// items, so a later pop empties and unlinks it.
 		t.deleted.Store(true)
 		if c, ok := h.scanPop(t); ok {
-			s.top.CompareAndSwap(t, t.next)
 			return c, true
 		}
 		s.top.CompareAndSwap(t, t.next)

@@ -12,7 +12,7 @@ import (
 
 // Source is what a structure must expose to be bridged into a Registry:
 // the aggregated operation counters and the active geometry. *core.Stack
-// and twodqueue.Steerable both satisfy it — the same pair of methods the
+// and *twodqueue.Queue both satisfy it — the same pair of methods the
 // adaptive controller's Reconfigurable already requires, so anything the
 // controller can steer, the metrics plane can export.
 type Source interface {

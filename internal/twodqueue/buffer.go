@@ -1,10 +1,12 @@
 package twodqueue
 
-// Per-handle operation buffering, the FIFO twin of internal/core's
-// buffer.go (DESIGN.md §11). An armed handle batches its enqueues locally
-// and publishes them through EnqueueBatch when the buffer fills, and
-// refills a local dequeue prefetch through DequeueBatch. Two FIFO-specific
-// differences from the stack side:
+// Per-handle operation buffering (DESIGN.md §11): the buffer state and its
+// mechanics are the window shell's (core.WindowHandle: SetOpBuffer,
+// FlushOps, BufferedCounts, the epoch flush, Stash, ServePrefetch). An
+// armed handle batches its enqueues locally and publishes them through
+// EnqueueBatch when the buffer fills, and refills a local dequeue prefetch
+// through DequeueBatch. This file is the queue's buffer policy, which
+// differs from the stack's in two FIFO-specific ways:
 //
 //   - BufferedDequeue never serves pending enqueues. On a stack the newest
 //     pending item is exactly what Pop would return; on a queue it is the
@@ -20,106 +22,14 @@ package twodqueue
 //     the queue length at the disarm; deliver the prefetch through
 //     BufferedDequeue first when order matters.
 
-// SetOpBuffer arms (n >= 1) or disarms (n <= 0) operation buffering on the
-// handle with a combined-publication threshold of n operations. Disarming —
-// and re-arming with a different threshold — first flushes pending
-// enqueues and re-enqueues undelivered prefetched values (see the package
-// note above on the displacement this costs). Owner-goroutine only.
-func (h *Handle[T]) SetOpBuffer(n int) {
-	if h.bufCap > 0 {
-		h.FlushOps()
-		h.returnPrefetch()
-	}
-	if n <= 0 {
-		h.bufCap = 0
-		h.pending = nil
-		h.prefetch = nil
-		return
-	}
-	h.bufCap = n
-	h.pending = make([]T, 0, n)
-	h.prefetch = make([]T, 0, n)
-	h.prefStart = 0
-	h.bufEpoch = h.q.geo.Load().epoch
-}
-
-// OpBuffer returns the armed combined-publication threshold (0 when
-// buffering is off).
-func (h *Handle[T]) OpBuffer() int { return h.bufCap }
-
-// BufferedCounts reports the handle's private residents: pending enqueues
-// not yet published, and prefetched values not yet delivered.
-// Owner-goroutine only; foreign readers get the sum via Queue.Len.
-func (h *Handle[T]) BufferedCounts() (pending, undelivered int) {
-	return len(h.pending), len(h.prefetch) - h.prefStart
-}
-
-// syncBufCount republishes the atomically readable buffered total after
-// any buffer mutation; one uncontended store to the handle's own line.
-func (h *Handle[T]) syncBufCount() {
-	h.bufCount.Store(int64(len(h.pending) + len(h.prefetch) - h.prefStart))
-}
-
-// maybeEpochFlush reconciles the buffers with a geometry change, exactly
-// as core's: pending enqueues buffered under a superseded geometry are
-// published into the new one before the next buffered operation proceeds.
-// Prefetched values were already dequeued and keep serving.
-func (h *Handle[T]) maybeEpochFlush() {
-	if e := h.q.geo.Load().epoch; e != h.bufEpoch {
-		h.bufEpoch = e
-		if len(h.pending) > 0 {
-			h.flushPending()
-		}
-	}
-}
-
-// flushPending publishes the pending enqueues as one combined batch.
-func (h *Handle[T]) flushPending() {
-	h.EnqueueBatch(h.pending)
-	clear(h.pending)
-	h.pending = h.pending[:0]
-	h.syncBufCount()
-}
-
-// returnPrefetch re-enqueues undelivered prefetched values at the back, in
-// their delivery order; disarm-only (see the package note).
-func (h *Handle[T]) returnPrefetch() {
-	if h.prefStart < len(h.prefetch) {
-		h.EnqueueBatch(h.prefetch[h.prefStart:])
-	}
-	clear(h.prefetch)
-	h.prefetch = h.prefetch[:0]
-	h.prefStart = 0
-	h.syncBufCount()
-}
-
-// FlushOps publishes all pending buffered enqueues immediately. It does
-// not disturb the dequeue prefetch: prefetched values were already removed
-// from the structure and remain deliverable through BufferedDequeue. Call
-// before quiescing, draining the queue, or abandoning the handle. No-op
-// when nothing is pending.
-func (h *Handle[T]) FlushOps() {
-	if len(h.pending) > 0 {
-		h.flushPending()
-	}
-}
-
-// BufferedEnqueue adds v through the operation buffer: the value is
-// retained locally and published — together with every pending neighbour —
-// as one combined EnqueueBatch once bufCap values are pending. With
-// buffering disarmed it is exactly Enqueue.
+// BufferedEnqueue adds v through the operation buffer (core's Stash: the
+// value is retained locally and published — together with every pending
+// neighbour — as one combined EnqueueBatch once bufCap values are
+// pending). With buffering disarmed it is exactly Enqueue.
 func (h *Handle[T]) BufferedEnqueue(v T) {
-	if h.bufCap <= 0 {
+	if !h.Stash(v) {
 		h.Enqueue(v)
-		return
 	}
-	h.maybeEpochFlush()
-	h.pending = append(h.pending, v)
-	if len(h.pending) >= h.bufCap {
-		h.flushPending()
-		return
-	}
-	h.syncBufCount()
 }
 
 // BufferedDequeue removes a value through the operation buffer: the
@@ -130,27 +40,21 @@ func (h *Handle[T]) BufferedEnqueue(v T) {
 // when the structure and the handle's own buffer are both out of items.
 // With buffering disarmed it is exactly Dequeue.
 func (h *Handle[T]) BufferedDequeue() (v T, ok bool) {
-	if h.bufCap <= 0 {
+	if !h.Buffering() {
 		return h.Dequeue()
 	}
-	h.maybeEpochFlush()
-	if h.prefStart >= len(h.prefetch) {
-		h.prefetch = h.dequeueBatchInto(h.prefetch[:0], h.bufCap)
-		h.prefStart = 0
-		if len(h.prefetch) == 0 && len(h.pending) > 0 {
-			h.flushPending() // pop-miss flush: our own enqueues are the supply
-			h.prefetch = h.dequeueBatchInto(h.prefetch[:0], h.bufCap)
-		}
-		if len(h.prefetch) == 0 {
-			h.syncBufCount()
-			var zero T
-			return zero, false
-		}
+	if v, ok = h.ServePrefetch(); ok {
+		return v, true
 	}
-	v = h.prefetch[h.prefStart]
-	var zero T
-	h.prefetch[h.prefStart] = zero
-	h.prefStart++
-	h.syncBufCount()
-	return v, true
+	if pending, _ := h.BufferedCounts(); pending == 0 {
+		return v, false
+	}
+	h.FlushOps() // pop-miss flush: our own enqueues are the supply
+	return h.ServePrefetch()
+}
+
+// returnPrefetch re-enqueues undelivered prefetched values at the back, in
+// their delivery order; disarm-only (see the package note).
+func (h *Handle[T]) returnPrefetch(undelivered []T) {
+	h.EnqueueBatch(undelivered)
 }

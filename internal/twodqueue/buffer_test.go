@@ -1,6 +1,12 @@
 package twodqueue
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"stack2d/internal/core"
+)
 
 // TestQueueLatencySampleStridePinned is the queue twin of core's stride
 // pin: batch operations must neither open a latency sample nor consume a
@@ -9,7 +15,7 @@ func TestQueueLatencySampleStridePinned(t *testing.T) {
 	cfg := Config{Width: 2, Depth: 64, Shift: 64, RandomHops: 0}
 	t.Run("queue-batches", func(t *testing.T) {
 		h := MustNew[uint64](cfg).NewHandle()
-		for i := 0; i < latencySampleInterval-1; i++ {
+		for i := 0; i < core.LatencySampleInterval-1; i++ {
 			h.Enqueue(uint64(i))
 			h.EnqueueBatch([]uint64{1, 2, 3})
 			if got := h.DequeueBatch(4); len(got) != 4 {
@@ -18,17 +24,17 @@ func TestQueueLatencySampleStridePinned(t *testing.T) {
 		}
 		if n := h.Stats().LatencySamples(); n != 0 {
 			t.Fatalf("%d samples after %d singletons with interleaved batches, want 0",
-				n, latencySampleInterval-1)
+				n, core.LatencySampleInterval-1)
 		}
-		h.Enqueue(0) // singleton number latencySampleInterval
+		h.Enqueue(0) // singleton number core.LatencySampleInterval
 		if n := h.Stats().LatencySamples(); n != 1 {
-			t.Fatalf("%d samples after %d singletons, want exactly 1", n, latencySampleInterval)
+			t.Fatalf("%d samples after %d singletons, want exactly 1", n, core.LatencySampleInterval)
 		}
 	})
 	t.Run("buffered-ops-do-not-sample", func(t *testing.T) {
 		h := MustNew[uint64](cfg).NewHandle()
 		h.SetOpBuffer(4)
-		for i := 0; i < 8*latencySampleInterval; i++ {
+		for i := 0; i < 8*core.LatencySampleInterval; i++ {
 			h.BufferedEnqueue(uint64(i))
 			if _, ok := h.BufferedDequeue(); !ok {
 				t.Fatal("BufferedDequeue missed with the handle's own enqueues pending")
@@ -181,4 +187,40 @@ func TestQueueOpBufferSemantics(t *testing.T) {
 			t.Fatalf("epoch flush published %d items, want 2", structural)
 		}
 	})
+}
+
+// TestQueueAbandonedItemsCounted is core's TestAbandonedItemsCounted on the
+// queue: 3 pending enqueues lost with a dropped handle are counted once the
+// registry prunes it, and leave Len.
+func TestQueueAbandonedItemsCounted(t *testing.T) {
+	q := MustNew[int](Config{Width: 2, Depth: 8, Shift: 8, RandomHops: 1})
+	q.NewHandle().Enqueue(100) // published: stays in Len
+	func() {
+		h := q.NewHandle()
+		h.SetOpBuffer(8)
+		for i := 0; i < 3; i++ {
+			h.BufferedEnqueue(i)
+		}
+		if got := q.Len(); got != 4 {
+			t.Fatalf("Len with 3 pending = %d, want 4", got)
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		q.NewHandle() // registering prunes collected entries
+		if q.RegisteredHandles() == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("registry still holds %d entries", q.RegisteredHandles())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := q.AbandonedItems(); got != 3 {
+		t.Fatalf("AbandonedItems = %d, want 3", got)
+	}
+	if got := q.Len(); got != 1 {
+		t.Fatalf("Len after the handle was pruned = %d, want 1 (published item only)", got)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"stack2d/internal/adapt"
 	"stack2d/internal/core"
 	"stack2d/internal/seqspec"
 )
@@ -481,9 +482,7 @@ func TestHandleRegistryPrunesAndRetiresStats(t *testing.T) {
 	for {
 		runtime.GC()
 		q.NewHandle() // registering prunes dead entries
-		q.hMu.Lock()
-		entries := len(q.handles)
-		q.hMu.Unlock()
+		entries := q.RegisteredHandles()
 		snap := q.StatsSnapshot()
 		if entries <= 3 && snap.Pushes == 80 {
 			return
@@ -495,33 +494,34 @@ func TestHandleRegistryPrunesAndRetiresStats(t *testing.T) {
 	}
 }
 
-// TestSteerableRoundTrip checks the adapter the controller drives the queue
-// through: core.Config conversions preserve every field, Reconfigure
-// reaches the queue, and stats flow back.
+// TestSteerableRoundTrip checks that the controller steers the queue
+// directly: the queue satisfies adapt.Reconfigurable and adapt.SocketAware
+// with no adapter, its Config is the controller's currency unchanged,
+// Reconfigure reaches the geometry, and stats flow back.
 func TestSteerableRoundTrip(t *testing.T) {
 	start := Config{Width: 3, Depth: 16, Shift: 8, RandomHops: 2}
 	q := MustNew[int](start)
-	s := Steer(q)
-	if got := s.Config(); got != start.Core() {
-		t.Fatalf("Steerable.Config = %+v, want %+v", got, start.Core())
+	var s adapt.Reconfigurable = q
+	if _, ok := s.(adapt.SocketAware); !ok {
+		t.Fatal("queue does not advertise placement attribution")
 	}
-	if FromCore(start.Core()) != start {
-		t.Fatalf("Core/FromCore round trip lost fields: %+v", FromCore(start.Core()))
+	if got := s.Config(); got != start {
+		t.Fatalf("Config = %+v, want %+v", got, start)
 	}
 	next := core.Config{Width: 6, Depth: 32, Shift: 32, RandomHops: 1}
 	if err := s.Reconfigure(next); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Config(); got != FromCore(next) {
-		t.Fatalf("queue config after Steerable.Reconfigure = %+v", got)
+	if got := q.Config(); got != next {
+		t.Fatalf("queue config after Reconfigure = %+v", got)
 	}
 	if err := s.Reconfigure(core.Config{Width: 0}); err == nil {
-		t.Fatal("invalid geometry accepted through the adapter")
+		t.Fatal("invalid geometry accepted")
 	}
 	h := q.NewHandle()
 	h.Enqueue(1)
 	h.FlushStats()
 	if s.StatsSnapshot().Pushes != 1 {
-		t.Fatal("stats did not flow through the adapter")
+		t.Fatal("stats did not flow to the controller's view")
 	}
 }

@@ -5,17 +5,17 @@
 // one.
 //
 // The contract is deliberately minimal so the data-path packages stay free
-// of any scheduler dependency: each participating package (internal/core,
-// internal/twodqueue, internal/engine) exports a package-level function
-// pointer
+// of any scheduler dependency: this package holds the one hook,
 //
-//	var Gate func(yield.Point)
+//	var Gate func(Point)
 //
-// that is nil in production — the hook then costs one predicted-untaken
-// nil check on paths that are already slow (a failed CAS, a window move, a
-// reconfiguration, a drain wait) and nothing at all on the uncontended fast
-// path, which never reaches a gate site. The director installs its
-// scheduler into the gates for the duration of one directed run and
+// and the data-path packages (internal/core, which also carries the
+// 2D-Queue's window shell, internal/twodqueue and internal/engine) call
+// Fire at each site. Gate is nil in production — a site then costs one
+// predicted-untaken nil check on paths that are already slow (a failed
+// CAS, a window move, a reconfiguration, a drain wait) and nothing at all
+// on the uncontended fast path, which never reaches a site. The director
+// installs its scheduler into Gate for the duration of one directed run and
 // restores nil afterwards; installation must happen while no operations are
 // in flight (the happens-before edge is the director's own task spawning).
 //
@@ -80,5 +80,19 @@ func (p Point) String() string {
 		return "spawn"
 	default:
 		return "unknown"
+	}
+}
+
+// Gate is the deterministic schedule director's hook (DESIGN.md §10). It
+// is nil in production and installed by internal/director for the duration
+// of one directed run. Install and clear only while no operations are in
+// flight.
+var Gate func(Point)
+
+// Fire calls the installed Gate, if any. Kept tiny so the nil fast path
+// inlines to a single load-and-branch at every call site.
+func Fire(p Point) {
+	if g := Gate; g != nil {
+		g(p)
 	}
 }
