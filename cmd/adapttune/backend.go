@@ -19,14 +19,14 @@ import (
 // controller retunes one structure's window, the backend selector decides
 // which structure should be live at all. A 2D backend built from the
 // start geometry fronts an elimination stack and a strict Treiber stack
-// behind the epoch-pinned switcher (internal/engine), a Selector samples
-// the live counters every -tick, and halfway through the phased run the
-// semantics budget is collapsed to zero — the shape of an application
-// whose tolerance for reordering disappears mid-run. The collapse must
-// deterministically evict the relaxed backend for a strict one, whatever
-// the load looks like: a swap with reason "k-budget-zero" in the history,
-// the selector time series and the -csv rows. That reason string is what
-// CI greps for.
+// behind the epoch-pinned switcher (internal/engine). Halfway through the
+// phased run the semantics budget is collapsed to zero — the shape of an
+// application whose tolerance for reordering disappears mid-run — and from
+// then on a Selector samples the live counters every -tick. The collapse
+// must deterministically evict the relaxed backend for a strict one,
+// whatever the load looks like: a swap with reason "k-budget-zero" in the
+// history, the selector time series and the -csv rows. That reason string
+// is what CI greps for.
 //
 // The run records its full interval history and replays it through the
 // k-distance checker with exactly the documented budget (DESIGN.md §9):
@@ -71,14 +71,24 @@ func backendDemo(start core.Config, threads int, phaseDur, tick time.Duration,
 		threads, phaseDur, sw.Backends(), total/2)
 
 	// The mid-run tolerance collapse: after half the run the application
-	// can no longer absorb any reordering.
-	collapse := time.AfterFunc(total/2, func() { sel.SetKBudget(0) })
-	defer collapse.Stop()
+	// can no longer absorb any reordering. The selector takes no decision
+	// before it — sampling from the start, a symmetric storm would swap to
+	// elimination, whose bound is already 0, and leave the collapse nothing
+	// to evict — so the collapse steps the selector once itself, while the
+	// 2D backend is live, and only then starts it for the rest of the run.
+	begin := time.Now()
+	collapsed := make(chan struct{})
+	time.AfterFunc(total/2, func() {
+		defer close(collapsed)
+		sel.SetKBudget(0)
+		sel.Step(time.Since(begin))
+		sel.Start()
+	})
 
-	sel.Start()
 	res, runErr := harness.RunPhasedBackend(sw, phases, harness.PhasedWorkload{
 		MaxWorkers: threads, Prefill: prefill, Seed: seed, Record: true,
 	})
+	<-collapsed
 	sel.Stop()
 	if runErr != nil {
 		fatal("backend run failed: %v", runErr)

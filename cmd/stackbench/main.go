@@ -7,17 +7,15 @@
 //	stackbench -figure 1 [-threads 8] [-paper] [-quality]
 //	stackbench -figure 2 [-paper] [-quality]
 //	stackbench -ablation hop|depth|shift|width|asym [-threads 8]
-//	stackbench -json BENCH_2026-08-08.json [-benchtime 100x] [-ratchet BENCH_old.json]
 //
 // -paper restores the paper's full methodology (5 s per point, 5 repeats,
 // prefill 32,768); the default is a CI-scale run (200 ms, 3 repeats) that
 // preserves the ordering between algorithms.
 //
-// -json runs the fixed perf-trajectory suite instead of a figure and writes
-// a schema-versioned checkpoint (see trajectory.go); -ratchet compares the
-// fresh run against a checked-in baseline and exits non-zero on regression.
-// The repo's BENCH_<date>.json files are these checkpoints; EXPERIMENTS.md
-// documents how to read them and what the ratchet tolerates.
+// stackbench reproduces the paper's figures; it is not the repo's
+// performance benchmark. That is perfbench (the nested module declared in
+// BENCHMARK.json), whose fixed-duration, repeated runs carry their spread;
+// EXPERIMENTS.md describes both.
 package main
 
 import (
@@ -45,10 +43,6 @@ func main() {
 		repeats  = flag.Int("repeats", 0, "override repeats per point")
 		prefill  = flag.Int("prefill", 32768, "initial stack population")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
-
-		jsonOut   = flag.String("json", "", "run the perf-trajectory suite and write the checkpoint JSON here (- = stdout)")
-		benchtime = flag.String("benchtime", "100x", "trajectory budget: Nx ops per worker, or a duration per series")
-		ratchet   = flag.String("ratchet", "", "baseline BENCH_*.json to gate the trajectory run against")
 	)
 	flag.Parse()
 
@@ -80,8 +74,6 @@ func main() {
 
 	var err error
 	switch {
-	case *jsonOut != "" || *ratchet != "":
-		err = runTrajectory(*benchtime, *jsonOut, *ratchet)
 	case *queue:
 		err = runQueueSweep(sc)
 	case *figure == 1:

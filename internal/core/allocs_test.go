@@ -82,6 +82,43 @@ func TestBufferedAllocsAmortised(t *testing.T) {
 	}
 }
 
+// TestBufferedProbesAmortised pins the combined-publication payoff in
+// search work, which unlike wall-clock speed does not depend on the host:
+// one handle cycling 16 pushes then 16 pops probes about once per
+// operation plain, but with an op buffer of cap 16 one publish and one
+// refill serve each 16 operations, so probes per operation must fall to at
+// most 1/8 of plain (about 1/16 expected) at the uncontended and the
+// contended default geometry alike.
+func TestBufferedProbesAmortised(t *testing.T) {
+	for _, p := range []int{1, 16} {
+		probesPerOp := func(bufCap int) float64 {
+			s := MustNew[uint64](DefaultConfig(p))
+			h := s.NewHandle()
+			if bufCap > 0 {
+				h.SetOpBuffer(bufCap)
+			}
+			var v uint64
+			for r := 0; r < 2000; r++ {
+				for j := 0; j < 16; j++ {
+					h.BufferedPush(v)
+					v++
+				}
+				for j := 0; j < 16; j++ {
+					if _, ok := h.BufferedPop(); !ok {
+						t.Fatal("BufferedPop missed with items available")
+					}
+				}
+			}
+			return h.Stats().ProbesPerOp()
+		}
+		plain, buffered := probesPerOp(0), probesPerOp(16)
+		if buffered > plain/8 {
+			t.Errorf("P=%d: buffered probes/op %.3f above 1/8 of plain %.3f — publication stopped batching",
+				p, buffered, plain)
+		}
+	}
+}
+
 type countingObserver struct{}
 
 func (countingObserver) ObserveStruct(StructEvent) {}

@@ -7,35 +7,8 @@ import (
 
 // This file plugs the relax.Backend contract (and hence the engine
 // switcher) into the harness: any backend runs under the same phased
-// workload engine as the concrete structures, so A/B comparisons and the
-// swap-hammer conformance runs reuse one load generator.
-
-type backendInstance struct{ b relax.Backend[uint64] }
-
-func (i backendInstance) NewWorker() Worker { return i.b.NewHandle() }
-func (i backendInstance) Len() int          { return i.b.Len() }
-
-// NewBackendFactory wraps an algorithm's default backend configuration
-// (relax.NewDefaultBackend) for p expected threads — the factory behind
-// cmd/stackbench's backend A/B series. K is the backend's own reported
-// budget (-1 when unbounded).
-func NewBackendFactory(a relax.Algorithm, p int) Factory {
-	probe, err := relax.NewDefaultBackend[uint64](a, p)
-	if err != nil {
-		panic("harness: " + err.Error())
-	}
-	return Factory{
-		Name: a.String(),
-		K:    probe.KBound(),
-		New: func() Instance {
-			b, err := relax.NewDefaultBackend[uint64](a, p)
-			if err != nil {
-				panic("harness: " + err.Error())
-			}
-			return backendInstance{b}
-		},
-	}
-}
+// workload engine as the concrete structures, so the swap-hammer
+// conformance runs and the engine demo reuse one load generator.
 
 // RunPhasedBackend drives a phase-shifting workload against any backend —
 // including an engine.Switcher, whose swap schedule the caller owns, the

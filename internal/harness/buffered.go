@@ -3,46 +3,23 @@ package harness
 import (
 	"stack2d/internal/core"
 	"stack2d/internal/quality"
-	"stack2d/internal/relax"
 	"stack2d/internal/twodqueue"
 )
 
 // Buffered adapters: the same 2D structures driven through per-handle
 // operation buffers (core/twodqueue SetOpBuffer — the combined-publication
-// fast path of DESIGN.md §11). The buffered series share a caveat the
-// plain ones don't have: buffered operations linearize at publish/serve,
-// so recorded histories must be budgeted K + seqspec.BufferAllowance — and
+// fast path of DESIGN.md §11). Buffered runs share a caveat the plain
+// ones don't have: buffered operations linearize at publish/serve, so
+// recorded histories must be budgeted K + seqspec.BufferAllowance — and
 // the fairness premise requires that workers never park with non-empty
 // buffers. Phased runs driving buffered workers must therefore keep every
 // worker active in every phase (Workers == MaxWorkers); the conformance
-// hammers do, and the throughput runner always does.
+// hammers do.
 
 type bufferedStackWorker struct{ h *core.Handle[uint64] }
 
 func (w bufferedStackWorker) Push(v uint64)       { w.h.BufferedPush(v) }
 func (w bufferedStackWorker) Pop() (uint64, bool) { return w.h.BufferedPop() }
-
-type twoDBufferedInstance struct {
-	s      *core.Stack[uint64]
-	bufCap int
-}
-
-func (i twoDBufferedInstance) NewWorker() Worker {
-	h := i.s.NewHandle()
-	h.SetOpBuffer(i.bufCap)
-	return bufferedStackWorker{h}
-}
-func (i twoDBufferedInstance) Len() int { return i.s.Len() }
-
-// NewTwoDBufferedFactory wraps a 2D-Stack configuration whose workers
-// batch through op buffers of the given threshold.
-func NewTwoDBufferedFactory(cfg core.Config, bufCap int) Factory {
-	return Factory{
-		Name: relax.TwoDStack.String() + "+opbuf",
-		K:    cfg.K(),
-		New:  func() Instance { return twoDBufferedInstance{core.MustNew[uint64](cfg), bufCap} },
-	}
-}
 
 type bufferedQueueWorker struct{ h *twodqueue.Handle[uint64] }
 

@@ -145,15 +145,6 @@ func Figure1Factory(alg relax.Algorithm, k int64, p int) Factory {
 	}
 }
 
-// Figure2K is the common relaxation budget used to configure the k-bounded
-// relaxed algorithms in the concurrency sweep; see EXPERIMENTS.md.
-const Figure2K = 1024
-
-// figure2FixedWidth is the sub-stack count of the fixed-structure designs
-// (random, random-c2) in Figure 2; the paper notes their quality stays
-// constant with P because the sub-stack count is fixed.
-const figure2FixedWidth = 64
-
 // Figure2Factory returns the algorithm configured for high throughput at p
 // threads, reproducing the paper's Figure 2 setup: 2D-stack at width 4P,
 // k-robin shrinking width with P to hold its bound, fixed structures for
@@ -163,13 +154,13 @@ func Figure2Factory(alg relax.Algorithm, p int) Factory {
 	case relax.TwoDStack:
 		return NewTwoDFactory(core.DefaultConfig(p))
 	case relax.KRobin:
-		return NewMultiFactory(relax.KRobinConfigForK(Figure2K, p), p)
+		return NewMultiFactory(relax.KRobinConfigForK(relax.Figure2K, p), p)
 	case relax.KSegment:
-		return NewKSegmentFactory(ksegment.Config{SegmentSize: figure2FixedWidth})
+		return NewKSegmentFactory(ksegment.Config{SegmentSize: relax.Figure2FixedWidth})
 	case relax.RandomStack:
-		return NewMultiFactory(multistack.Config{Width: figure2FixedWidth, Policy: multistack.Random}, p)
+		return NewMultiFactory(multistack.Config{Width: relax.Figure2FixedWidth, Policy: multistack.Random}, p)
 	case relax.RandomC2Stack:
-		return NewMultiFactory(multistack.Config{Width: figure2FixedWidth, Policy: multistack.RandomC2}, p)
+		return NewMultiFactory(multistack.Config{Width: relax.Figure2FixedWidth, Policy: multistack.RandomC2}, p)
 	case relax.EliminationStack:
 		return NewEliminationFactory(elimination.DefaultConfig(p))
 	case relax.TreiberStack:

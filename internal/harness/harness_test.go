@@ -188,6 +188,25 @@ func TestFigure2FactoryNames(t *testing.T) {
 	}
 }
 
+// TestDefaultBackendIsFigure2Setup pins relax.NewDefaultBackend to the
+// Figure 2 configuration: for every Figure-2 algorithm at each P, the
+// default backend reports the algorithm and bound Figure2Factory builds.
+func TestDefaultBackendIsFigure2Setup(t *testing.T) {
+	for _, p := range []int{1, 4, 16} {
+		for _, alg := range relax.Figure2Algorithms() {
+			f := Figure2Factory(alg, p)
+			b, err := relax.NewDefaultBackend[uint64](alg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Algorithm().String() != f.Name || b.KBound() != f.K {
+				t.Errorf("P=%d: default backend %s (k=%d), Figure2Factory %s (k=%d)",
+					p, b.Algorithm(), b.KBound(), f.Name, f.K)
+			}
+		}
+	}
+}
+
 func TestFigure1SweepSmoke(t *testing.T) {
 	sc := SweepConfig{
 		Workload: quickWorkload(2),

@@ -296,15 +296,6 @@ func TestBackendKBoundMatchesStructure(t *testing.T) {
 	}
 }
 
-// TestFigure2KMatchesHarness guards the re-declared constant: harness's
-// Figure2K cannot be imported here (harness imports relax), so the two are
-// pinned to the documented value independently.
-func TestFigure2KMatchesHarness(t *testing.T) {
-	if Figure2K != 1024 {
-		t.Fatalf("Figure2K = %d, want 1024 (keep in sync with harness.Figure2K)", Figure2K)
-	}
-}
-
 // TestZooSignalCountersFlow checks the SetStats wiring end to end for a
 // contended backend: internal signals (probes) reach the snapshot.
 func TestZooSignalCountersFlow(t *testing.T) {

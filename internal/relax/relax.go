@@ -189,6 +189,17 @@ func Figure2Algorithms() []Algorithm {
 	}
 }
 
+// Figure2K is the relaxation budget Figure 2 sizes k-robin for (its width
+// shrinks as P grows to hold the bound). harness.Figure2Factory and
+// NewDefaultBackend both build the Figure 2 setups from it and from
+// Figure2FixedWidth.
+const Figure2K = 1024
+
+// Figure2FixedWidth is the fixed structure size of Figure 2's k-segment
+// (its segment size) and random policies (their sub-stack count) at every
+// P — which is why the paper sees their quality stay constant with P.
+const Figure2FixedWidth = 64
+
 // TwoDConfigForK maps a target relaxation k and thread count p to a 2D-Stack
 // configuration following the paper's tuning narrative: grow width
 // (horizontal, disjoint access) until the optimum width 4P, then grow depth
