@@ -41,27 +41,31 @@ func (h *Handle[T]) PushBatch(vs []T) {
 				randLeft = geo.Hops
 				h.Count.Restarts++
 			}
-			d := geo.Subs[idx].load()
+			ss := geo.Subs[idx]
+			d := ss.load()
 			h.Count.Probes++
-			if headroom := global - d.count; headroom > 0 {
+			if headroom := global - (ss.base + d.count); headroom > 0 {
 				m := int64(len(remaining))
 				if m > headroom {
 					m = headroom
 				}
 				// Chain the first m values so remaining[m-1] is topmost. The
-				// nodes come from one slab allocation and are linked in
-				// place, so a combined publish costs one allocation per CAS
-				// group instead of one per value (the slab stays reachable
-				// until every node carved from it is popped and dropped —
-				// the lifetime of a batch's top node, which batched
-				// producer/consumer traffic turns over promptly).
-				slab := make([]node[T], m)
-				top := d.top
-				for i := int64(0); i < m; i++ {
+				// m-1 lower nodes come from one slab allocation and are
+				// linked in place, and the new descriptor holds the topmost
+				// value over d, so a combined publish costs two allocations
+				// per CAS group instead of one per value, and a pop batch
+				// that takes exactly this group re-installs d (the slab stays
+				// reachable until every node carved from it is popped and
+				// dropped — the lifetime of a batch's lowest node, which
+				// batched producer/consumer traffic turns over promptly).
+				slab := make([]node[T], m-1)
+				top := d.head()
+				for i := range slab {
 					slab[i] = node[T]{value: remaining[i], next: top}
 					top = &slab[i]
 				}
-				if geo.Subs[idx].cas(d, &descriptor[T]{top: top, count: d.count + m}) {
+				c := &descriptor[T]{top: node[T]{value: remaining[m-1], next: top}, count: d.count + m, below: d}
+				if ss.cas(d, c) {
 					h.Last[0] = idx
 					h.Count.Pushes += uint64(m)
 					remaining = remaining[m:]
@@ -123,8 +127,9 @@ func (h *Handle[T]) PopBatch(max int) []T {
 }
 
 // popBatchInto is PopBatch appending into a caller-owned slice: the op
-// buffer's prefetch refill (buffer.go) passes its standing buffer so a
-// steady-state refill allocates nothing but the replacement descriptors.
+// buffer's prefetch refill (buffer.go) passes its standing buffer, so a
+// refill that takes whole published batches allocates nothing, and one
+// that splits a batch allocates only the copy of its new top item.
 // len(out) must be 0 relative to the max budget (callers pass out[:0]).
 func (h *Handle[T]) popBatchInto(out []T, max int) []T {
 	geo := h.PinBatch() // see PushBatch: no sample, no countdown tick
@@ -157,26 +162,23 @@ func (h *Handle[T]) popBatchInto(out []T, max int) []T {
 				randLeft = geo.Hops
 				h.Count.Restarts++
 			}
-			d := geo.Subs[idx].load()
+			ss := geo.Subs[idx]
+			d := ss.load()
 			h.Count.Probes++
-			if avail := d.count - floor; avail > 0 {
+			if avail := min(d.count, ss.base+d.count-floor); avail > 0 {
 				m := int64(max - len(out))
 				if m > avail {
 					m = avail
 				}
-				// Walk m nodes off the top to find the new top, CAS, and
-				// only then collect the values: the detached chain is still
-				// reachable from d.top, so the collection needs no staging
-				// buffer (the old per-attempt `taken` slice was PopBatch's
-				// last per-group allocation besides the descriptor).
-				top := d.top
-				for i := int64(0); i < m; i++ {
-					top = top.next
-				}
-				if geo.Subs[idx].cas(d, &descriptor[T]{top: top, count: d.count - m}) {
+				// CAS to the state m items below d's top, and only then
+				// collect the values: the detached chain is still reachable
+				// from d, so the collection needs no staging buffer, and a
+				// group that takes exactly one published batch re-installs
+				// the state beneath it without allocating.
+				if ss.cas(d, d.without(m)) {
 					h.Last[0] = idx
 					h.Count.Pops += uint64(m)
-					for n, i := d.top, int64(0); i < m; i++ {
+					for n, i := &d.top, int64(0); i < m; i++ {
 						out = append(out, n.value)
 						n = n.next
 					}

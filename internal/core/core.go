@@ -6,11 +6,16 @@
 //
 // The stack is an array of `width` Treiber-style sub-stacks, each described
 // by an immutable {top, count} descriptor replaced atomically on every
-// successful operation. A shared Global counter together with the `depth`
-// parameter defines the *window*: a sub-stack is a valid target for
+// successful operation (a push's descriptor embeds its node; a pop
+// re-installs the state the popped item was pushed over). A shared Global
+// counter together with the `depth` parameter defines the *window*: a
+// sub-stack is a valid target for
 //
 //   - Push when count < Global
 //   - Pop  when count > Global − depth
+//
+// (A sub-stack added by a width growth joins at the window floor: its
+// count is measured from that base, so it is inside the window at once.)
 //
 // When no sub-stack is valid the window itself is moved: Push raises Global
 // by `shift`, Pop lowers it (never below depth). All items therefore live
@@ -129,8 +134,9 @@ func (c Config) K() int64 {
 //
 // The window shell (Window) carries the geometry, reconfiguration,
 // placement, the handle registry and the observer; the stack adds its
-// Global ceiling and its own reconfiguration steps (fresh sub-stacks on
-// growth, the Global fix-up, the spliceStranded shrink handoff).
+// Global ceiling and its own reconfiguration steps (fresh sub-stacks
+// joining at the window floor on growth, the Global fix-up, the
+// spliceStranded shrink handoff).
 type Stack[T any] struct {
 	Window[T, subStack[T]]
 	// global is the paper's Global counter: the per-sub-stack item ceiling
@@ -145,7 +151,10 @@ type Stack[T any] struct {
 func New[T any](cfg Config) (*Stack[T], error) {
 	s := &Stack[T]{}
 	err := s.Init(cfg, Hooks[subStack[T]]{
-		Grow: growSubStacks[T],
+		// Slots added by a growth join at the window floor (see subStack.base).
+		Grow: func(subs []*subStack[T], cfg Config) []*subStack[T] {
+			return growSubStacks(subs, cfg, s.global.V.Load()-cfg.Depth)
+		},
 		// Global >= depth keeps Pop's floor arithmetic sane. (Stale-geometry
 		// pops may pull it below again for a moment; the operations clamp
 		// the floor at zero.)
@@ -168,14 +177,13 @@ func MustNew[T any](cfg Config) *Stack[T] {
 	return s
 }
 
-// growSubStacks is the stack's Hooks.Grow: new slots start as fresh empty
-// sub-stacks, since a sub-stack's count is its population and zero is
-// always window-valid for a push.
-func growSubStacks[T any](subs []*subStack[T], cfg Config) []*subStack[T] {
+// growSubStacks appends fresh empty sub-stacks joining at height base
+// (clamped at 0) until subs holds cfg.Width.
+func growSubStacks[T any](subs []*subStack[T], cfg Config, base int64) []*subStack[T] {
 	empty := &descriptor[T]{}
 	for len(subs) < cfg.Width {
-		ss := new(subStack[T])
-		ss.desc.P.Store(empty)
+		ss := &subStack[T]{base: max(base, 0)}
+		ss.desc.Store(empty)
 		subs = append(subs, ss)
 	}
 	return subs
@@ -255,12 +263,14 @@ func (s *Stack[T]) Drain() []T {
 
 // CheckInvariants walks every sub-stack and verifies the structural
 // invariants that the descriptor scheme maintains: each descriptor's count
-// equals the actual length of its list, counts are non-negative, and
-// Global is positive (in quiescent states with no reconfiguration in
-// flight it additionally satisfies Global >= Depth, but a pop racing a
-// depth change may legitimately leave it between 1 and the new depth). It
-// is intended for quiescent states (tests, debugging); under concurrency a
-// descriptor read is atomic but the whole walk is not.
+// equals the actual length of its list, counts are non-negative, every
+// entry of its below chain holds fewer items than the one above it and
+// sits at the matching depth of the list (DESIGN.md §3), and Global is
+// positive (in quiescent states with no reconfiguration in flight it
+// additionally satisfies Global >= Depth, but a pop racing a depth change
+// may legitimately leave it between 1 and the new depth). It is intended
+// for quiescent states (tests, debugging); under concurrency a descriptor
+// read is atomic but the whole walk is not.
 func (s *Stack[T]) CheckInvariants() error {
 	if g := s.global.V.Load(); g < 1 {
 		return fmt.Errorf("core: Global %d must be positive", g)
@@ -275,7 +285,7 @@ func (s *Stack[T]) CheckInvariants() error {
 			return fmt.Errorf("core: sub-stack %d has negative count %d", i, d.count)
 		}
 		var n int64
-		for node := d.top; node != nil; node = node.next {
+		for node := d.head(); node != nil; node = node.next {
 			n++
 			if n > d.count {
 				break
@@ -283,6 +293,20 @@ func (s *Stack[T]) CheckInvariants() error {
 		}
 		if n != d.count {
 			return fmt.Errorf("core: sub-stack %d descriptor count %d but list length >= %d", i, d.count, n)
+		}
+		// The below chain: counts strictly decrease, and each entry's top
+		// is the node at depth d.count − b.count (nil for an empty entry).
+		node, depth := d.head(), int64(0)
+		for b, above := d.below, d.count; b != nil; above, b = b.count, b.below {
+			if b.count < 0 || b.count >= above {
+				return fmt.Errorf("core: sub-stack %d below chain count %d under %d", i, b.count, above)
+			}
+			for ; depth < d.count-b.count; depth++ {
+				node = node.next
+			}
+			if node != b.head() {
+				return fmt.Errorf("core: sub-stack %d below entry of count %d is not the node at depth %d", i, b.count, depth)
+			}
 		}
 	}
 	return nil
@@ -303,10 +327,15 @@ func (s *Stack[T]) CheckInvariants() error {
 // to the real list length, so window validity and emptiness detection are
 // unaffected.
 //
+// The spliced state is one fresh descriptor holding a copy of the
+// stranded top item, over the target's previous state: the dropped slot's
+// below chain is not carried, since its counts exclude the target's items.
+//
 // Safety: after old-epoch quiescence the dropped slots and their nodes are
-// exclusively ours, so writing the chain bottom's next pointer is race-free
-// until the CAS publishes it; a CAS loss to a concurrent operation on the
-// target just re-picks the least-loaded target and retries.
+// exclusively ours — no slot can reach their descriptors any more — so
+// writing the chain bottom's next pointer is race-free until the CAS
+// publishes it; a CAS loss to a concurrent operation on the target just
+// re-picks the least-loaded target and retries.
 //
 // The returned value is this migration's addition to the displacement
 // bound, which the shell accumulates into ShrinkDisplacementBound and
@@ -315,11 +344,12 @@ func (s *Stack[T]) spliceStranded(next *Geometry[subStack[T]], dropped []*subSta
 	var disp int64
 	for _, ss := range dropped {
 		d := ss.load()
-		ss.desc.P.Store(&descriptor[T]{})
+		ss.desc.Store(&descriptor[T]{})
 		if d.count == 0 {
 			continue
 		}
-		bottom := d.top
+		c := &descriptor[T]{top: d.top}
+		bottom := &c.top
 		for bottom.next != nil {
 			bottom = bottom.next
 		}
@@ -330,9 +360,9 @@ func (s *Stack[T]) spliceStranded(next *Geometry[subStack[T]], dropped []*subSta
 					tgt, td = cand, cd
 				}
 			}
-			bottom.next = td.top
-			if tgt.cas(td, &descriptor[T]{top: d.top, count: td.count + d.count}) {
-				disp += td.count + d.count
+			bottom.next, c.count, c.below = td.head(), td.count+d.count, td
+			if tgt.cas(td, c) {
+				disp += c.count
 				break
 			}
 		}
@@ -354,13 +384,11 @@ func (s *Stack[T]) spliceStranded(next *Geometry[subStack[T]], dropped []*subSta
 	// concurrent pops may lower it — but one successful raise-if-below
 	// CAS is all this needs.)
 	if disp > 0 {
-		minCount := next.Subs[0].load().count
+		minHeight := next.Subs[0].base + next.Subs[0].load().count
 		for _, ss := range next.Subs[1:] {
-			if c := ss.load().count; c < minCount {
-				minCount = c
-			}
+			minHeight = min(minHeight, ss.base+ss.load().count)
 		}
-		RaiseTo(&s.global.V, minCount+next.Shift)
+		RaiseTo(&s.global.V, minHeight+next.Shift)
 	}
 	return disp
 }

@@ -62,7 +62,9 @@ func (h *Handle[T]) Push(v T) {
 	// it the Theorem 1 bound — is identical (DESIGN.md §7).
 	ord, pos, localN := h.Probe(geo)
 	sockIdx := h.SockIdx(geo)
-	n := &node[T]{value: v}
+	// The new state is allocated once, holding v; each attempt lays it
+	// over the state it expects to replace (DESIGN.md §3).
+	c := &descriptor[T]{top: node[T]{value: v}}
 	for {
 		global := s.global.V.Load()
 		idx := h.Last[0]
@@ -80,12 +82,13 @@ func (h *Handle[T]) Push(v T) {
 				randLeft = geo.Hops
 				h.Count.Restarts++
 			}
-			d := geo.Subs[idx].load()
+			ss := geo.Subs[idx]
+			d := ss.load()
 			h.Count.Probes++
-			if d.count < global {
+			if ss.base+d.count < global {
 				// Valid for push: attempt the descriptor swap.
-				n.next = d.top
-				if geo.Subs[idx].cas(d, &descriptor[T]{top: n, count: d.count + 1}) {
+				c.top.next, c.count, c.below = d.head(), d.count+1, d
+				if ss.cas(d, c) {
 					h.Last[0] = idx
 					h.Count.Pushes++
 					h.Unpin()
@@ -176,11 +179,12 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 				randLeft = geo.Hops
 				h.Count.Restarts++
 			}
-			d := geo.Subs[idx].load()
+			ss := geo.Subs[idx]
+			d := ss.load()
 			h.Count.Probes++
-			if d.count > floor {
-				// Valid for pop. count > floor >= 0 implies top != nil.
-				if geo.Subs[idx].cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
+			if d.count > 0 && ss.base+d.count > floor {
+				// Valid for pop: re-install the state beneath d's top item.
+				if ss.cas(d, d.without(1)) {
 					h.Last[0] = idx
 					h.Count.Pops++
 					h.Unpin()
@@ -262,10 +266,11 @@ func (h *Handle[T]) TryPop() (v T, ok bool) {
 		at = pos[idx]
 	}
 	for probes := 0; probes < width; probes++ {
-		d := geo.Subs[idx].load()
+		ss := geo.Subs[idx]
+		d := ss.load()
 		h.Count.Probes++
-		if d.count > floor {
-			if geo.Subs[idx].cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
+		if d.count > 0 && ss.base+d.count > floor {
+			if ss.cas(d, d.without(1)) {
 				h.Last[0] = idx
 				h.Count.Pops++
 				h.Unpin()

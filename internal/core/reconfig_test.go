@@ -6,6 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stack2d/internal/seqspec"
+	"stack2d/internal/xrand"
 )
 
 func TestReconfigureValidation(t *testing.T) {
@@ -288,5 +291,109 @@ func TestHandleRegistryPrunesAndRetiresStats(t *testing.T) {
 			t.Fatalf("registry still holds %d entries, snapshot %+v (want <= 3 entries, 80 pushes)", entries, snap)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestReconfigureGrowthJoinsAtFloor is the sequential witness of the old
+// width-growth bound gap: 100 pushes at width 2 (depth = shift = 4),
+// SetWidth(3), 40 more pushes and a drain. A new sub-stack that joined at
+// count 0 under a Global of about 52 hid its first 48 items below the pop
+// floor while pops took older items from the old slots (distance 40
+// against k_new = 24). Joining at the window floor keeps every pop within
+// the new geometry's k.
+func TestReconfigureGrowthJoinsAtFloor(t *testing.T) {
+	for _, hops := range []int{0, 1} {
+		s := MustNew[uint64](Config{Width: 2, Depth: 4, Shift: 4, RandomHops: hops})
+		h := s.NewHandle()
+		var ops []seqspec.Op
+		var v uint64
+		push := func(n int) {
+			for ; n > 0; n-- {
+				h.Push(v)
+				ops = append(ops, seqspec.Op{Kind: seqspec.OpPush, Value: v})
+				v++
+			}
+		}
+		push(100)
+		if err := s.SetWidth(3); err != nil {
+			t.Fatal(err)
+		}
+		push(40)
+		for {
+			x, ok := h.Pop()
+			ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: x, Empty: !ok})
+			if !ok {
+				break
+			}
+		}
+		if _, err := seqspec.CheckKOutOfOrder(ops, int(s.Config().K())); err != nil {
+			t.Fatalf("hops %d: %v", hops, err)
+		}
+	}
+}
+
+// TestPropertyReconfigureGrowthKBound drives sequential push/pop mixes,
+// through singleton and batch operations, that grow the width one slot at
+// a time (2 up to 6) and change depth and shift at random points, and
+// requires every pop's distance to stay within the largest k of the
+// geometries used (DESIGN.md §4, invariant 2): growth adds no
+// displacement of its own. After every operation it also checks the upper
+// half of the §2 band argument on heights: no sub-stack holding items
+// stands above Global.
+func TestPropertyReconfigureGrowthKBound(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := xrand.New(seed)
+		cfg := Config{Width: 2, Depth: int64(1 + rng.Intn(6)), RandomHops: rng.Intn(3)}
+		cfg.Shift = int64(1 + rng.Intn(int(cfg.Depth)))
+		s := MustNew[uint64](cfg)
+		h := s.NewHandle()
+		var ops []seqspec.Op
+		var v uint64
+		maxK := cfg.K()
+		batch := make([]uint64, 0, 4)
+		for i := 0; i < 1500; i++ {
+			switch r := rng.Intn(100); {
+			case r < 1 && cfg.Width < 6:
+				cfg.Width++
+				if err := s.SetWidth(cfg.Width); err != nil {
+					t.Fatal(err)
+				}
+				maxK = max(maxK, cfg.K())
+			case r < 2:
+				cfg.Depth = int64(1 + rng.Intn(6))
+				cfg.Shift = int64(1 + rng.Intn(int(cfg.Depth)))
+				if err := s.SetWindow(cfg.Depth, cfg.Shift); err != nil {
+					t.Fatal(err)
+				}
+				maxK = max(maxK, cfg.K())
+			case r < 50:
+				h.Push(v)
+				ops = append(ops, seqspec.Op{Kind: seqspec.OpPush, Value: v})
+				v++
+			case r < 58:
+				batch = batch[:0]
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					batch = append(batch, v)
+					ops = append(ops, seqspec.Op{Kind: seqspec.OpPush, Value: v})
+					v++
+				}
+				h.PushBatch(batch)
+			case r < 92:
+				x, ok := h.Pop()
+				ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: x, Empty: !ok})
+			default:
+				for _, x := range h.PopBatch(1 + rng.Intn(4)) {
+					ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: x})
+				}
+			}
+			for j, ss := range s.Geometry().Subs {
+				if c := ss.load().count; c > 0 && ss.base+c > s.Global() {
+					t.Fatalf("seed %d op %d: sub-stack %d at height %d+%d above Global %d", seed, i, j, ss.base, c, s.Global())
+				}
+			}
+		}
+		if _, err := seqspec.CheckKOutOfOrder(ops, int(maxK)); err != nil {
+			t.Fatalf("seed %d (final %+v, k %d): %v", seed, cfg, maxK, err)
+		}
 	}
 }

@@ -11,15 +11,15 @@ import (
 // and one pop through a relax adapter handle and through a switcher handle
 // fronting the same kind of backend, at the uncontended and contended
 // default geometries. Neither layer may add an allocation to the
-// structure's own: 2D pushes allocate the node and the replacement
-// descriptor and its pops the descriptor (core's TestOpAllocsPinned);
-// elimination and Treiber pushes allocate the node and their pops nothing.
+// structure's own: 2D pushes allocate one descriptor, which embeds the
+// node, and its pops nothing (core's TestOpAllocsPinned); elimination and
+// Treiber pushes allocate the node and their pops nothing.
 func TestHandleAllocsPinned(t *testing.T) {
 	for _, c := range []struct {
 		a         relax.Algorithm
 		push, pop float64
 	}{
-		{relax.TwoDStack, 2, 1},
+		{relax.TwoDStack, 1, 0},
 		{relax.EliminationStack, 1, 0},
 		{relax.TreiberStack, 1, 0},
 	} {

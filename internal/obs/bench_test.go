@@ -81,11 +81,11 @@ func TestObservabilityPlaneAddsNoWork(t *testing.T) {
 
 	h := inst.NewHandle()
 	var i uint64
-	if got := testing.AllocsPerRun(10000, func() { h.Push(i); i++ }); got != 2 {
-		t.Errorf("instrumented Push allocates %v per op, pinned at 2 (node + descriptor)", got)
+	if got := testing.AllocsPerRun(10000, func() { h.Push(i); i++ }); got != 1 {
+		t.Errorf("instrumented Push allocates %v per op, pinned at 1 (descriptor with its node)", got)
 	}
-	if got := testing.AllocsPerRun(5000, func() { h.Pop() }); got != 1 {
-		t.Errorf("instrumented Pop allocates %v per op, pinned at 1 (descriptor)", got)
+	if got := testing.AllocsPerRun(5000, func() { h.Pop() }); got != 0 {
+		t.Errorf("instrumented Pop allocates %v per op, pinned at 0", got)
 	}
 }
 

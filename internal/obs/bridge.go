@@ -27,6 +27,15 @@ type ShrinkReporter interface {
 	ShrinkDisplacementBound() int64
 }
 
+// BufferReporter is the optional extension a Source may implement to also
+// export what its handles' op buffers hold and what was lost with
+// buffered handles dropped unflushed (both 2D structures do, through their
+// window shell).
+type BufferReporter interface {
+	BufferedItems() int
+	AbandonedItems() int64
+}
+
 // minRefresh is how long a structView serves the cached snapshot before
 // re-aggregating. A scrape storm therefore costs at most one StatsSnapshot
 // per structure per window — the same aggregation the controller already
@@ -99,7 +108,8 @@ func (v *structView) rate(f func(d core.OpStats, interval time.Duration) float64
 // under the given structure label — counters and the latency histogram from
 // its aggregated OpStats, interval gauges from consecutive snapshot deltas,
 // geometry gauges (including the realised Theorem-1 k) from its live
-// Config, and the shrink displacement bound when src reports one. now is
+// Config, the shrink displacement bound when src reports one, and the
+// op-buffer residents and abandoned items when src reports them. now is
 // the clock used for staleness and rate intervals; nil means time.Now
 // (tests inject a fake to step the cache deterministically).
 func RegisterStructure(reg *Registry, structure string, src Source, now func() time.Time) {
@@ -183,6 +193,12 @@ func RegisterStructure(reg *Registry, structure string, src Source, now func() t
 	if sr, ok := src.(ShrinkReporter); ok {
 		reg.Gauge(name(MShrinkDispBound), "Cumulative displacement bound of shrink migrations.",
 			func() float64 { return float64(sr.ShrinkDisplacementBound()) })
+	}
+	if br, ok := src.(BufferReporter); ok {
+		reg.Gauge(name(MBufferedItems), "Items held in live handles' op buffers: pending pushes plus undelivered prefetch.",
+			func() float64 { return float64(br.BufferedItems()) })
+		reg.Counter(name(MAbandonedItemsTotal), "Op-buffered items lost with handles collected before they flushed.",
+			func() float64 { return float64(br.AbandonedItems()) })
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -189,5 +190,72 @@ func TestRegisterStructureLive(t *testing.T) {
 	}
 	if v := snap["stack2d_queue_shrink_displacement_bound"]; v != float64(0) {
 		t.Fatalf("queue shrink bound exported %v before any shrink", v)
+	}
+}
+
+// TestBufferMetricsExported scrapes the op-buffer metrics off a live
+// stack and queue. Each has one buffered handle holding 2 pending items
+// and one dropped unflushed with 3: once the collector takes the dropped
+// handle (as in core's TestAbandonedItemsCounted), buffered_items reads 2
+// and abandoned_items_total 3, and a flush of the live handle takes
+// buffered_items to 0 while the loss stays counted.
+func TestBufferMetricsExported(t *testing.T) {
+	cfg := core.Config{Width: 2, Depth: 8, Shift: 8, RandomHops: 1}
+	s := core.MustNew[int](cfg)
+	q := twodqueue.MustNew[int](cfg)
+	reg := NewRegistry()
+	RegisterStructure(reg, "stack", s, nil)
+	RegisterStructure(reg, "queue", q, nil)
+	scrape := func(structure, suffix string) float64 {
+		t.Helper()
+		snap, _ := reg.ExpvarSnapshot().(map[string]any)
+		v, ok := snap[MetricName(structure, suffix)].(float64)
+		if !ok {
+			t.Fatalf("%s is not exported", MetricName(structure, suffix))
+		}
+		return v
+	}
+
+	hs, hq := s.NewHandle(), q.NewHandle()
+	hs.SetOpBuffer(8)
+	hq.SetOpBuffer(8)
+	for i := 0; i < 2; i++ {
+		hs.BufferedPush(i)
+		hq.BufferedEnqueue(i)
+	}
+	func() {
+		ds, dq := s.NewHandle(), q.NewHandle()
+		ds.SetOpBuffer(8)
+		dq.SetOpBuffer(8)
+		for i := 0; i < 3; i++ {
+			ds.BufferedPush(i)
+			dq.BufferedEnqueue(i)
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.AbandonedItems() != 3 || q.AbandonedItems() != 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("abandoned items never counted: stack %d, queue %d", s.AbandonedItems(), q.AbandonedItems())
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	for _, st := range []string{"stack", "queue"} {
+		if v := scrape(st, MBufferedItems); v != 2 {
+			t.Errorf("%s buffered_items = %v, want 2", st, v)
+		}
+		if v := scrape(st, MAbandonedItemsTotal); v != 3 {
+			t.Errorf("%s abandoned_items_total = %v, want 3", st, v)
+		}
+	}
+	hs.FlushOps()
+	hq.FlushOps()
+	for _, st := range []string{"stack", "queue"} {
+		if v := scrape(st, MBufferedItems); v != 0 {
+			t.Errorf("%s buffered_items after FlushOps = %v, want 0", st, v)
+		}
+		if v := scrape(st, MAbandonedItemsTotal); v != 3 {
+			t.Errorf("%s abandoned_items_total after FlushOps = %v, want 3", st, v)
+		}
 	}
 }

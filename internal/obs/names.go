@@ -21,6 +21,9 @@ const (
 	MWindowLowersTotal = "window_lowers_total"
 	MRestartsTotal     = "restarts_total"
 	MSocketCASTotal    = "socket_cas_total" // labelled {socket="i"}
+
+	// Op-buffer losses (see BufferReporter).
+	MAbandonedItemsTotal = "abandoned_items_total"
 )
 
 // Per-structure histogram suffixes.
@@ -41,6 +44,7 @@ const (
 	MRealisedK       = "realised_k"
 	MShrinkDispBound = "shrink_displacement_bound"
 	MSwapDispBound   = "swap_displacement_bound"
+	MBufferedItems   = "buffered_items" // see BufferReporter
 )
 
 // Engine-switcher suffixes (see RegisterSwitcher).

@@ -227,4 +227,3 @@ func TestFIFORemoveWithinTimesOutOnAbsentLabel(t *testing.T) {
 		t.Fatalf("Len = %d after a timed-out Remove, want 1", o.Len())
 	}
 }
-
