@@ -21,91 +21,43 @@ func (h *Handle[T]) PushBatch(vs []T) {
 	// countdown tick (a batch duration is not a per-op latency).
 	geo := h.PinBatch()
 	s := h.s
-	width := geo.Width
-	sockIdx := h.SockIdx(geo)
-	ord, pos, localN := h.Probe(geo)
 	remaining := vs
-	for len(remaining) > 0 {
-		global := s.global.V.Load()
-		idx := h.Last[0]
-		at := 0
-		if ord != nil {
-			at = pos[idx]
+	visit := func(ss *subStack[T], global int64) Visit {
+		d := ss.load()
+		headroom := global - (ss.base + d.count)
+		if headroom <= 0 {
+			return Skip
 		}
-		probes := 0
-		randLeft := geo.Hops
-		for probes < width && len(remaining) > 0 {
-			if g := s.global.V.Load(); g != global {
-				global = g
-				probes = 0
-				randLeft = geo.Hops
-				h.Count.Restarts++
-			}
-			ss := geo.Subs[idx]
-			d := ss.load()
-			h.Count.Probes++
-			if headroom := global - (ss.base + d.count); headroom > 0 {
-				m := int64(len(remaining))
-				if m > headroom {
-					m = headroom
-				}
-				// Chain the first m values so remaining[m-1] is topmost. The
-				// m-1 lower nodes come from one slab allocation and are
-				// linked in place, and the new descriptor holds the topmost
-				// value over d, so a combined publish costs two allocations
-				// per CAS group instead of one per value, and a pop batch
-				// that takes exactly this group re-installs d (the slab stays
-				// reachable until every node carved from it is popped and
-				// dropped — the lifetime of a batch's lowest node, which
-				// batched producer/consumer traffic turns over promptly).
-				slab := make([]node[T], m-1)
-				top := d.head()
-				for i := range slab {
-					slab[i] = node[T]{value: remaining[i], next: top}
-					top = &slab[i]
-				}
-				c := &descriptor[T]{top: node[T]{value: remaining[m-1], next: top}, count: d.count + m, below: d}
-				if ss.cas(d, c) {
-					h.Last[0] = idx
-					h.Count.Pushes += uint64(m)
-					remaining = remaining[m:]
-					continue
-				}
-				h.Count.CASFailures++
-				h.Count.SocketCAS[sockIdx]++
-				yield.Fire(yield.PointCASFail)
-				idx = HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				probes = 0
-				randLeft = 0
-				continue
-			}
-			if randLeft > 0 {
-				randLeft--
-				h.Count.RandomHops++
-				idx = HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				continue
-			}
-			probes++
-			if ord == nil {
-				idx++
-				if idx == width {
-					idx = 0
-				}
-			} else {
-				at++
-				if at == width {
-					at = 0
-				}
-				idx = ord[at]
-			}
+		m := min(int64(len(remaining)), headroom)
+		// Chain the first m values so remaining[m-1] is topmost. The m-1
+		// lower nodes come from one slab allocation and are linked in
+		// place, and the new descriptor holds the topmost value over d, so
+		// a combined publish costs two allocations per CAS group instead of
+		// one per value, and a pop batch that takes exactly this group
+		// re-installs d (the slab stays reachable until every node carved
+		// from it is popped and dropped — the lifetime of a batch's lowest
+		// node, which batched producer/consumer traffic turns over
+		// promptly).
+		slab := make([]node[T], m-1)
+		top := d.head()
+		for i := range slab {
+			slab[i] = node[T]{value: remaining[i], next: top}
+			top = &slab[i]
 		}
+		c := &descriptor[T]{top: node[T]{value: remaining[m-1], next: top}, count: d.count + m, below: d}
+		if !ss.cas(d, c) {
+			return Lost
+		}
+		h.Count.Pushes += uint64(m)
+		remaining = remaining[m:]
 		if len(remaining) == 0 {
+			return Done
+		}
+		return More
+	}
+	for len(remaining) > 0 {
+		global, _, done := h.Search(geo, 0, &s.global.V, visit)
+		if done {
 			break
 		}
 		yield.Fire(yield.PointWindowMove)
@@ -130,108 +82,46 @@ func (h *Handle[T]) PopBatch(max int) []T {
 // buffer's prefetch refill (buffer.go) passes its standing buffer, so a
 // refill that takes whole published batches allocates nothing, and one
 // that splits a batch allocates only the copy of its new top item.
-// len(out) must be 0 relative to the max budget (callers pass out[:0]).
-func (h *Handle[T]) popBatchInto(out []T, max int) []T {
+// It pops until len(out) reaches limit (callers pass out[:0]).
+func (h *Handle[T]) popBatchInto(out []T, limit int) []T {
 	geo := h.PinBatch() // see PushBatch: no sample, no countdown tick
 	s := h.s
-	width := geo.Width
 	depth := geo.Depth
-	sockIdx := h.SockIdx(geo)
-	ord, pos, localN := h.Probe(geo)
-	for len(out) < max {
-		global := s.global.V.Load()
-		floor := global - depth
-		if floor < 0 {
-			floor = 0
+	visit := func(ss *subStack[T], global int64) Visit {
+		d := ss.load()
+		avail := min(d.count, ss.base+d.count-max(global-depth, 0)) // see Pop
+		if avail <= 0 {
+			return Skip
 		}
-		idx := h.Last[0]
-		at := 0
-		if ord != nil {
-			at = pos[idx]
+		m := min(int64(limit-len(out)), avail)
+		// CAS to the state m items below d's top, and only then collect the
+		// values: the detached chain is still reachable from d, so the
+		// collection needs no staging buffer, and a group that takes
+		// exactly one published batch re-installs the state beneath it
+		// without allocating.
+		if !ss.cas(d, d.without(m)) {
+			return Lost
 		}
-		probes := 0
-		randLeft := geo.Hops
-		for probes < width && len(out) < max {
-			if g := s.global.V.Load(); g != global {
-				global = g
-				floor = global - depth
-				if floor < 0 {
-					floor = 0
-				}
-				probes = 0
-				randLeft = geo.Hops
-				h.Count.Restarts++
-			}
-			ss := geo.Subs[idx]
-			d := ss.load()
-			h.Count.Probes++
-			if avail := min(d.count, ss.base+d.count-floor); avail > 0 {
-				m := int64(max - len(out))
-				if m > avail {
-					m = avail
-				}
-				// CAS to the state m items below d's top, and only then
-				// collect the values: the detached chain is still reachable
-				// from d, so the collection needs no staging buffer, and a
-				// group that takes exactly one published batch re-installs
-				// the state beneath it without allocating.
-				if ss.cas(d, d.without(m)) {
-					h.Last[0] = idx
-					h.Count.Pops += uint64(m)
-					for n, i := &d.top, int64(0); i < m; i++ {
-						out = append(out, n.value)
-						n = n.next
-					}
-					continue
-				}
-				h.Count.CASFailures++
-				h.Count.SocketCAS[sockIdx]++
-				yield.Fire(yield.PointCASFail)
-				idx = HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				probes = 0
-				randLeft = 0
-				continue
-			}
-			if randLeft > 0 {
-				randLeft--
-				h.Count.RandomHops++
-				idx = HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				continue
-			}
-			probes++
-			if ord == nil {
-				idx++
-				if idx == width {
-					idx = 0
-				}
-			} else {
-				at++
-				if at == width {
-					at = 0
-				}
-				idx = ord[at]
-			}
+		h.Count.Pops += uint64(m)
+		for n, i := &d.top, int64(0); i < m; i++ {
+			out = append(out, n.value)
+			n = n.next
 		}
-		if len(out) >= max {
+		if len(out) == limit {
+			return Done
+		}
+		return More
+	}
+	for len(out) < limit {
+		global, _, done := h.Search(geo, 0, &s.global.V, visit)
+		if done || global <= depth {
+			// Done, or the window is at its floor and full coverage found
+			// nothing: the stack is out of items (within the
+			// empty-detection slack).
 			break
-		}
-		if global <= depth {
-			// Window at its floor and full coverage found nothing: the
-			// stack is out of items (within the empty-detection slack).
-			break
-		}
-		next := global - geo.Shift
-		if next < depth {
-			next = depth
 		}
 		yield.Fire(yield.PointWindowMove)
-		if s.global.V.CompareAndSwap(global, next) {
+		if s.global.V.CompareAndSwap(global, max(global-geo.Shift, depth)) {
 			h.Count.WindowLowers++
 		}
 	}

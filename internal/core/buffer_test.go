@@ -70,34 +70,32 @@ func TestSharedCountersPadded(t *testing.T) {
 // every Load must return a cross-field-consistent snapshot. Without the
 // seqlock generation the per-field atomics still tear across fields
 // (a fresh Pushes paired with a stale Pops) and this fails within a few
-// thousand iterations.
+// thousand iterations. The writer is bounded: a Load retries while a
+// store is in flight, so against a writer that never pauses (as under the
+// race detector, where every store is slow) it could spin forever; the
+// reader loads until the writer is done.
 func TestSharedCountersSeqlockConsistency(t *testing.T) {
 	var c SharedCounters
-	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		var st OpStats
-		for i := uint64(1); ; i++ {
+		for i := uint64(1); i <= 200000; i++ {
 			st.Pushes, st.Pops = 2*i, i
 			c.Store(st)
-			select {
-			case <-stop:
-				return
-			default:
-			}
 		}
 	}()
-	for i := 0; i < 200000; i++ {
-		out := c.Load()
-		if out.Pushes != 2*out.Pops {
-			close(stop)
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if out := c.Load(); out.Pushes != 2*out.Pops {
 			<-done
 			t.Fatalf("torn snapshot: Pushes=%d Pops=%d (want Pushes == 2*Pops)", out.Pushes, out.Pops)
 		}
 	}
-	close(stop)
-	<-done
 }
 
 // TestOpBufferSemantics covers the buffer's contract: LIFO elision of

@@ -28,7 +28,7 @@ type Geometry[S any] struct {
 	// socket count the homes were computed for, and localProbe selects the
 	// socket-aware search (false keeps the pre-placement hot path
 	// unchanged). Handles derive their probe permutations from homes
-	// lazily (WindowHandle.Probe), each with a private rotation of the
+	// lazily (WindowHandle.probe), each with a private rotation of the
 	// remote section, so same-socket handles don't convoy when they spill.
 	homes      []int
 	nsockets   int

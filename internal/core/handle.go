@@ -42,98 +42,36 @@ func (h *Handle[T]) SetAnchor(idx int) {
 }
 
 // Push adds v to the stack. It is lock-free: it retries until its CAS
-// succeeds, which can only be delayed by other operations succeeding.
-//
-// Search structure (paper §3): start from the last successful sub-stack;
-// hop randomly up to RandomHops times, then probe round-robin. Only the
-// round-robin probes count toward the "failed on all sub-stacks" verdict —
-// a full round of `width` consecutive invalid probes guarantees every
-// sub-stack was inspected at the current Global before the window is
-// raised. A failed CAS (contention) triggers a random hop and restarts the
-// count; any observed Global change restarts the search outright.
+// succeeds, which can only be delayed by other operations succeeding. The
+// window search (Search) looks for a sub-stack below the ceiling Global;
+// when a full coverage pass finds every sub-stack at the ceiling, Push
+// raises the window and searches again.
 func (h *Handle[T]) Push(v T) {
 	geo := h.PinOp()
 	s := h.s
-	width := geo.Width
-	// Under a local-probe placement policy the search walks a per-socket
-	// permutation (same-socket slots first) instead of plain index order;
-	// ord is nil otherwise and the pre-placement path runs unchanged. Both
-	// walks cover all width slots, so the coverage discipline — and with
-	// it the Theorem 1 bound — is identical (DESIGN.md §7).
-	ord, pos, localN := h.Probe(geo)
-	sockIdx := h.SockIdx(geo)
 	// The new state is allocated once, holding v; each attempt lays it
 	// over the state it expects to replace (DESIGN.md §3).
 	c := &descriptor[T]{top: node[T]{value: v}}
+	visit := func(ss *subStack[T], global int64) Visit {
+		d := ss.load()
+		if ss.base+d.count >= global {
+			return Skip
+		}
+		c.top.next, c.count, c.below = d.head(), d.count+1, d
+		if !ss.cas(d, c) {
+			return Lost
+		}
+		h.Count.Pushes++
+		return Done
+	}
 	for {
-		global := s.global.V.Load()
-		idx := h.Last[0]
-		at := 0 // position of idx in ord (local-probe walks only)
-		if ord != nil {
-			at = pos[idx]
+		global, _, done := h.Search(geo, 0, &s.global.V, visit)
+		if done {
+			h.Unpin()
+			return
 		}
-		probes := 0 // consecutive round-robin validation failures
-		randLeft := geo.Hops
-		for probes < width {
-			// Track Global on every hop; restart the search on any change.
-			if g := s.global.V.Load(); g != global {
-				global = g
-				probes = 0
-				randLeft = geo.Hops
-				h.Count.Restarts++
-			}
-			ss := geo.Subs[idx]
-			d := ss.load()
-			h.Count.Probes++
-			if ss.base+d.count < global {
-				// Valid for push: attempt the descriptor swap.
-				c.top.next, c.count, c.below = d.head(), d.count+1, d
-				if ss.cas(d, c) {
-					h.Last[0] = idx
-					h.Count.Pushes++
-					h.Unpin()
-					return
-				}
-				// Contention: the colliding operation made progress; hop to
-				// a random sub-stack and restart the coverage count.
-				h.Count.CASFailures++
-				h.Count.SocketCAS[sockIdx]++
-				yield.Fire(yield.PointCASFail)
-				idx = HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				probes = 0
-				randLeft = 0 // stay in round-robin from the new anchor
-				continue
-			}
-			// Invalid (at the window ceiling): hop on.
-			if randLeft > 0 {
-				randLeft--
-				h.Count.RandomHops++
-				idx = HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				continue // exploratory hop; does not count toward coverage
-			}
-			probes++
-			if ord == nil {
-				idx++
-				if idx == width {
-					idx = 0
-				}
-			} else {
-				at++
-				if at == width {
-					at = 0
-				}
-				idx = ord[at]
-			}
-		}
-		// A full round-robin pass found every sub-stack at the ceiling:
-		// raise the window. Whether our CAS or a competitor's wins, Global
-		// has changed; re-read and retry with a fresh search count.
+		// Every sub-stack is at the ceiling: raise the window. Whether our
+		// CAS or a competitor's wins, Global has changed; search again.
 		yield.Fire(yield.PointWindowMove)
 		if s.global.V.CompareAndSwap(global, global+geo.Shift) {
 			h.Count.WindowRaises++
@@ -143,103 +81,46 @@ func (h *Handle[T]) Push(v T) {
 
 // Pop removes and returns a value within the relaxation window. ok is false
 // only when the stack is empty: the window is at its floor (validity
-// threshold zero) and a full round-robin pass saw every sub-stack at count
+// threshold zero) and a full coverage pass saw every sub-stack at count
 // zero.
 func (h *Handle[T]) Pop() (v T, ok bool) {
 	geo := h.PinOp()
 	s := h.s
-	width := geo.Width
 	depth := geo.Depth
-	ord, pos, localN := h.Probe(geo) // see Push
-	sockIdx := h.SockIdx(geo)
+	visit := func(ss *subStack[T], global int64) Visit {
+		// Pop-valid: items above the floor global − depth. Steady state
+		// guarantees global >= depth; a racing depth change can briefly
+		// violate it, so the floor is clamped at zero (count > 0 then
+		// still implies a top item).
+		d := ss.load()
+		if d.count == 0 || ss.base+d.count <= max(global-depth, 0) {
+			return Skip
+		}
+		// Valid for pop: re-install the state beneath d's top item.
+		if !ss.cas(d, d.without(1)) {
+			return Lost
+		}
+		v = d.top.value
+		h.Count.Pops++
+		return Done
+	}
 	for {
-		global := s.global.V.Load()
-		// Steady state guarantees global >= depth; a racing depth change
-		// can briefly violate it, so clamp the floor at zero (count > 0
-		// then still implies top != nil).
-		floor := global - depth
-		if floor < 0 {
-			floor = 0
-		}
-		idx := h.Last[0]
-		at := 0
-		if ord != nil {
-			at = pos[idx]
-		}
-		probes := 0
-		randLeft := geo.Hops
-		for probes < width {
-			if g := s.global.V.Load(); g != global {
-				global = g
-				floor = global - depth
-				if floor < 0 {
-					floor = 0
-				}
-				probes = 0
-				randLeft = geo.Hops
-				h.Count.Restarts++
-			}
-			ss := geo.Subs[idx]
-			d := ss.load()
-			h.Count.Probes++
-			if d.count > 0 && ss.base+d.count > floor {
-				// Valid for pop: re-install the state beneath d's top item.
-				if ss.cas(d, d.without(1)) {
-					h.Last[0] = idx
-					h.Count.Pops++
-					h.Unpin()
-					return d.top.value, true
-				}
-				h.Count.CASFailures++
-				h.Count.SocketCAS[sockIdx]++
-				yield.Fire(yield.PointCASFail)
-				idx = HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				probes = 0
-				randLeft = 0
-				continue
-			}
-			if randLeft > 0 {
-				randLeft--
-				h.Count.RandomHops++
-				idx = HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				continue
-			}
-			probes++
-			if ord == nil {
-				idx++
-				if idx == width {
-					idx = 0
-				}
-			} else {
-				at++
-				if at == width {
-					at = 0
-				}
-				idx = ord[at]
-			}
+		global, _, done := h.Search(geo, 0, &s.global.V, visit)
+		if done {
+			h.Unpin()
+			return v, true
 		}
 		if global <= depth {
 			// Window at its floor: the coverage pass proved every
 			// sub-stack held zero items at this Global. Report empty.
 			h.Count.EmptyPops++
 			h.Unpin()
-			var zero T
-			return zero, false
+			return v, false
 		}
 		// Lower the window (floored at depth so the validity threshold
-		// never goes negative) and retry with a fresh search count.
+		// never goes negative) and search again.
 		yield.Fire(yield.PointWindowMove)
-		next := global - geo.Shift
-		if next < depth {
-			next = depth
-		}
-		if s.global.V.CompareAndSwap(global, next) {
+		if s.global.V.CompareAndSwap(global, max(global-geo.Shift, depth)) {
 			h.Count.WindowLowers++
 		}
 	}
@@ -253,13 +134,8 @@ func (h *Handle[T]) TryPop() (v T, ok bool) {
 	geo := h.PinOp()
 	s := h.s
 	width := geo.Width
-	ord, pos, _ := h.Probe(geo) // single pass, same-socket slots first
-	sockIdx := h.SockIdx(geo)
-	global := s.global.V.Load()
-	floor := global - geo.Depth
-	if floor < 0 {
-		floor = 0
-	}
+	ord, pos, _ := h.probe(geo)                  // single pass, same-socket slots first
+	floor := max(s.global.V.Load()-geo.Depth, 0) // see Pop
 	idx := h.Last[0]
 	at := 0
 	if ord != nil {
@@ -277,7 +153,7 @@ func (h *Handle[T]) TryPop() (v T, ok bool) {
 				return d.top.value, true
 			}
 			h.Count.CASFailures++
-			h.Count.SocketCAS[sockIdx]++
+			h.Count.SocketCAS[h.sockIdx(geo)]++
 			yield.Fire(yield.PointCASFail)
 		}
 		if ord == nil {

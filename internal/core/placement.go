@@ -241,11 +241,11 @@ func BuildProbePlan(homes []int, socket, rot int) (ord, pos []int, localN int) {
 	return ord, pos, localN
 }
 
-// HopIdx picks a random slot for an exploratory or contention hop:
+// hopIdx picks a random slot for an exploratory or contention hop:
 // uniform over all slots when placement-blind (ord == nil), uniform over
 // the handle's same-socket slots under local probe order (falling back to
 // any slot for a socket that homes none).
-func HopIdx(rng *xrand.State, width int, ord []int, localN int) int {
+func hopIdx(rng *xrand.State, width int, ord []int, localN int) int {
 	if ord == nil || localN == 0 {
 		return rng.Intn(width)
 	}

@@ -155,11 +155,11 @@ func (w *Window[T, S]) ShrinkDisplacementBound() int64 { return w.shrinkDisp.Loa
 // FlushStats before dropping a handle if they matter.)
 func (w *Window[T, S]) Register(h *WindowHandle[T, S], anchors int, buf BufferHooks[T]) {
 	h.w, h.buf = w, buf
-	h.RNG = xrand.New(w.seed.V.Add(0x9e3779b97f4a7c15))
+	h.rng = xrand.New(w.seed.V.Add(0x9e3779b97f4a7c15))
 	order := int(w.handleSeq.Add(1) - 1)
 	geo := w.geo.Load()
 	for i := 0; i < anchors; i++ {
-		h.Last[i] = h.RNG.Intn(geo.Width)
+		h.Last[i] = h.rng.Intn(geo.Width)
 	}
 	h.socket = HeuristicSocket(order, geo.nsockets)
 	h.latCountdown = LatencySampleInterval

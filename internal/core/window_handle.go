@@ -7,24 +7,27 @@ import (
 	"stack2d/internal/xrand"
 )
 
-// WindowHandle is the per-handle half of the window shell: the state every
-// search of either structure runs on (locality anchors, RNG, socket hint
-// and probe-plan cache, work counters), the epoch pin that reconfiguration
-// waits on, the 1-in-N latency sampler, the periodic stats flush, and the
-// op-buffer state (buffer.go). A structure's handle embeds one by value
-// and writes its own search loops against the exported members; Register
-// initialises it. Like the handle embedding it, a WindowHandle is NOT safe
-// for concurrent use: every method is owner-goroutine only.
+// WindowHandle is the per-handle half of the window shell: the window
+// search (Search) and the state it runs on (locality anchors, RNG, socket
+// hint and probe-plan cache, work counters), the epoch pin that
+// reconfiguration waits on, the 1-in-N latency sampler, the periodic stats
+// flush, and the op-buffer state (buffer.go). A structure's handle embeds
+// one by value and writes each operation as a Search visitor — its
+// validity test and atomic step — plus the window move or empty verdict
+// after a failed pass; Register initialises it. Like the handle embedding
+// it, a WindowHandle is NOT safe for concurrent use: every method is
+// owner-goroutine only.
 type WindowHandle[T, S any] struct {
 	w *Window[T, S]
-	// RNG is the handle's private stream for hop selection.
-	RNG *xrand.State
+	// rng is the handle's private stream for hop selection.
+	rng *xrand.State
 	// Last holds the locality anchors: the slot index of the most recent
 	// success at each end of the structure. The stack uses Last[0]; the
 	// queue's enqueue end is Last[0] and its dequeue end Last[1].
 	Last [2]int
-	// Count is the handle's work counters, updated by the search loops
-	// without atomics (see OpStats; Stats returns a copy).
+	// Count is the handle's work counters, updated by Search and the
+	// structures' visitors without atomics (see OpStats; Stats returns a
+	// copy).
 	Count OpStats
 
 	// socket is the placement hint: the socket the owning goroutine is
@@ -92,7 +95,7 @@ type WindowHandle[T, S any] struct {
 // the adaptive controller uses to home new slots near the contention.
 // Negative ids are treated as 0 and ids are folded modulo
 // MaxPlacementSockets; at operation time a hint beyond the configured
-// socket count is further folded modulo that count (see SockIdx), so the
+// socket count is further folded modulo that count (see sockIdx), so the
 // socket a handle probes as always matches the socket its contention is
 // attributed to. Pinning never affects window semantics, only probe
 // order.
@@ -106,32 +109,32 @@ func (h *WindowHandle[T, S]) Pin(socket int) {
 // Socket returns the handle's current placement hint.
 func (h *WindowHandle[T, S]) Socket() int { return h.socket }
 
-// SockIdx reduces the handle's socket hint to the geometry's socket count
-// — the same reduction Probe applies when building the walk — so the
+// sockIdx reduces the handle's socket hint to the geometry's socket count
+// — the same reduction probe applies when building the walk — so the
 // socket a handle contends AS is the socket its CAS pressure is
 // attributed TO. Without this, a handle pinned beyond the configured
 // socket count would probe as socket (hint mod nsockets) but report
 // pressure on the raw hint, and LocalFirst would discard the requester.
-func (h *WindowHandle[T, S]) SockIdx(geo *Geometry[S]) int {
+func (h *WindowHandle[T, S]) sockIdx(geo *Geometry[S]) int {
 	if geo.nsockets > 1 {
 		return h.socket % geo.nsockets
 	}
 	return h.socket
 }
 
-// Probe returns the handle's probe plan for the pinned geometry: the slot
+// probe returns the handle's probe plan for the pinned geometry: the slot
 // permutation to walk (same-socket slots first, remote spill section
 // privately rotated), its slot→position inverse, and the local-slot
 // count. All nil/0 for placement-blind geometries, selecting the plain
 // index-order search. The plan is cached per (geometry, socket), so the
 // steady-state cost is two pointer compares.
-func (h *WindowHandle[T, S]) Probe(geo *Geometry[S]) (ord, pos []int, localN int) {
+func (h *WindowHandle[T, S]) probe(geo *Geometry[S]) (ord, pos []int, localN int) {
 	if !geo.localProbe {
 		return nil, nil, 0
 	}
 	if h.planGeo != geo || h.planSocket != h.socket {
 		s := h.socket % geo.nsockets
-		h.planOrd, h.planPos, h.planLocalN = BuildProbePlan(geo.homes, s, h.RNG.Intn(geo.Width))
+		h.planOrd, h.planPos, h.planLocalN = BuildProbePlan(geo.homes, s, h.rng.Intn(geo.Width))
 		h.planGeo, h.planSocket = geo, h.socket
 	}
 	return h.planOrd, h.planPos, h.planLocalN
@@ -174,10 +177,10 @@ func (h *WindowHandle[T, S]) pinGeo() *Geometry[S] {
 			// An anchor can dangle after a width shrink; re-anchor. (The
 			// stack's unused Last[1] stays 0, always in range.)
 			if h.Last[0] >= geo.Width {
-				h.Last[0] = h.RNG.Intn(geo.Width)
+				h.Last[0] = h.rng.Intn(geo.Width)
 			}
 			if h.Last[1] >= geo.Width {
-				h.Last[1] = h.RNG.Intn(geo.Width)
+				h.Last[1] = h.rng.Intn(geo.Width)
 			}
 			return geo
 		}

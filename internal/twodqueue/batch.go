@@ -26,82 +26,33 @@ import (
 func (h *Handle[T]) EnqueueBatch(vs []T) {
 	geo := h.PinBatch() // no sample, no countdown tick (see core.WindowHandle.PinBatch)
 	q := h.q
-	width := geo.Width
-	ord, pos, localN := h.Probe(geo)
-	sockIdx := h.SockIdx(geo)
 	remaining := vs
-	for len(remaining) > 0 {
-		global := q.globalEnq.V.Load()
-		idx := h.Last[enq]
-		at := 0
-		if ord != nil {
-			at = pos[idx]
+	visit := func(sub *subQueue[T], global int64) core.Visit {
+		headroom := global - sub.enqs.V.Load()
+		if headroom <= 0 {
+			return core.Skip
 		}
-		probes := 0
-		randLeft := geo.Hops
-		for probes < width && len(remaining) > 0 {
-			if g := q.globalEnq.V.Load(); g != global {
-				global = g
-				probes = 0
-				randLeft = geo.Hops
-				h.Count.Restarts++
-			}
-			sub := geo.Subs[idx]
-			h.Count.Probes++
-			if headroom := global - sub.enqs.V.Load(); headroom > 0 {
-				m := int64(len(remaining))
-				if m > headroom {
-					m = headroom
-				}
-				done := int64(0)
-				for done < m && sub.q.TryEnqueue(remaining[done]) {
-					done++
-				}
-				if done > 0 {
-					// One counter bump for the whole run — the combined
-					// publication that amortises the coherence traffic.
-					sub.enqs.V.Add(done)
-					h.Last[enq] = idx
-					h.Count.Pushes += uint64(done)
-					remaining = remaining[done:]
-					continue
-				}
-				// Contention with zero progress: hop away, fresh pass.
-				h.Count.CASFailures++
-				h.Count.SocketCAS[sockIdx]++
-				yield.Fire(yield.PointCASFail)
-				idx = core.HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				probes = 0
-				randLeft = 0
-				continue
-			}
-			if randLeft > 0 {
-				randLeft--
-				h.Count.RandomHops++
-				idx = core.HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				continue
-			}
-			probes++
-			if ord == nil {
-				idx++
-				if idx == width {
-					idx = 0
-				}
-			} else {
-				at++
-				if at == width {
-					at = 0
-				}
-				idx = ord[at]
-			}
+		m := min(int64(len(remaining)), headroom)
+		done := int64(0)
+		for done < m && sub.q.TryEnqueue(remaining[done]) {
+			done++
 		}
+		if done == 0 {
+			return core.Lost // contention with zero progress
+		}
+		// One counter bump for the whole run — the combined publication
+		// that amortises the coherence traffic.
+		sub.enqs.V.Add(done)
+		h.Count.Pushes += uint64(done)
+		remaining = remaining[done:]
 		if len(remaining) == 0 {
+			return core.Done
+		}
+		return core.More
+	}
+	for len(remaining) > 0 {
+		global, _, done := h.Search(geo, enq, &q.globalEnq.V, visit)
+		if done {
 			break
 		}
 		yield.Fire(yield.PointWindowMove)
@@ -126,99 +77,47 @@ func (h *Handle[T]) DequeueBatch(max int) []T {
 // dequeueBatchInto is DequeueBatch appending into a caller-owned slice:
 // the op buffer's prefetch refill (buffer.go) passes its standing buffer
 // so a steady-state refill allocates nothing beyond the sub-queue's own
-// node recycling. Callers pass out[:0] relative to the max budget.
-func (h *Handle[T]) dequeueBatchInto(out []T, max int) []T {
+// node recycling. It dequeues until len(out) reaches limit (callers pass
+// out[:0]).
+func (h *Handle[T]) dequeueBatchInto(out []T, limit int) []T {
 	geo := h.PinBatch() // see EnqueueBatch
 	q := h.q
-	width := geo.Width
-	ord, pos, localN := h.Probe(geo)
-	sockIdx := h.SockIdx(geo)
-	for len(out) < max {
-		global := q.globalDeq.V.Load()
-		idx := h.Last[deq]
-		at := 0
-		if ord != nil {
-			at = pos[idx]
+	visit := func(sub *subQueue[T], global int64) core.Visit {
+		avail := global - sub.deqs.V.Load()
+		if avail <= 0 {
+			return heldIfNonEmpty(sub)
 		}
-		probes := 0
-		randLeft := geo.Hops
-		sawInvalidNonEmpty := false
-		for probes < width && len(out) < max {
-			if g := q.globalDeq.V.Load(); g != global {
-				global = g
-				probes = 0
-				randLeft = geo.Hops
-				sawInvalidNonEmpty = false
-				h.Count.Restarts++
+		m := min(int64(limit-len(out)), avail)
+		done := int64(0)
+		contended := false
+		for done < m {
+			val, got, cont := sub.q.TryDequeue()
+			if !got {
+				contended = cont
+				break
 			}
-			sub := geo.Subs[idx]
-			h.Count.Probes++
-			if avail := global - sub.deqs.V.Load(); avail > 0 {
-				m := int64(max - len(out))
-				if m > avail {
-					m = avail
-				}
-				done := int64(0)
-				contended := false
-				for done < m {
-					val, got, cont := sub.q.TryDequeue()
-					if !got {
-						contended = cont
-						break
-					}
-					out = append(out, val)
-					done++
-				}
-				if done > 0 {
-					sub.deqs.V.Add(done) // one bump per run, as in EnqueueBatch
-					h.Last[deq] = idx
-					h.Count.Pops += uint64(done)
-					continue
-				}
-				if contended {
-					// Another dequeuer beat us with zero progress: hop away.
-					h.Count.CASFailures++
-					h.Count.SocketCAS[sockIdx]++
-					yield.Fire(yield.PointCASFail)
-					idx = core.HopIdx(h.RNG, width, ord, localN)
-					if ord != nil {
-						at = pos[idx]
-					}
-					probes = 0
-					randLeft = 0
-					continue
-				}
-				// Valid but empty: treat as a coverage probe.
-			} else if !sub.q.Empty() {
-				sawInvalidNonEmpty = true
-			}
-			if randLeft > 0 {
-				randLeft--
-				h.Count.RandomHops++
-				idx = core.HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				continue
-			}
-			probes++
-			if ord == nil {
-				idx++
-				if idx == width {
-					idx = 0
-				}
-			} else {
-				at++
-				if at == width {
-					at = 0
-				}
-				idx = ord[at]
-			}
+			out = append(out, val)
+			done++
 		}
-		if len(out) >= max {
+		switch {
+		case done > 0:
+			sub.deqs.V.Add(done) // one bump per run, as in EnqueueBatch
+			h.Count.Pops += uint64(done)
+			if len(out) == limit {
+				return core.Done
+			}
+			return core.More
+		case contended:
+			return core.Lost // another dequeuer beat us with zero progress
+		}
+		return core.Skip // valid but empty: a coverage probe
+	}
+	for len(out) < limit {
+		global, held, done := h.Search(geo, deq, &q.globalDeq.V, visit)
+		if done {
 			break
 		}
-		if !sawInvalidNonEmpty {
+		if !held {
 			// Full coverage saw only empty sub-queues (any non-empty one was
 			// dequeue-valid and yielded nothing): the queue is out of items.
 			if len(out) == 0 {

@@ -10,7 +10,9 @@
 // while its dequeue count is below GlobalDeq. When a full round-robin pass
 // finds every sub-queue at its ceiling, the corresponding window is raised
 // by `shift`. The search (locality anchor, random hops, round-robin
-// fallback, hop-on-contention) is the stack's search verbatim.
+// fallback, hop-on-contention) is the shared core.WindowHandle.Search the
+// stack runs; each operation supplies only its validity test and
+// sub-queue step, and its window move or empty verdict.
 //
 // Relaxation: within one window epoch each sub-queue completes at most
 // `depth` dequeues, so items dequeue at most (2·depth + shift)·(width − 1)
@@ -43,7 +45,7 @@
 // observer and the op-buffer state — is the window shell the queue shares
 // with the stack (core.Window and core.WindowHandle, embedded by value).
 // This package supplies what is FIFO-specific: the sub-queues and their
-// window counters, the two ceilings, the search loops, the growth floors,
+// window counters, the two ceilings, the search visitors, the growth floors,
 // the round-robin shrink handoff and the queue's buffer policy.
 package twodqueue
 
@@ -221,81 +223,30 @@ func (h *Handle[T]) SetAnchor(idx int) {
 	h.Last[deq] = idx
 }
 
-// Enqueue adds v at the (relaxed) back of the queue. The search mirrors the
-// stack's Push: locality anchor, random hops, round-robin coverage, a hop on
-// contention (a failed single-round sub-enqueue), restart on any observed
-// window move.
+// Enqueue adds v at the (relaxed) back of the queue. The window search
+// (core.WindowHandle.Search) looks for a sub-queue whose enqueue count is
+// below GlobalEnq; a failed single-round sub-enqueue is the contention
+// verdict. When a full coverage pass finds every sub-queue at the ceiling,
+// Enqueue raises the window and searches again.
 func (h *Handle[T]) Enqueue(v T) {
 	geo := h.PinOp()
 	q := h.q
-	width := geo.Width
-	// Under a local-probe placement policy the search walks a per-socket
-	// permutation (same-socket slots first); ord is nil otherwise and the
-	// pre-placement path runs unchanged. Both walks cover all width slots,
-	// so the coverage discipline is identical (DESIGN.md §7).
-	ord, pos, localN := h.Probe(geo)
-	sockIdx := h.SockIdx(geo)
-	for {
-		global := q.globalEnq.V.Load()
-		idx := h.Last[enq]
-		at := 0
-		if ord != nil {
-			at = pos[idx]
+	visit := func(sub *subQueue[T], global int64) core.Visit {
+		if sub.enqs.V.Load() >= global {
+			return core.Skip
 		}
-		probes := 0
-		randLeft := geo.Hops
-		for probes < width {
-			if g := q.globalEnq.V.Load(); g != global {
-				global = g
-				probes = 0
-				randLeft = geo.Hops
-				h.Count.Restarts++
-			}
-			sub := geo.Subs[idx]
-			h.Count.Probes++
-			if sub.enqs.V.Load() < global {
-				if sub.q.TryEnqueue(v) {
-					sub.enqs.V.Add(1)
-					h.Last[enq] = idx
-					h.Count.Pushes++
-					h.Unpin()
-					return
-				}
-				// Contention: another enqueuer made progress here; hop to a
-				// random sub-queue and restart the coverage count.
-				h.Count.CASFailures++
-				h.Count.SocketCAS[sockIdx]++
-				yield.Fire(yield.PointCASFail)
-				idx = core.HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				probes = 0
-				randLeft = 0
-				continue
-			}
-			if randLeft > 0 {
-				randLeft--
-				h.Count.RandomHops++
-				idx = core.HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				continue
-			}
-			probes++
-			if ord == nil {
-				idx++
-				if idx == width {
-					idx = 0
-				}
-			} else {
-				at++
-				if at == width {
-					at = 0
-				}
-				idx = ord[at]
-			}
+		if !sub.q.TryEnqueue(v) {
+			return core.Lost
+		}
+		sub.enqs.V.Add(1)
+		h.Count.Pushes++
+		return core.Done
+	}
+	for {
+		global, _, done := h.Search(geo, enq, &q.globalEnq.V, visit)
+		if done {
+			h.Unpin()
+			return
 		}
 		yield.Fire(yield.PointWindowMove)
 		if q.globalEnq.V.CompareAndSwap(global, global+geo.Shift) {
@@ -312,83 +263,34 @@ func (h *Handle[T]) Enqueue(v T) {
 func (h *Handle[T]) Dequeue() (v T, ok bool) {
 	geo := h.PinOp()
 	q := h.q
-	width := geo.Width
-	ord, pos, localN := h.Probe(geo) // see Enqueue
-	sockIdx := h.SockIdx(geo)
+	visit := func(sub *subQueue[T], global int64) core.Visit {
+		if sub.deqs.V.Load() >= global {
+			return heldIfNonEmpty(sub)
+		}
+		val, got, contended := sub.q.TryDequeue()
+		switch {
+		case got:
+			sub.deqs.V.Add(1)
+			v = val
+			h.Count.Pops++
+			return core.Done
+		case contended:
+			return core.Lost // another dequeuer beat us here
+		}
+		return core.Skip // valid but empty: a coverage probe
+	}
 	for {
-		global := q.globalDeq.V.Load()
-		idx := h.Last[deq]
-		at := 0
-		if ord != nil {
-			at = pos[idx]
+		global, held, done := h.Search(geo, deq, &q.globalDeq.V, visit)
+		if done {
+			h.Unpin()
+			return v, true
 		}
-		probes := 0
-		randLeft := geo.Hops
-		sawInvalidNonEmpty := false
-		for probes < width {
-			if g := q.globalDeq.V.Load(); g != global {
-				global = g
-				probes = 0
-				randLeft = geo.Hops
-				sawInvalidNonEmpty = false
-				h.Count.Restarts++
-			}
-			sub := geo.Subs[idx]
-			h.Count.Probes++
-			if sub.deqs.V.Load() < global {
-				if val, got, contended := sub.q.TryDequeue(); got {
-					sub.deqs.V.Add(1)
-					h.Last[deq] = idx
-					h.Count.Pops++
-					h.Unpin()
-					return val, true
-				} else if contended {
-					// Another dequeuer beat us here: hop away, fresh pass.
-					h.Count.CASFailures++
-					h.Count.SocketCAS[sockIdx]++
-					yield.Fire(yield.PointCASFail)
-					idx = core.HopIdx(h.RNG, width, ord, localN)
-					if ord != nil {
-						at = pos[idx]
-					}
-					probes = 0
-					randLeft = 0
-					continue
-				}
-				// Valid but empty: treat as a coverage probe.
-			} else if !sub.q.Empty() {
-				sawInvalidNonEmpty = true
-			}
-			if randLeft > 0 {
-				randLeft--
-				h.Count.RandomHops++
-				idx = core.HopIdx(h.RNG, width, ord, localN)
-				if ord != nil {
-					at = pos[idx]
-				}
-				continue
-			}
-			probes++
-			if ord == nil {
-				idx++
-				if idx == width {
-					idx = 0
-				}
-			} else {
-				at++
-				if at == width {
-					at = 0
-				}
-				idx = ord[at]
-			}
-		}
-		if !sawInvalidNonEmpty {
+		if !held {
 			// Full coverage saw only empty sub-queues (any non-empty one
 			// was dequeue-valid and yielded nothing): report empty.
 			h.Count.EmptyPops++
 			h.Unpin()
-			var zero T
-			return zero, false
+			return v, false
 		}
 		// Items exist beyond the current window: raise it and retry.
 		yield.Fire(yield.PointWindowMove)
@@ -396,4 +298,14 @@ func (h *Handle[T]) Dequeue() (v T, ok bool) {
 			h.Count.WindowLowers++
 		}
 	}
+}
+
+// heldIfNonEmpty is the dequeue end's verdict on a sub-queue at the
+// ceiling: Held when it still has items, which only a window raise can
+// reach, Skip when it is empty.
+func heldIfNonEmpty[T any](sub *subQueue[T]) core.Visit {
+	if sub.q.Empty() {
+		return core.Skip
+	}
+	return core.Held
 }
