@@ -67,22 +67,11 @@ type Adaptive[T any] struct {
 // NewAdaptiveWithConfig to handle errors.
 func NewAdaptive[T any](opts ...Option) *Adaptive[T] {
 	b := applyOptions(opts)
-	pol := DefaultAdaptivePolicy()
-	if b.policy != nil {
-		pol = *b.policy
-	}
-	a, err := NewAdaptiveWithConfig[T](resolveConfig(b), pol)
+	a, err := NewAdaptiveWithConfig[T](resolveConfig(b), b.policy)
 	if err != nil {
 		panic(err)
 	}
-	// Observer before placement, as in New: the construction placement
-	// event must reach it.
-	if b.observer != nil {
-		a.inner.SetObserver(b.observer)
-	}
-	if b.placePolicy != nil {
-		a.inner.SetPlacement(b.placePolicy, b.placeSockets)
-	}
+	b.applySettings(a.inner, &a.opBuffer)
 	return a
 }
 

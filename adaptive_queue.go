@@ -22,35 +22,24 @@ type AdaptiveQueue[T any] struct {
 }
 
 // NewAdaptiveQueue builds a self-tuning 2D-Queue and starts its controller.
-// Structural options (WithQueueWidth, WithQueueDepth, ...) set the
-// *initial* geometry exactly as for NewQueue; WithQueueAdaptive supplies
-// the controller policy (defaulted when absent). Invalid combinations
-// panic, as in NewQueue; use NewAdaptiveQueueWithConfig to handle errors.
-func NewAdaptiveQueue[T any](opts ...QueueOption) *AdaptiveQueue[T] {
-	b := applyQueueOptions(opts)
-	pol := DefaultAdaptivePolicy()
-	if b.policy != nil {
-		pol = *b.policy
-	}
-	a, err := NewAdaptiveQueueWithConfig[T](resolveQueueConfig(b), pol)
+// Structural options (WithWidth, WithDepth, ...) set the *initial*
+// geometry exactly as for NewQueue; WithAdaptive supplies the controller
+// policy (defaulted when absent). Invalid combinations panic, as in
+// NewQueue; use NewAdaptiveQueueWithConfig to handle errors.
+func NewAdaptiveQueue[T any](opts ...Option) *AdaptiveQueue[T] {
+	b := applyOptions(opts)
+	a, err := NewAdaptiveQueueWithConfig[T](resolveConfig(b), b.policy)
 	if err != nil {
 		panic(err)
 	}
-	// Observer before placement, as in NewQueue: the construction
-	// placement event must reach it.
-	if b.observer != nil {
-		a.inner.SetObserver(b.observer)
-	}
-	if b.placePolicy != nil {
-		a.inner.SetPlacement(b.placePolicy, b.placeSockets)
-	}
+	b.applySettings(a.inner, &a.opBuffer)
 	return a
 }
 
 // NewAdaptiveQueueWithConfig builds a self-tuning queue from an explicit
 // initial configuration and controller policy, returning an error on
 // invalid parameters. The controller is started before returning.
-func NewAdaptiveQueueWithConfig[T any](cfg QueueConfig, pol AdaptivePolicy) (*AdaptiveQueue[T], error) {
+func NewAdaptiveQueueWithConfig[T any](cfg Config, pol AdaptivePolicy) (*AdaptiveQueue[T], error) {
 	inner, err := twodqueue.New[T](cfg)
 	if err != nil {
 		return nil, err
@@ -76,7 +65,7 @@ func (a *AdaptiveQueue[T]) Close() { a.ctrl.Stop() }
 // Reconfigure swaps the window geometry by hand. Note that a running
 // controller may immediately retune it; Stop the controller (or Close) for
 // manual control.
-func (a *AdaptiveQueue[T]) Reconfigure(cfg QueueConfig) error { return a.inner.Reconfigure(cfg) }
+func (a *AdaptiveQueue[T]) Reconfigure(cfg Config) error { return a.inner.Reconfigure(cfg) }
 
 // StatsSnapshot aggregates the operation counters of every handle of this
 // queue — the controller's input signal, exposed for observability.

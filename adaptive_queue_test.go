@@ -10,9 +10,9 @@ import (
 
 func TestAdaptiveQueueBasic(t *testing.T) {
 	q := stack2d.NewAdaptiveQueue[uint64](
-		stack2d.WithQueueWidth(2),
-		stack2d.WithQueueDepth(8),
-		stack2d.WithQueueAdaptive(stack2d.AdaptivePolicy{
+		stack2d.WithWidth(2),
+		stack2d.WithDepth(8),
+		stack2d.WithAdaptive(stack2d.AdaptivePolicy{
 			Goal:     stack2d.GoalMaxThroughput,
 			KCeiling: 4096,
 			Tick:     2 * time.Millisecond,
@@ -74,9 +74,9 @@ func TestAdaptiveQueueBasic(t *testing.T) {
 }
 
 func TestAdaptiveQueueManualReconfigure(t *testing.T) {
-	q := stack2d.NewAdaptiveQueue[int](stack2d.WithQueueWidth(2), stack2d.WithQueueDepth(8))
+	q := stack2d.NewAdaptiveQueue[int](stack2d.WithWidth(2), stack2d.WithDepth(8))
 	q.Close() // stop the controller so the manual geometry sticks
-	want := stack2d.QueueConfig{Width: 4, Depth: 32, Shift: 32, RandomHops: 1}
+	want := stack2d.Config{Width: 4, Depth: 32, Shift: 32, RandomHops: 1}
 	if err := q.Reconfigure(want); err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestAdaptiveQueueManualReconfigure(t *testing.T) {
 }
 
 func TestNewAdaptiveQueueWithConfigRejectsInvalid(t *testing.T) {
-	if _, err := stack2d.NewAdaptiveQueueWithConfig[int](stack2d.QueueConfig{}, stack2d.DefaultAdaptivePolicy()); err == nil {
+	if _, err := stack2d.NewAdaptiveQueueWithConfig[int](stack2d.Config{}, stack2d.DefaultAdaptivePolicy()); err == nil {
 		t.Fatal("zero config accepted")
 	}
 	bad := stack2d.DefaultAdaptivePolicy()
 	bad.MinWidth = 8
 	bad.MaxWidth = 2
-	if _, err := stack2d.NewAdaptiveQueueWithConfig[int](stack2d.QueueConfig{Width: 2, Depth: 8, Shift: 8}, bad); err == nil {
+	if _, err := stack2d.NewAdaptiveQueueWithConfig[int](stack2d.Config{Width: 2, Depth: 8, Shift: 8}, bad); err == nil {
 		t.Fatal("incoherent policy accepted")
 	}
 }

@@ -59,19 +59,20 @@
 // spreads items over `width` Michael–Scott sub-queues with one window per
 // end (enqueue and dequeue), dequeuing at most K() positions out of FIFO
 // order, and a width-1 configuration degenerates to the strict queue
-// (also available directly as StrictQueue). The constructor mirrors the
-// stack's: functional options over GOMAXPROCS-derived defaults.
+// (also available directly as StrictQueue). The queue shares the stack's
+// geometry (Config) and takes the stack's options, read the same way over
+// GOMAXPROCS-derived defaults.
 //
-//	q := stack2d.NewQueue[int](stack2d.WithQueueExpectedThreads(8))
+//	q := stack2d.NewQueue[int](stack2d.WithExpectedThreads(8))
 //	h := q.NewHandle() // one per goroutine
 //	h.Enqueue(42)
 //	v, ok := h.Dequeue()
 //
 // The queue self-tunes exactly like the stack: AdaptiveQueue attaches the
 // same feedback controller to the queue's two-ended window geometry (see
-// WithQueueAdaptive and cmd/adapttune -queue).
+// WithAdaptive and cmd/adapttune -queue).
 //
-//	q := stack2d.NewAdaptiveQueue[int](stack2d.WithQueueAdaptive(stack2d.AdaptivePolicy{
+//	q := stack2d.NewAdaptiveQueue[int](stack2d.WithAdaptive(stack2d.AdaptivePolicy{
 //		Goal:     stack2d.GoalMaxThroughput,
 //		KCeiling: 8192,
 //	}))
@@ -83,7 +84,7 @@
 // slot on a socket and let handles probe same-socket slots first, keeping
 // the window's hot cache lines intra-socket; the adaptive controller then
 // places new capacity on the socket whose contention asked for it. Enable
-// with WithPlacement / WithQueuePlacement (policies LocalFirst and
+// with WithPlacement on either structure (policies LocalFirst and
 // RoundRobin) and pin handles with Handle.Pin; placement never changes
 // the relaxation semantics, only slot homes and probe order (DESIGN.md
 // §7, and cmd/adapttune -placement for the measured A/B).

@@ -49,13 +49,14 @@ type Engine[T any] struct {
 	sel *adapt.Selector
 }
 
-// engineSelector is consumed from the builder by NewEngine (set by
-// WithBackendSelection); declared in options.go's builder.
-
 // NewEngine builds a hot-swappable stack: the structural options
 // configure the initial 2D backend exactly as for New, and elimination
 // and strict alternatives are registered alongside it. Invalid
-// combinations panic, as in New.
+// combinations panic, as in New. It builds relax backends rather than a
+// Stack, so it reads only the structural options (WithExpectedThreads,
+// WithRelaxation, WithWidth, WithDepth, WithShift, WithRandomHops) and
+// WithBackendSelection; it ignores WithObserver, WithPlacement,
+// WithOpBuffer and WithAdaptive.
 func NewEngine[T any](opts ...Option) *Engine[T] {
 	b := applyOptions(opts)
 	twod, err := relax.NewTwoDBackend[T](resolveConfig(b))

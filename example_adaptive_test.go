@@ -61,7 +61,7 @@ func ExampleWithAdaptive_latencyTarget() {
 // A self-tuning queue: AdaptiveQueue wraps the 2D-Queue with the same
 // controller; the Queue/QueueHandle API applies unchanged.
 func ExampleNewAdaptiveQueue() {
-	q := stack2d.NewAdaptiveQueue[string](stack2d.WithQueueExpectedThreads(1))
+	q := stack2d.NewAdaptiveQueue[string](stack2d.WithExpectedThreads(1))
 	defer q.Close()
 	h := q.NewHandle()
 	h.Enqueue("first")
@@ -71,13 +71,13 @@ func ExampleNewAdaptiveQueue() {
 	// Output: first true 1
 }
 
-// WithQueueAdaptive is WithAdaptive for queues; here the controller
-// minimises work per operation (window moves + probes — the energy proxy)
-// above a throughput floor.
-func ExampleWithQueueAdaptive() {
+// WithAdaptive supplies an AdaptiveQueue's controller policy too; here the
+// controller minimises work per operation (window moves + probes — the
+// energy proxy) above a throughput floor.
+func ExampleNewAdaptiveQueue_policy() {
 	q := stack2d.NewAdaptiveQueue[int](
-		stack2d.WithQueueWidth(2),
-		stack2d.WithQueueAdaptive(stack2d.AdaptivePolicy{
+		stack2d.WithWidth(2),
+		stack2d.WithAdaptive(stack2d.AdaptivePolicy{
 			Goal:            stack2d.GoalEnergyPerOp,
 			ThroughputFloor: 1,
 		}),

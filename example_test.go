@@ -65,7 +65,7 @@ func ExampleNewStrict() {
 
 // The relaxed FIFO queue built with the same window technique.
 func ExampleNewQueue() {
-	q := stack2d.NewQueue[string](stack2d.WithQueueExpectedThreads(1))
+	q := stack2d.NewQueue[string](stack2d.WithExpectedThreads(1))
 	h := q.NewHandle()
 	h.Enqueue("first")
 	h.Enqueue("second")

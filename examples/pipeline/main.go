@@ -41,8 +41,8 @@ func makeStrict() buffers {
 }
 
 func makeRelaxed() buffers {
-	a := stack2d.NewQueue[uint64](stack2d.WithQueueExpectedThreads(perStage * 2))
-	b := stack2d.NewQueue[uint64](stack2d.WithQueueExpectedThreads(perStage * 2))
+	a := stack2d.NewQueue[uint64](stack2d.WithExpectedThreads(perStage * 2))
+	b := stack2d.NewQueue[uint64](stack2d.WithExpectedThreads(perStage * 2))
 	// One handle per stage worker would be ideal; funcs here share via
 	// handle-per-call for brevity — the harness benchmarks the hot path.
 	ha, hb := a.NewHandle(), b.NewHandle()

@@ -61,9 +61,9 @@ func TestAdaptiveAppliesObserverOption(t *testing.T) {
 func TestAdaptiveQueueAppliesObserverOption(t *testing.T) {
 	l := &eventLog{}
 	q := stack2d.NewAdaptiveQueue[int](
-		stack2d.WithQueueExpectedThreads(2),
-		stack2d.WithQueueObserver(l),
-		stack2d.WithQueuePlacement(stack2d.LocalFirst(), 2),
+		stack2d.WithExpectedThreads(2),
+		stack2d.WithObserver(l),
+		stack2d.WithPlacement(stack2d.LocalFirst(), 2),
 	)
 	q.Close()
 

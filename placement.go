@@ -18,8 +18,8 @@ import "stack2d/internal/core"
 // the argument; EXPERIMENTS.md the measured local-vs-round-robin win on
 // the simulated 2-socket machine).
 //
-// Enable it with WithPlacement / WithQueuePlacement at construction, or
-// SetPlacement on a live structure:
+// Enable it with WithPlacement at construction (one option for the stack
+// and the queue), or SetPlacement on a live structure:
 //
 //	s := stack2d.New[int](
 //		stack2d.WithWidth(8),
@@ -48,21 +48,14 @@ func LocalFirst() PlacementPolicy { return core.LocalFirst() }
 // behaviour of a structure without placement.
 func RoundRobin() PlacementPolicy { return core.RoundRobin() }
 
-// WithPlacement enables socket-aware placement on the stack being built:
-// policy homes the slots (LocalFirst or RoundRobin), sockets is the
-// machine's socket count. Applied after construction, so it also re-homes
-// the initial slots; combine with Handle.Pin for exact handle→socket
-// hints.
+// WithPlacement enables socket-aware placement on the stack or queue
+// being built: policy homes the slots (LocalFirst or RoundRobin), sockets
+// is the machine's socket count. Applied after construction, so it also
+// re-homes the initial slots; combine with Handle.Pin (QueueHandle.Pin)
+// for exact handle→socket hints. Read by New, NewQueue, NewAdaptive and
+// NewAdaptiveQueue; NewEngine ignores it.
 func WithPlacement(policy PlacementPolicy, sockets int) Option {
 	return func(b *builder) {
-		b.placePolicy = policy
-		b.placeSockets = sockets
-	}
-}
-
-// WithQueuePlacement is WithPlacement for the 2D-Queue.
-func WithQueuePlacement(policy PlacementPolicy, sockets int) QueueOption {
-	return func(b *queueBuilder) {
 		b.placePolicy = policy
 		b.placeSockets = sockets
 	}

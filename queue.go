@@ -1,10 +1,6 @@
 package stack2d
 
 import (
-	"runtime"
-
-	"stack2d/internal/adapt"
-	"stack2d/internal/core"
 	"stack2d/internal/msqueue"
 	"stack2d/internal/twodqueue"
 )
@@ -18,140 +14,28 @@ import (
 // Create with NewQueue; use one QueueHandle per goroutine on hot paths.
 type Queue[T any] struct {
 	inner *twodqueue.Queue[T]
-	// opBuffer is WithQueueOpBuffer's threshold; NewHandle arms it on
-	// every handle.
+	// opBuffer is WithOpBuffer's threshold; NewHandle arms it on every
+	// handle.
 	opBuffer int
 }
 
-// QueueConfig re-exports the 2D-Queue tuning parameters: Width sub-queues,
-// a window of height Depth per end, moved by Shift when exhausted.
-type QueueConfig = twodqueue.Config
-
-// QueueOption configures a Queue built by NewQueue (or an AdaptiveQueue
-// built by NewAdaptiveQueue), mirroring the stack's functional options.
-type QueueOption func(*queueBuilder)
-
-type queueBuilder struct {
-	p      int
-	geom   geomOverrides
-	policy *adapt.Policy // set by WithQueueAdaptive; consumed by NewAdaptiveQueue
-
-	// placePolicy/placeSockets are set by WithQueuePlacement and applied
-	// to the freshly built queue, as in the stack's builder.
-	placePolicy  core.PlacementPolicy
-	placeSockets int
-
-	// observer is set by WithQueueObserver and installed on the freshly
-	// built queue, as in the stack's builder.
-	observer StructObserver
-
-	// opBuffer is set by WithQueueOpBuffer: every handle the queue creates
-	// is armed with an operation buffer of this threshold (0 = off).
-	opBuffer int
-}
-
-// applyQueueOptions runs the option list over a fresh queue builder.
-func applyQueueOptions(opts []QueueOption) queueBuilder {
-	b := queueBuilder{p: runtime.GOMAXPROCS(0)}
-	for _, opt := range opts {
-		opt(&b)
-	}
-	return b
-}
-
-// resolveQueueConfig turns a populated queue builder into a concrete
-// configuration: defaults from the expected thread count, then the shared
-// structural-override rules (see geomOverrides.resolve) — the same
-// resolution the stack's resolveConfig performs, deduplicated.
-func resolveQueueConfig(b queueBuilder) QueueConfig {
-	base := twodqueue.DefaultConfig(b.p)
-	b.geom.resolve(&base.Width, &base.Depth, &base.Shift, &base.RandomHops)
-	return base
-}
-
-// WithQueueExpectedThreads declares the expected number of concurrent
-// goroutines P; the default structure is width 4P, depth = shift = 64.
-// Defaults to runtime.GOMAXPROCS(0).
-func WithQueueExpectedThreads(p int) QueueOption {
-	return func(b *queueBuilder) { b.p = p }
-}
-
-// WithQueueWidth sets the number of sub-queues explicitly.
-func WithQueueWidth(width int) QueueOption {
-	return func(b *queueBuilder) { b.geom.width = width }
-}
-
-// WithQueueDepth sets the per-end window height explicitly (and clamps
-// shift down to it when shift is not also set).
-func WithQueueDepth(depth int64) QueueOption {
-	return func(b *queueBuilder) { b.geom.depth = depth }
-}
-
-// WithQueueShift sets the window step explicitly (and lifts depth up to it
-// when depth is not also set, keeping 1 <= shift <= depth satisfiable).
-func WithQueueShift(shift int64) QueueOption {
-	return func(b *queueBuilder) { b.geom.shift = shift }
-}
-
-// WithQueueRandomHops sets how many random probes precede round-robin
-// search.
-func WithQueueRandomHops(n int) QueueOption {
-	return func(b *queueBuilder) {
-		b.geom.hops = n
-		b.geom.hopsSet = true
-	}
-}
-
-// WithQueueAdaptive supplies the feedback-controller policy for a
-// self-tuning queue; the structural options then only pick the *initial*
-// geometry. It is consumed by NewAdaptiveQueue — a plain NewQueue ignores
-// it, since a static Queue has no controller to configure.
-func WithQueueAdaptive(policy AdaptivePolicy) QueueOption {
-	return func(b *queueBuilder) { b.policy = &policy }
-}
-
-// WithQueueObserver installs a structural observer on the freshly built
-// queue — WithObserver for the 2D-Queue; the queue shares the stack's event
-// vocabulary (StructEvent), so one observer implementation serves both.
-func WithQueueObserver(o StructObserver) QueueOption {
-	return func(b *queueBuilder) { b.observer = o }
-}
-
-// WithQueueOpBuffer arms per-handle operation buffering with a combined-
-// publication threshold of n operations — WithOpBuffer for the 2D-Queue
-// (DESIGN.md §11). Enqueues batch locally and publish combined; dequeues
-// serve from an n-value prefetch. Pending enqueues are never served back
-// to their own handle (that would maximise FIFO displacement); a dequeue
-// finding the structure empty flushes them and retries instead. Call
-// QueueHandle.Flush before quiescing or draining. n <= 0 leaves buffering
-// off (the default).
-func WithQueueOpBuffer(n int) QueueOption {
-	return func(b *queueBuilder) { b.opBuffer = n }
-}
-
-// NewQueue builds a 2D-Queue configured by the supplied options; without
-// options it is tuned for runtime.GOMAXPROCS(0) threads (width 4P,
-// depth 64), matching New's behaviour for the stack. Invalid combinations
-// panic, since they are programming errors; use NewQueueWithConfig to
-// handle errors.
-func NewQueue[T any](opts ...QueueOption) *Queue[T] {
-	b := applyQueueOptions(opts)
-	q, err := NewQueueWithConfig[T](resolveQueueConfig(b))
+// NewQueue builds a 2D-Queue configured by the supplied options — the
+// stack's options, read the same way; without options it is tuned for
+// runtime.GOMAXPROCS(0) threads (width 4P, depth 64), matching New's
+// behaviour for the stack. Invalid combinations panic, since they are
+// programming errors; use NewQueueWithConfig to handle errors.
+func NewQueue[T any](opts ...Option) *Queue[T] {
+	b := applyOptions(opts)
+	q, err := NewQueueWithConfig[T](resolveConfig(b))
 	if err != nil {
 		panic(err)
 	}
-	if b.observer != nil {
-		q.inner.SetObserver(b.observer)
-	}
-	if b.placePolicy != nil {
-		q.inner.SetPlacement(b.placePolicy, b.placeSockets)
-	}
-	q.opBuffer = b.opBuffer
+	b.applySettings(q.inner, &q.opBuffer)
 	return q
 }
 
 // NewQueueWithConfig builds a 2D-Queue from an explicit configuration.
-func NewQueueWithConfig[T any](cfg QueueConfig) (*Queue[T], error) {
+func NewQueueWithConfig[T any](cfg Config) (*Queue[T], error) {
 	inner, err := twodqueue.New[T](cfg)
 	if err != nil {
 		return nil, err
@@ -160,15 +44,15 @@ func NewQueueWithConfig[T any](cfg QueueConfig) (*Queue[T], error) {
 }
 
 // QueueHandle is the per-goroutine operation context for a Queue. On a
-// queue built WithQueueOpBuffer the handle additionally batches its
-// operations for combined publication (see WithQueueOpBuffer and Flush).
+// queue built WithOpBuffer the handle additionally batches its operations
+// for combined publication (see WithOpBuffer and Flush).
 type QueueHandle[T any] struct {
 	h        *twodqueue.Handle[T]
 	buffered bool
 }
 
 // NewHandle returns a fresh handle anchored at random sub-queues; on a
-// queue built WithQueueOpBuffer the handle comes armed with its op buffer.
+// queue built WithOpBuffer the handle comes armed with its op buffer.
 func (q *Queue[T]) NewHandle() *QueueHandle[T] {
 	h := &QueueHandle[T]{h: q.inner.NewHandle()}
 	if q.opBuffer > 0 {
@@ -247,14 +131,14 @@ func (q *Queue[T]) K() int64 { return q.inner.Config().K() }
 // Config returns the queue's active configuration — under live
 // reconfiguration (AdaptiveQueue, or a running controller) the geometry
 // current at the call, which may immediately be superseded.
-func (q *Queue[T]) Config() QueueConfig { return q.inner.Config() }
+func (q *Queue[T]) Config() Config { return q.inner.Config() }
 
 // SetObserver installs (or, with nil, removes) the queue's structural
-// observer at runtime; see WithQueueObserver and StructObserver.
+// observer at runtime; see WithObserver and StructObserver.
 func (q *Queue[T]) SetObserver(o StructObserver) { q.inner.SetObserver(o) }
 
 // Drain removes and returns all items; teardown helper, not concurrent.
-// Buffered handles (WithQueueOpBuffer) must Flush first — Drain only sees
+// Buffered handles (WithOpBuffer) must Flush first — Drain only sees
 // published items.
 func (q *Queue[T]) Drain() []T { return q.inner.Drain() }
 

@@ -1,6 +1,7 @@
 package stack2d_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestQueueBasic(t *testing.T) {
-	q := stack2d.NewQueue[string](stack2d.WithQueueExpectedThreads(2))
+	q := stack2d.NewQueue[string](stack2d.WithExpectedThreads(2))
 	h := q.NewHandle()
 	if _, ok := h.Dequeue(); ok {
 		t.Fatal("dequeue on empty returned ok")
@@ -32,7 +33,7 @@ func TestQueueBasic(t *testing.T) {
 }
 
 func TestQueueConfigAndK(t *testing.T) {
-	q, err := stack2d.NewQueueWithConfig[int](stack2d.QueueConfig{
+	q, err := stack2d.NewQueueWithConfig[int](stack2d.Config{
 		Width: 3, Depth: 8, Shift: 4, RandomHops: 1,
 	})
 	if err != nil {
@@ -47,13 +48,13 @@ func TestQueueConfigAndK(t *testing.T) {
 }
 
 func TestQueueWithConfigRejectsInvalid(t *testing.T) {
-	if _, err := stack2d.NewQueueWithConfig[int](stack2d.QueueConfig{}); err == nil {
+	if _, err := stack2d.NewQueueWithConfig[int](stack2d.Config{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
 }
 
 func TestQueueWidthOneStrictFIFO(t *testing.T) {
-	q, err := stack2d.NewQueueWithConfig[uint64](stack2d.QueueConfig{
+	q, err := stack2d.NewQueueWithConfig[uint64](stack2d.Config{
 		Width: 1, Depth: 16, Shift: 16,
 	})
 	if err != nil {
@@ -72,7 +73,7 @@ func TestQueueWidthOneStrictFIFO(t *testing.T) {
 }
 
 func TestQueueConcurrentConservation(t *testing.T) {
-	q := stack2d.NewQueue[uint64](stack2d.WithQueueExpectedThreads(4))
+	q := stack2d.NewQueue[uint64](stack2d.WithExpectedThreads(4))
 	const workers, perW = 8, 1500
 	var wg sync.WaitGroup
 	got := make([][]uint64, workers)
@@ -131,28 +132,35 @@ func TestStrictQueueFIFO(t *testing.T) {
 }
 
 func TestQueueOptionsParity(t *testing.T) {
-	// The queue constructor mirrors the stack's functional-options
-	// surface: explicit structural options override the derived defaults
-	// field by field.
-	q := stack2d.NewQueue[int](
-		stack2d.WithQueueWidth(3),
-		stack2d.WithQueueDepth(16),
-		stack2d.WithQueueShift(4),
-		stack2d.WithQueueRandomHops(1),
-	)
-	cfg := q.Config()
-	if cfg.Width != 3 || cfg.Depth != 16 || cfg.Shift != 4 || cfg.RandomHops != 1 {
-		t.Fatalf("explicit options not honoured: %+v", cfg)
+	// The queue and the stack read one option set the same way: every
+	// option list resolves to the same configuration for both.
+	type row struct {
+		name string
+		opts []stack2d.Option
+		k    int64 // the WithRelaxation budget; -1 when the row has none
 	}
-
-	// Depth-only clamps shift down with it, as WithDepth does.
-	if got := stack2d.NewQueue[int](stack2d.WithQueueDepth(8)).Config(); got.Shift != 8 {
-		t.Fatalf("depth-only option left shift %d, want 8", got.Shift)
+	rows := []row{
+		{"none", nil, -1},
+		{"threads3", []stack2d.Option{stack2d.WithExpectedThreads(3)}, -1},
+		{"depth8", []stack2d.Option{stack2d.WithDepth(8)}, -1},
+		{"shift128", []stack2d.Option{stack2d.WithShift(128)}, -1},
+		{"shift16", []stack2d.Option{stack2d.WithShift(16)}, -1},
+		{"explicit", []stack2d.Option{
+			stack2d.WithWidth(3), stack2d.WithDepth(16), stack2d.WithShift(4), stack2d.WithRandomHops(1),
+		}, -1},
 	}
-
-	// Expected threads drive the default width 4P.
-	if got := stack2d.NewQueue[int](stack2d.WithQueueExpectedThreads(3)).Config(); got.Width != 12 {
-		t.Fatalf("WithQueueExpectedThreads(3) gave width %d, want 12", got.Width)
+	for _, k := range []int64{0, 2, 50, 1000, 100000} {
+		rows = append(rows, row{fmt.Sprintf("relaxation%d", k),
+			[]stack2d.Option{stack2d.WithRelaxation(k), stack2d.WithExpectedThreads(4)}, k})
+	}
+	for _, r := range rows {
+		q := stack2d.NewQueue[int](r.opts...)
+		if got, want := q.Config(), stack2d.New[int](r.opts...).Config(); got != want {
+			t.Errorf("%s: queue config %+v, stack config %+v", r.name, got, want)
+		}
+		if r.k >= 0 && q.K() > r.k {
+			t.Errorf("%s: queue K() = %d exceeds the budget %d", r.name, q.K(), r.k)
+		}
 	}
 
 	// Invalid combinations panic, as for the stack.
@@ -161,20 +169,20 @@ func TestQueueOptionsParity(t *testing.T) {
 			t.Fatal("invalid queue options did not panic")
 		}
 	}()
-	stack2d.NewQueue[int](stack2d.WithQueueDepth(4), stack2d.WithQueueShift(9))
+	stack2d.NewQueue[int](stack2d.WithDepth(4), stack2d.WithShift(9))
 }
 
 func TestQueueShiftOnlyLiftsDepth(t *testing.T) {
-	// Regression: WithQueueShift(s) with s beyond the default depth used to
-	// panic in Validate even though the intent is unambiguous — a lone
-	// shift override lifts depth to match.
-	q := stack2d.NewQueue[int](stack2d.WithQueueShift(128))
+	// Regression: a queue's lone shift override beyond the default depth
+	// used to panic in Validate even though the intent is unambiguous — a
+	// lone shift override lifts depth to match.
+	q := stack2d.NewQueue[int](stack2d.WithShift(128))
 	cfg := q.Config()
 	if cfg.Shift != 128 || cfg.Depth != 128 {
 		t.Fatalf("shift-only option gave depth %d shift %d, want 128/128", cfg.Depth, cfg.Shift)
 	}
 	// A shift below the default depth must not disturb depth.
-	if got := stack2d.NewQueue[int](stack2d.WithQueueShift(16)).Config(); got.Shift != 16 || got.Depth != 64 {
+	if got := stack2d.NewQueue[int](stack2d.WithShift(16)).Config(); got.Shift != 16 || got.Depth != 64 {
 		t.Fatalf("small shift override gave depth %d shift %d, want 64/16", got.Depth, got.Shift)
 	}
 }

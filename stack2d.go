@@ -36,18 +36,15 @@ func New[T any](opts ...Option) *Stack[T] {
 	if err != nil {
 		panic(err)
 	}
-	if b.observer != nil {
-		s.inner.SetObserver(b.observer)
-	}
-	if b.placePolicy != nil {
-		s.inner.SetPlacement(b.placePolicy, b.placeSockets)
-	}
-	s.opBuffer = b.opBuffer
+	b.applySettings(s.inner, &s.opBuffer)
 	return s
 }
 
-// Config re-exports the 2D-Stack tuning parameters; see the package
-// documentation for their meaning and the fields' constraints.
+// Config re-exports the window tuning parameters the 2D-Stack and the
+// 2D-Queue share: Width sub-structures, a window of height Depth (one per
+// end for the queue) moved by Shift when exhausted, and RandomHops random
+// probes before round-robin search. See the package documentation for
+// their meaning and the fields' constraints.
 type Config = core.Config
 
 // NewWithConfig builds a 2D-Stack from an explicit configuration,
