@@ -8,9 +8,22 @@
 // tail forward when needed); Dequeue advances the head past the dummy. ABA
 // is precluded by the garbage collector, as in the other list-based
 // structures of this module.
+//
+// The queue counts its two ends separately: Enqueued and Dequeued are
+// monotonic counts of completed operations, each incremented by the
+// operation that linked or unlinked a node, once its CAS has succeeded.
+// They are the 2D-Queue's window counters, so the header (both ends and
+// both counts) is padded to one cache line, and sub-queues allocated side
+// by side never share one. Len is their difference: exact when quiescent,
+// and never negative under concurrency, where a dequeue may unlink (and
+// count) a node before its enqueuer has counted it.
 package msqueue
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"stack2d/internal/pad"
+)
 
 type node[T any] struct {
 	value T
@@ -18,10 +31,14 @@ type node[T any] struct {
 }
 
 // Queue is a lock-free FIFO queue. Create with New; it must not be copied.
+// Its size is one cache line, which the allocator's 64-byte size class
+// aligns, so queues allocated side by side never share a line.
 type Queue[T any] struct {
-	head   atomic.Pointer[node[T]] // points at the dummy; head.next is the front
-	tail   atomic.Pointer[node[T]]
-	length atomic.Int64
+	head     atomic.Pointer[node[T]] // points at the dummy; head.next is the front
+	tail     atomic.Pointer[node[T]]
+	enqueued atomic.Int64                  // completed enqueues
+	dequeued atomic.Int64                  // completed dequeues
+	_        [pad.CacheLineSize - 4*8]byte // pads the four 8-byte words above to one line
 }
 
 // New returns an empty queue.
@@ -49,7 +66,7 @@ func (q *Queue[T]) Enqueue(v T) {
 		}
 		if tail.next.CompareAndSwap(nil, n) {
 			q.tail.CompareAndSwap(tail, n) // best effort; others will help
-			q.length.Add(1)
+			q.enqueued.Add(1)
 			return
 		}
 	}
@@ -75,7 +92,7 @@ func (q *Queue[T]) Dequeue() (v T, ok bool) {
 			continue
 		}
 		if q.head.CompareAndSwap(head, next) {
-			q.length.Add(-1)
+			q.dequeued.Add(1)
 			// next is now the dummy; clear its value so the queue does not
 			// pin the dequeued item for the GC until the following dequeue.
 			// Safe: only the CAS winner reads next.value.
@@ -102,7 +119,7 @@ func (q *Queue[T]) TryDequeue() (v T, ok bool, contended bool) {
 		q.tail.CompareAndSwap(tail, next)
 	}
 	if q.head.CompareAndSwap(head, next) {
-		q.length.Add(-1)
+		q.dequeued.Add(1)
 		// As in Dequeue: the winner moves the value out of the new dummy.
 		v = next.value
 		var zero T
@@ -128,7 +145,7 @@ func (q *Queue[T]) TryEnqueue(v T) bool {
 	}
 	if tail.next.CompareAndSwap(nil, n) {
 		q.tail.CompareAndSwap(tail, n)
-		q.length.Add(1)
+		q.enqueued.Add(1)
 		return true
 	}
 	return false
@@ -140,8 +157,19 @@ func (q *Queue[T]) Empty() bool {
 	return head.next.Load() == nil
 }
 
-// Len returns the approximate number of items (exact when quiescent).
-func (q *Queue[T]) Len() int { return int(q.length.Load()) }
+// Enqueued returns the number of completed enqueues.
+func (q *Queue[T]) Enqueued() int64 { return q.enqueued.Load() }
+
+// Dequeued returns the number of completed dequeues.
+func (q *Queue[T]) Dequeued() int64 { return q.dequeued.Load() }
+
+// Len returns the approximate number of items: exact when quiescent, never
+// negative. Dequeued is read first, so a concurrent enqueue can only raise
+// the result; the clamp covers a dequeue counted before its enqueue.
+func (q *Queue[T]) Len() int {
+	d := q.dequeued.Load()
+	return int(max(q.enqueued.Load()-d, 0))
+}
 
 // Drain removes all items front-first; teardown/testing helper.
 func (q *Queue[T]) Drain() []T {

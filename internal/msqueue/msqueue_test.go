@@ -116,6 +116,16 @@ func TestConcurrentConservation(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	dequeued := 0
+	for _, vs := range got {
+		dequeued += len(vs)
+	}
+	if e, d := q.Enqueued(), q.Dequeued(); e != workers*perW || d != int64(dequeued) {
+		t.Fatalf("Enqueued = %d, Dequeued = %d, want %d and %d", e, d, workers*perW, dequeued)
+	}
+	if n := q.Len(); int64(n) != q.Enqueued()-q.Dequeued() {
+		t.Fatalf("Len = %d, want Enqueued - Dequeued = %d", n, q.Enqueued()-q.Dequeued())
+	}
 	seen := make(map[uint64]int)
 	for _, vs := range got {
 		for _, v := range vs {
@@ -265,5 +275,30 @@ func TestTryEnqueue(t *testing.T) {
 	}
 	if _, ok := q.Dequeue(); ok {
 		t.Fatal("queue not empty after drain")
+	}
+}
+
+// TestLenNotNegativeWhenDequeueOvertakesEnqueue reproduces the window in
+// which an enqueuer has linked its node but not yet counted it: the node is
+// linked after the tail by hand, as that enqueuer's CAS would, and a
+// dequeue takes it first. Len must read 0, not -1, both before and after
+// the paused enqueuer counts its operation.
+func TestLenNotNegativeWhenDequeueOvertakesEnqueue(t *testing.T) {
+	q := New[int]()
+	if !q.tail.Load().next.CompareAndSwap(nil, &node[int]{value: 7}) {
+		t.Fatal("link CAS failed on an empty queue")
+	}
+	if v, ok := q.Dequeue(); !ok || v != 7 {
+		t.Fatalf("Dequeue = (%d,%v), want (7,true)", v, ok)
+	}
+	if e, d := q.Enqueued(), q.Dequeued(); e != 0 || d != 1 {
+		t.Fatalf("Enqueued = %d, Dequeued = %d, want 0 and 1", e, d)
+	}
+	if n := q.Len(); n != 0 {
+		t.Fatalf("Len = %d while the enqueue is uncounted, want 0", n)
+	}
+	q.enqueued.Add(1) // the paused enqueuer resumes and counts
+	if n := q.Len(); n != 0 {
+		t.Fatalf("Len = %d once both are counted, want 0", n)
 	}
 }

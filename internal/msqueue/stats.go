@@ -32,7 +32,7 @@ func (q *Queue[T]) EnqueueStats(v T, st *core.OpStats) {
 		}
 		if tail.next.CompareAndSwap(nil, n) {
 			q.tail.CompareAndSwap(tail, n)
-			q.length.Add(1)
+			q.enqueued.Add(1)
 			st.Pushes++
 			return
 		}
@@ -62,7 +62,7 @@ func (q *Queue[T]) DequeueStats(st *core.OpStats) (v T, ok bool) {
 			continue
 		}
 		if q.head.CompareAndSwap(head, next) {
-			q.length.Add(-1)
+			q.dequeued.Add(1)
 			// As in Dequeue: move the value out of the new dummy so the
 			// queue does not pin it for the GC. Safe: only the CAS winner
 			// reads next.value.

@@ -8,7 +8,8 @@ import (
 
 // TestStatsVariantsMatchPlain checks the instrumented operations preserve
 // FIFO behaviour and count exactly what they did (enqueue→Pushes,
-// dequeue→Pops/EmptyPops — OpStats speaks the stack vocabulary).
+// dequeue→Pops/EmptyPops — OpStats speaks the stack vocabulary), in the
+// queue's own per-end counts as well as in st.
 func TestStatsVariantsMatchPlain(t *testing.T) {
 	q := New[int]()
 	var st core.OpStats
@@ -18,6 +19,9 @@ func TestStatsVariantsMatchPlain(t *testing.T) {
 	}
 	if st.Pushes != n {
 		t.Fatalf("Pushes = %d, want %d", st.Pushes, n)
+	}
+	if e, d, l := q.Enqueued(), q.Dequeued(), q.Len(); e != n || d != 0 || l != n {
+		t.Fatalf("Enqueued = %d, Dequeued = %d, Len = %d, want %d, 0, %d", e, d, l, n, n)
 	}
 	for i := 0; i < n; i++ {
 		v, ok := q.DequeueStats(&st)
@@ -30,6 +34,9 @@ func TestStatsVariantsMatchPlain(t *testing.T) {
 	}
 	if st.Pops != n || st.EmptyPops != 1 {
 		t.Fatalf("Pops = %d EmptyPops = %d, want %d and 1", st.Pops, st.EmptyPops, n)
+	}
+	if e, d, l := q.Enqueued(), q.Dequeued(), q.Len(); e != n || d != n || l != 0 {
+		t.Fatalf("Enqueued = %d, Dequeued = %d, Len = %d, want %d, %d, 0", e, d, l, n, n)
 	}
 	if st.CASFailures != 0 {
 		t.Fatalf("CASFailures = %d in a sequential run", st.CASFailures)

@@ -115,9 +115,7 @@ func (c KFIFOChecker) Check(ops []IntervalOp) (KDistanceReport, error) {
 // popped-but-undelivered values), and delivery staleness (a served
 // prefetched value aged by at most (handles−1)·cap foreign buffered ops
 // since its refill, under the fairness premise that every handle publishes
-// within its next cap own-operations). The bound also covers the batch
-// primitives' deferred counter bump (one run ≤ cap uncounted operations
-// per in-flight batch).
+// within its next cap own-operations).
 func BufferAllowance(handles, cap int) int64 {
 	if handles < 0 || cap < 0 {
 		return 0

@@ -6,19 +6,15 @@ import (
 )
 
 // Batched operations, the queue twin of internal/core's batch.go. A batch
-// applies a run of sub-queue operations under one geometry pin and — the
-// combined-publication payoff — bumps the sub-queue's monotonic window
-// counter ONCE per successful run instead of once per operation, so a run
-// of m enqueues costs one contended Add instead of m. The window
-// discipline is preserved by an upfront headroom check: a run of m is
-// attempted only while counter+m <= Global, indistinguishable (for the
-// relaxation bound) from m consecutive singletons that all landed there.
-//
-// The deferred counter bump widens the in-flight slack: a mid-run
-// sub-queue holds up to m completed-but-uncounted operations, versus one
-// for a singleton. Each batch is still one in-flight operation, so the
-// concurrent checkers budget this with the same per-handle allowance
-// scaled by the batch cap — see seqspec.BufferAllowance and DESIGN.md §11.
+// applies runs of sub-queue operations under one geometry pin and one
+// window search — the combined-publication payoff: a run of m values on
+// one sub-queue costs one pin and one probe instead of m of each. Each
+// value is still counted by its own sub-queue step (the window counters
+// are the sub-queue's own per-end counts), so a batch leaves no operation
+// uncounted past its link. The window discipline is preserved by an
+// upfront headroom check: a run of m is attempted only while
+// counter+m <= Global, indistinguishable (for the relaxation bound) from m
+// consecutive singletons that all landed there.
 
 // EnqueueBatch enqueues all values in order; vs[0] is the frontmost of the
 // batch. Values may be split across sub-queues when window headroom is
@@ -28,7 +24,7 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 	q := h.q
 	remaining := vs
 	visit := func(sub *subQueue[T], global int64) core.Visit {
-		headroom := global - sub.enqs.V.Load()
+		headroom := global - sub.enqs()
 		if headroom <= 0 {
 			return core.Skip
 		}
@@ -40,9 +36,6 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 		if done == 0 {
 			return core.Lost // contention with zero progress
 		}
-		// One counter bump for the whole run — the combined publication
-		// that amortises the coherence traffic.
-		sub.enqs.V.Add(done)
 		h.Count.Pushes += uint64(done)
 		remaining = remaining[done:]
 		if len(remaining) == 0 {
@@ -83,7 +76,7 @@ func (h *Handle[T]) dequeueBatchInto(out []T, limit int) []T {
 	geo := h.PinBatch() // see EnqueueBatch
 	q := h.q
 	visit := func(sub *subQueue[T], global int64) core.Visit {
-		avail := global - sub.deqs.V.Load()
+		avail := global - sub.deqs()
 		if avail <= 0 {
 			return heldIfNonEmpty(sub)
 		}
@@ -101,7 +94,6 @@ func (h *Handle[T]) dequeueBatchInto(out []T, limit int) []T {
 		}
 		switch {
 		case done > 0:
-			sub.deqs.V.Add(done) // one bump per run, as in EnqueueBatch
 			h.Count.Pops += uint64(done)
 			if len(out) == limit {
 				return core.Done

@@ -48,7 +48,7 @@ func TestQueueLatencySampleStridePinned(t *testing.T) {
 }
 
 // TestQueueBatchOps pins the batch primitives' contract: order, the
-// single-counter-bump accounting, and the empty verdict.
+// per-value work accounting, and the empty verdict.
 func TestQueueBatchOps(t *testing.T) {
 	cfg := Config{Width: 1, Depth: 4, Shift: 4, RandomHops: 0}
 	q := MustNew[uint64](cfg)

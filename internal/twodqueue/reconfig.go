@@ -28,8 +28,9 @@ func (q *Queue[T]) grow(subs []*subQueue[T], cfg Config) []*subQueue[T] {
 // drained round-robin — one item per slot per round, which approximately
 // reconstructs the stranded items' global FIFO order, since enqueues were
 // themselves spread across the slots — and each item is appended directly
-// to the surviving sub-queue currently holding the fewest items, bumping
-// its enqueue window counter so the counter keeps meaning "completed
+// to the surviving sub-queue currently holding the fewest items by an
+// ordinary Michael–Scott Enqueue, which counts it in that sub-queue's
+// enqueue window counter, so the counter keeps meaning "completed
 // enqueues". Compared with the earlier approach — re-enqueueing every item
 // through one internal handle's normal window search — this never touches
 // the dequeue ceiling, advances the enqueue ceiling exactly once in a
@@ -50,15 +51,15 @@ func (q *Queue[T]) handoffStranded(next *core.Geometry[subQueue[T]], dropped []*
 	for i, sq := range next.Subs {
 		loads[i] = int64(sq.q.Len())
 		live += loads[i]
-		enqStart += sq.enqs.V.Load()
+		enqStart += sq.enqs()
 	}
 	stranded := int64(0)
 	for _, sq := range dropped {
 		stranded += int64(sq.q.Len())
 	}
 	if stranded == 0 {
-		// Nothing to migrate: no displacement happened and no counter was
-		// bumped, so neither the accounting nor the window raise below has
+		// Nothing to migrate: no displacement happened and no counter
+		// moved, so neither the accounting nor the window raise below has
 		// anything to justify it (mirroring the stack's disp > 0 guard).
 		return 0
 	}
@@ -77,7 +78,6 @@ func (q *Queue[T]) handoffStranded(next *core.Geometry[subQueue[T]], dropped []*
 				}
 			}
 			next.Subs[j].q.Enqueue(v)
-			next.Subs[j].enqs.V.Add(1)
 			loads[j]++
 		}
 	}
@@ -85,11 +85,11 @@ func (q *Queue[T]) handoffStranded(next *core.Geometry[subQueue[T]], dropped []*
 	// stranded items ahead of it, and whatever client enqueues landed in
 	// the survivors while the drain ran. The latter is read exactly (up to
 	// in-flight slack) from the survivors' own atomic enqueue counters:
-	// the delta over the drain minus our own bumps is the concurrent
+	// the delta over the drain minus our own enqueues is the concurrent
 	// client traffic placed ahead of later-migrated items.
 	var enqEnd, minEnqs int64
 	for i, sq := range next.Subs {
-		e := sq.enqs.V.Load()
+		e := sq.enqs()
 		enqEnd += e
 		if i == 0 || e < minEnqs {
 			minEnqs = e
@@ -101,7 +101,7 @@ func (q *Queue[T]) handoffStranded(next *core.Geometry[subQueue[T]], dropped []*
 	}
 	disp := live + stranded + concurrent
 
-	// Reopen the enqueue window. The bumps above push every survivor's
+	// Reopen the enqueue window. The enqueues above push every survivor's
 	// counter toward (or past) the untouched GlobalEnq ceiling, and with
 	// all survivors enqueue-invalid at once, every client enqueue would
 	// stall through ~migrated/(shift·width) consecutive coverage-and-raise

@@ -4,15 +4,19 @@
 // structures").
 //
 // The structure mirrors the 2D-Stack: `width` Michael–Scott sub-queues with
-// two windows, one per end. Each sub-queue carries two monotonic counters,
-// enqueues and dequeues completed. An Enqueue may use a sub-queue only while
-// its enqueue count is below the shared GlobalEnq ceiling; a Dequeue only
-// while its dequeue count is below GlobalDeq. When a full round-robin pass
-// finds every sub-queue at its ceiling, the corresponding window is raised
-// by `shift`. The search (locality anchor, random hops, round-robin
-// fallback, hop-on-contention) is the shared core.WindowHandle.Search the
-// stack runs; each operation supplies only its validity test and
-// sub-queue step, and its window move or empty verdict.
+// two windows, one per end. Each sub-queue carries two monotonic window
+// counters, enqueues and dequeues completed: the Michael–Scott queue's own
+// per-end counts over an immutable join floor, as the stack's sub-stack
+// count sits over its base, so an operation is counted once, inside its
+// sub-queue step, and each sub-queue's header has a cache line to itself.
+// An Enqueue may use a sub-queue only while its enqueue count is below the
+// shared GlobalEnq ceiling; a Dequeue only while its dequeue count is below
+// GlobalDeq. When a full round-robin pass finds every sub-queue at its
+// ceiling, the corresponding window is raised by `shift`. The search
+// (locality anchor, random hops, round-robin fallback, hop-on-contention)
+// is the shared core.WindowHandle.Search the stack runs; each operation
+// supplies only its validity test and sub-queue step, and its window move
+// or empty verdict.
 //
 // Relaxation: within one window epoch each sub-queue completes at most
 // `depth` dequeues, so items dequeue at most (2·depth + shift)·(width − 1)
@@ -21,10 +25,10 @@
 // one formula serves both structures (exhaustive small-geometry
 // exploration realises queue distances only up to depth·(width − 1), the
 // monotone ceilings never re-expose a stale front; see
-// seqspec.ExploreQueue and DESIGN.md §2). Under concurrency the monotonic
-// counters are incremented after the sub-queue operation completes, adding
-// up to one position of slack per in-flight operation (at most the number
-// of concurrent handles); see K and the tests in twodqueue_test.go.
+// seqspec.ExploreQueue and DESIGN.md §2). Under concurrency a sub-queue
+// counts an operation just after the CAS that performs it, adding up to one
+// position of slack per in-flight operation (at most the number of
+// concurrent handles); see K and the tests in twodqueue_test.go.
 //
 // # Live reconfiguration
 //
@@ -65,15 +69,18 @@ type Config = core.Config
 // expected threads.
 func DefaultConfig(p int) Config { return core.DefaultConfig(p) }
 
-// subQueue is one sub-structure: the Michael–Scott queue plus its two
-// monotonic window counters, all padded onto private cache lines. Slots are
+// subQueue is one sub-structure: the Michael–Scott queue and its two join
+// floors. Its window counters are the queue's own per-end counts over those
+// immutable floors — the twin of the stack's base + count — so an operation
+// is counted once, by the sub-queue step that performs it, and every
+// header word an operation writes sits on the queue's one header line
+// (msqueue.Queue). The header stays behind a pointer: embedded here, it
+// would lose the line alignment its own allocation gives it. Slots are
 // held by pointer so successive geometries can share surviving sub-queues
 // without moving an item.
 type subQueue[T any] struct {
-	q    *msqueue.Queue[T]
-	_    pad.CacheLinePad
-	enqs pad.Int64Line // completed enqueues (plus the join floor, see newSubQueue)
-	deqs pad.Int64Line // completed dequeues (plus the join floor)
+	q                *msqueue.Queue[T]
+	enqBase, deqBase int64 // join floors, see newSubQueue
 }
 
 // newSubQueue allocates an empty sub-queue joining the structure at the
@@ -83,11 +90,16 @@ type subQueue[T any] struct {
 // an unbounded relaxation hole. Starting at the current window floor lets it
 // absorb at most `depth` operations per window, like every other sub-queue.
 func newSubQueue[T any](enqFloor, deqFloor int64) *subQueue[T] {
-	sq := &subQueue[T]{q: msqueue.New[T]()}
-	sq.enqs.V.Store(enqFloor)
-	sq.deqs.V.Store(deqFloor)
-	return sq
+	return &subQueue[T]{q: msqueue.New[T](), enqBase: enqFloor, deqBase: deqFloor}
 }
+
+// enqs is the sub-queue's enqueue-end window counter: its join floor plus
+// its completed enqueues.
+func (sq *subQueue[T]) enqs() int64 { return sq.enqBase + sq.q.Enqueued() }
+
+// deqs is the dequeue-end window counter: the join floor plus completed
+// dequeues.
+func (sq *subQueue[T]) deqs() int64 { return sq.deqBase + sq.q.Dequeued() }
 
 // Queue is a lock-free 2D relaxed FIFO queue. Create with New; obtain one
 // Handle per goroutine. A Queue must not be copied.
@@ -232,13 +244,12 @@ func (h *Handle[T]) Enqueue(v T) {
 	geo := h.PinOp()
 	q := h.q
 	visit := func(sub *subQueue[T], global int64) core.Visit {
-		if sub.enqs.V.Load() >= global {
+		if sub.enqs() >= global {
 			return core.Skip
 		}
 		if !sub.q.TryEnqueue(v) {
 			return core.Lost
 		}
-		sub.enqs.V.Add(1)
 		h.Count.Pushes++
 		return core.Done
 	}
@@ -264,13 +275,12 @@ func (h *Handle[T]) Dequeue() (v T, ok bool) {
 	geo := h.PinOp()
 	q := h.q
 	visit := func(sub *subQueue[T], global int64) core.Visit {
-		if sub.deqs.V.Load() >= global {
+		if sub.deqs() >= global {
 			return heldIfNonEmpty(sub)
 		}
 		val, got, contended := sub.q.TryDequeue()
 		switch {
 		case got:
-			sub.deqs.V.Add(1)
 			v = val
 			h.Count.Pops++
 			return core.Done

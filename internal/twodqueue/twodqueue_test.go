@@ -4,7 +4,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"stack2d/internal/pad"
 	"stack2d/internal/seqspec"
 )
 
@@ -321,5 +323,41 @@ func TestPropertySequentialConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubQueuesOnDistinctLines checks that every active sub-queue's
+// Michael–Scott header — both ends and both window counters — sits on a
+// cache line of its own, for the default geometries and after a width
+// growth, so operations on different sub-queues never contend for a
+// header line.
+func TestSubQueuesOnDistinctLines(t *testing.T) {
+	grown := MustNew[uint64](DefaultConfig(1))
+	h := grown.NewHandle()
+	for i := uint64(0); i < 1000; i++ {
+		h.Enqueue(i)
+	}
+	if err := grown.SetWidth(3 * DefaultConfig(1).Width); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		q    *Queue[uint64]
+	}{
+		{"default-p1", MustNew[uint64](DefaultConfig(1))},
+		{"default-p2", MustNew[uint64](DefaultConfig(2))},
+		{"default-p4", MustNew[uint64](DefaultConfig(4))},
+		{"grown", grown},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			lines := make(map[uintptr]int)
+			for i, sub := range c.q.Geometry().Subs {
+				line := uintptr(unsafe.Pointer(sub.q)) / pad.CacheLineSize
+				if j, ok := lines[line]; ok {
+					t.Fatalf("sub-queues %d and %d share cache line %#x", j, i, line*pad.CacheLineSize)
+				}
+				lines[line] = i
+			}
+		})
 	}
 }

@@ -81,10 +81,10 @@ func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
 	return h.h.Dequeue()
 }
 
-// EnqueueBatch enqueues all values in order with one window-counter bump
-// per placement run, amortising the coherence traffic of len(vs)
-// singleton enqueues. On a buffered handle any pending buffered enqueues
-// are published first, preserving program order.
+// EnqueueBatch enqueues all values in order under one geometry pin and
+// one window search per placement run, amortising the per-operation
+// overhead of len(vs) singleton enqueues. On a buffered handle any pending
+// buffered enqueues are published first, preserving program order.
 func (h *QueueHandle[T]) EnqueueBatch(vs []T) {
 	if h.buffered {
 		h.h.FlushOps()
