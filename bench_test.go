@@ -10,6 +10,10 @@
 //
 // Ablations A1–A5:      go test -bench=Ablation -benchmem
 //
+// The Figure and Ablation benchmarks take their axes and case tables from
+// internal/harness, the ones cmd/stackbench sweeps; they add -benchmem
+// columns and benchstat-ready output to its throughput and quality tables.
+//
 // Each benchmark prefills the stack with the paper's 32,768 items outside
 // the timed region and then drives a 50/50 push/pop mix with no think time.
 // The quality (error distance) companion numbers come from the sweep
@@ -63,11 +67,11 @@ func driveFactory(b *testing.B, f harness.Factory, par int, pushRatio float64) {
 }
 
 // BenchmarkFigure1 regenerates the relaxation sweep: the three k-bounded
-// algorithms at increasing k, at the paper's two highlighted thread counts
-// (P=8 intra-socket, P=16 inter-socket).
+// algorithms over the harness's k axis (harness.Figure1Ks), at the paper's
+// two highlighted thread counts (P=8 intra-socket, P=16 inter-socket).
 func BenchmarkFigure1(b *testing.B) {
 	for _, p := range []int{8, 16} {
-		for _, k := range []int64{8, 32, 128, 512, 2048, 8192} {
+		for _, k := range harness.Figure1Ks() {
 			for _, alg := range relax.Figure1Algorithms() {
 				f := harness.Figure1Factory(alg, k, p)
 				b.Run(fmt.Sprintf("P=%d/k=%d/%s", p, k, f.Name), func(b *testing.B) {
@@ -79,9 +83,9 @@ func BenchmarkFigure1(b *testing.B) {
 }
 
 // BenchmarkFigure2 regenerates the concurrency sweep: all seven algorithms
-// as the number of threads grows (the paper sweeps 1..16).
+// over the paper's thread axis (harness.Figure2Ps, 1..16).
 func BenchmarkFigure2(b *testing.B) {
-	for _, p := range []int{1, 2, 4, 8, 16} {
+	for _, p := range harness.Figure2Ps() {
 		for _, alg := range relax.Figure2Algorithms() {
 			f := harness.Figure2Factory(alg, p)
 			b.Run(fmt.Sprintf("P=%d/%s", p, f.Name), func(b *testing.B) {
@@ -91,95 +95,19 @@ func BenchmarkFigure2(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHop (A1) isolates the paper's hybrid hop policy: random
-// probes then round-robin versus the pure policies, at the Figure 2
-// configuration.
-func BenchmarkAblationHop(b *testing.B) {
+// BenchmarkAblation runs the ablations A1–A5 (harness.AblationNames says
+// what each isolates) at P=8 over the case tables stackbench -ablation
+// prints (harness.AblationCases).
+func BenchmarkAblation(b *testing.B) {
 	const p = 8
-	base := core.DefaultConfig(p)
-	cases := []struct {
-		name string
-		hops int
-	}{
-		{"round-robin-only", 0},
-		{"hybrid-paper", 2},
-		{"random-heavy", base.Width}, // effectively random-only search
-	}
-	for _, c := range cases {
-		cfg := base
-		cfg.RandomHops = c.hops
-		f := harness.NewTwoDFactory(cfg)
-		b.Run(c.name, func(b *testing.B) {
-			driveFactory(b, f, p, 0.5)
-		})
-	}
-}
-
-// BenchmarkAblationDepth (A2) sweeps the vertical dimension at fixed width,
-// trading locality against relaxation.
-func BenchmarkAblationDepth(b *testing.B) {
-	const p = 8
-	for _, depth := range []int64{1, 4, 16, 64, 256} {
-		cfg := core.Config{Width: 4 * p, Depth: depth, Shift: depth, RandomHops: 2}
-		f := harness.NewTwoDFactory(cfg)
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			driveFactory(b, f, p, 0.5)
-		})
-	}
-}
-
-// BenchmarkAblationShift (A3) sweeps the window step at fixed width/depth:
-// smaller shifts move the window more often but keep relaxation tighter.
-func BenchmarkAblationShift(b *testing.B) {
-	const p = 8
-	const depth = 64
-	for _, shift := range []int64{1, depth / 4, depth / 2, depth} {
-		cfg := core.Config{Width: 4 * p, Depth: depth, Shift: shift, RandomHops: 2}
-		f := harness.NewTwoDFactory(cfg)
-		b.Run(fmt.Sprintf("shift=%d", shift), func(b *testing.B) {
-			driveFactory(b, f, p, 0.5)
-		})
-	}
-}
-
-// BenchmarkAblationWidth (A4) reproduces the "width = 4P is the optimum"
-// claim by sweeping the width multiplier.
-func BenchmarkAblationWidth(b *testing.B) {
-	const p = 8
-	for _, mult := range []int{1, 2, 4, 8} {
-		cfg := core.Config{Width: mult * p, Depth: 64, Shift: 64, RandomHops: 2}
-		f := harness.NewTwoDFactory(cfg)
-		b.Run(fmt.Sprintf("width=%dP", mult), func(b *testing.B) {
-			driveFactory(b, f, p, 0.5)
-		})
-	}
-}
-
-// BenchmarkAblationAsymmetric (A5) exercises asymmetric workloads, where
-// elimination's pairing opportunity collapses while the 2D-Stack's window
-// keeps absorbing the imbalance.
-func BenchmarkAblationAsymmetric(b *testing.B) {
-	const p = 8
-	ratios := []struct {
-		name string
-		push float64
-	}{
-		{"push80", 0.8},
-		{"sym50", 0.5},
-		{"pop80", 0.2},
-	}
-	algs := []struct {
-		name string
-		f    harness.Factory
-	}{
-		{"2D-stack", harness.NewTwoDFactory(core.DefaultConfig(p))},
-		{"elimination", harness.NewEliminationFactory(elimination.DefaultConfig(p))},
-		{"treiber", harness.NewTreiberFactory()},
-	}
-	for _, r := range ratios {
-		for _, a := range algs {
-			b.Run(fmt.Sprintf("%s/%s", r.name, a.name), func(b *testing.B) {
-				driveFactory(b, a.f, p, r.push)
+	for _, name := range harness.AblationNames() {
+		cases, err := harness.AblationCases(name, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range cases {
+			b.Run(name+"/"+c.Label, func(b *testing.B) {
+				driveFactory(b, c.Factory, p, c.PushRatio)
 			})
 		}
 	}

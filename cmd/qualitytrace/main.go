@@ -42,8 +42,6 @@ func main() {
 	}
 
 	var f harness.Factory
-	var res harness.Result
-	var err error
 	if *fifo {
 		switch strings.ToLower(*alg) {
 		case "2d", "2d-queue", "2dqueue":
@@ -55,7 +53,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "qualitytrace: unknown queue %q\n", *alg)
 			os.Exit(2)
 		}
-		res, err = harness.RunQueueQuality(f, w)
 	} else {
 		algorithm, perr := parseAlgorithm(*alg)
 		if perr != nil {
@@ -67,8 +64,8 @@ func main() {
 		} else {
 			f = harness.Figure2Factory(algorithm, *threads)
 		}
-		res, err = harness.RunQuality(f, w)
 	}
+	res, err := harness.RunQuality(f, w)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qualitytrace:", err)
 		os.Exit(1)
@@ -97,6 +94,9 @@ func main() {
 		switch i {
 		case 0:
 			label = "0 (exact LIFO)"
+			if *fifo {
+				label = "0 (exact FIFO)"
+			}
 		case 1:
 			label = "1"
 		default:

@@ -48,13 +48,10 @@ func main() {
 		fatal("bad -shifts: %v", err)
 	}
 
-	w := harness.Workload{
-		Workers:   *threads,
-		Duration:  *duration,
-		PushRatio: 0.5,
-		Prefill:   *prefill,
-		Seed:      1,
-	}
+	phases := []harness.Phase{{Name: "sweep", Duration: *duration, Workers: *threads, PushRatio: 0.5}}
+	w := harness.PhasedWorkload{MaxWorkers: *threads, Prefill: *prefill, Seed: 1}
+	qw := w
+	qw.Quality = true
 
 	fmt.Printf("# 2D-Stack parameter sweep (P=%d, %v per point, prefill %d)\n\n", *threads, *duration, *prefill)
 	tb := stats.NewTable("width", "depth", "shift", "k", "thr(ops/s)", "probes/op", "cas-fail%", "win-moves", "mean-err", "max-err")
@@ -74,14 +71,18 @@ func main() {
 				if err := cfg.Validate(); err != nil {
 					fatal("invalid configuration %+v: %v", cfg, err)
 				}
-				res, err := harness.RunInstrumented(cfg, w)
+				// Every worker flushes its handle's counters on exit, so the
+				// stack's snapshot holds the run's exact work (prefill included).
+				s := core.MustNew[uint64](cfg)
+				res, err := harness.RunPhased(s, phases, w)
 				if err != nil {
 					fatal("run failed: %v", err)
 				}
-				f := harness.NewTwoDFactory(cfg)
+				st := s.StatsSnapshot()
+				thr := res.Phases[0].Throughput
 				meanErr, maxErr := 0.0, 0
 				if *quality {
-					qres, err := harness.RunQuality(f, w)
+					qres, err := harness.RunPhased(core.MustNew[uint64](cfg), phases, qw)
 					if err != nil {
 						fatal("quality run failed: %v", err)
 					}
@@ -89,23 +90,23 @@ func main() {
 					maxErr = qres.Quality.Max
 				}
 				casFailPct := 0.0
-				if res.Stats.Probes > 0 {
-					casFailPct = 100 * float64(res.Stats.CASFailures) / float64(res.Stats.Ops())
+				if st.Probes > 0 {
+					casFailPct = 100 * float64(st.CASFailures) / float64(st.Ops())
 				}
 				tb.AddRow(
 					fmt.Sprintf("%d (%dP)", cfg.Width, wm),
 					fmt.Sprintf("%d", cfg.Depth),
 					fmt.Sprintf("%d", cfg.Shift),
 					fmt.Sprintf("%d", cfg.K()),
-					fmt.Sprintf("%.0f", res.Throughput),
-					fmt.Sprintf("%.2f", res.Stats.ProbesPerOp()),
+					fmt.Sprintf("%.0f", thr),
+					fmt.Sprintf("%.2f", st.ProbesPerOp()),
 					fmt.Sprintf("%.2f", casFailPct),
-					fmt.Sprintf("%d", res.Stats.WindowRaises+res.Stats.WindowLowers),
+					fmt.Sprintf("%d", st.WindowRaises+st.WindowLowers),
 					fmt.Sprintf("%.2f", meanErr),
 					fmt.Sprintf("%d", maxErr),
 				)
 				fmt.Fprintf(os.Stderr, "w=%-4d d=%-4d s=%-4d thr=%s\n",
-					cfg.Width, cfg.Depth, cfg.Shift, stats.HumanOps(res.Throughput))
+					cfg.Width, cfg.Depth, cfg.Shift, stats.HumanOps(thr))
 			}
 		}
 	}

@@ -21,11 +21,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"stack2d/internal/core"
-	"stack2d/internal/elimination"
 	"stack2d/internal/harness"
 	"stack2d/internal/stats"
 	"stack2d/internal/twodqueue"
@@ -75,13 +74,13 @@ func main() {
 	var err error
 	switch {
 	case *queue:
-		err = runQueueSweep(sc)
+		err = runQueueSweep(os.Stdout, sc)
 	case *figure == 1:
-		err = runFigure1(sc)
+		err = runFigure1(os.Stdout, sc)
 	case *figure == 2:
-		err = runFigure2(sc)
+		err = runFigure2(os.Stdout, sc)
 	case *ablation != "":
-		err = runAblation(*ablation, sc)
+		err = runAblation(os.Stdout, *ablation, sc)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -92,40 +91,40 @@ func main() {
 	}
 }
 
-func runFigure1(sc harness.SweepConfig) error {
-	fmt.Printf("# Figure 1 — throughput & accuracy vs relaxation bound k (P=%d)\n", sc.Workload.Workers)
-	fmt.Printf("# workload: %v per repeat, %d repeats, prefill %d, 50/50 push-pop\n\n",
+func runFigure1(out io.Writer, sc harness.SweepConfig) error {
+	fmt.Fprintf(out, "# Figure 1 — throughput & accuracy vs relaxation bound k (P=%d)\n", sc.Workload.Workers)
+	fmt.Fprintf(out, "# workload: %v per repeat, %d repeats, prefill %d, 50/50 push-pop\n\n",
 		sc.Workload.Duration, sc.Repeats, sc.Workload.Prefill)
 	points, err := harness.Figure1Sweep(nil, sc)
 	if err != nil {
 		return err
 	}
-	fmt.Println(harness.RenderPoints(points, "k"))
+	fmt.Fprintln(out, harness.RenderPoints(points, "k"))
 	return nil
 }
 
-func runFigure2(sc harness.SweepConfig) error {
-	fmt.Println("# Figure 2 — throughput & accuracy vs concurrency (all algorithms)")
-	fmt.Printf("# workload: %v per repeat, %d repeats, prefill %d, 50/50 push-pop\n",
+func runFigure2(out io.Writer, sc harness.SweepConfig) error {
+	fmt.Fprintln(out, "# Figure 2 — throughput & accuracy vs concurrency (all algorithms)")
+	fmt.Fprintf(out, "# workload: %v per repeat, %d repeats, prefill %d, 50/50 push-pop\n",
 		sc.Workload.Duration, sc.Repeats, sc.Workload.Prefill)
-	fmt.Println("# note: the paper's intra-socket (P<=8) / inter-socket (P>8) split is a")
-	fmt.Println("# hardware property; on this host the sweep shows scheduler timesharing")
-	fmt.Println("# beyond the physical core count (see EXPERIMENTS.md).")
-	fmt.Println()
+	fmt.Fprintln(out, "# note: the paper's intra-socket (P<=8) / inter-socket (P>8) split is a")
+	fmt.Fprintln(out, "# hardware property; on this host the sweep shows scheduler timesharing")
+	fmt.Fprintln(out, "# beyond the physical core count (see EXPERIMENTS.md).")
+	fmt.Fprintln(out)
 	points, err := harness.Figure2Sweep(nil, sc)
 	if err != nil {
 		return err
 	}
-	fmt.Println(harness.RenderPoints(points, "P"))
+	fmt.Fprintln(out, harness.RenderPoints(points, "P"))
 	return nil
 }
 
 // runQueueSweep regenerates the 2D-Queue extension experiment: throughput
 // and FIFO error distance vs concurrency, against the strict Michael-Scott
 // baseline (EXPERIMENTS.md §Extensions).
-func runQueueSweep(sc harness.SweepConfig) error {
-	fmt.Println("# 2D-Queue extension — throughput & FIFO error vs concurrency")
-	fmt.Printf("# workload: %v per repeat, %d repeats, prefill %d, 50/50 enq-deq\n\n",
+func runQueueSweep(out io.Writer, sc harness.SweepConfig) error {
+	fmt.Fprintln(out, "# 2D-Queue extension — throughput & FIFO error vs concurrency")
+	fmt.Fprintf(out, "# workload: %v per repeat, %d repeats, prefill %d, 50/50 enq-deq\n\n",
 		sc.Workload.Duration, sc.Repeats, sc.Workload.Prefill)
 	tb := stats.NewTable("algorithm", "P", "k", "thr(ops/s)", "mean-err", "max-err")
 	for _, p := range []int{1, 2, 4, 8, 16} {
@@ -136,130 +135,58 @@ func runQueueSweep(sc harness.SweepConfig) error {
 		for _, f := range factories {
 			w := sc.Workload
 			w.Workers = p
-			xs := make([]float64, 0, sc.Repeats)
-			for r := 0; r < sc.Repeats; r++ {
-				wr := w
-				wr.Seed = w.Seed + uint64(r)*7919
-				res, err := harness.Run(f, wr)
-				if err != nil {
-					return err
-				}
-				xs = append(xs, res.Throughput)
+			pt, err := harness.Measure(f, w, sc)
+			if err != nil {
+				return err
 			}
-			meanErr, maxErr := 0.0, 0
-			if sc.Quality {
-				res, err := harness.RunQueueQuality(f, w)
-				if err != nil {
-					return err
-				}
-				meanErr = res.Quality.Mean()
-				maxErr = res.Quality.Max
-			}
-			sum := stats.Summarize(xs)
-			k := "-"
-			if f.K >= 0 {
-				k = fmt.Sprintf("%d", f.K)
-			}
-			tb.AddRow(f.Name, fmt.Sprintf("%d", p), k,
-				fmt.Sprintf("%.0f", sum.Mean),
-				fmt.Sprintf("%.2f", meanErr),
-				fmt.Sprintf("%d", maxErr))
-			fmt.Fprintf(os.Stderr, "queue %-10s P=%-3d thr=%s err=%.2f\n",
-				f.Name, p, stats.HumanOps(sum.Mean), meanErr)
+			tb.AddRow(f.Name, fmt.Sprintf("%d", p), bound(f.K),
+				fmt.Sprintf("%.0f", pt.Throughput.Mean),
+				fmt.Sprintf("%.2f", pt.MeanError),
+				fmt.Sprintf("%d", pt.MaxError))
+			progress(sc, "queue %-10s P=%-3d thr=%s err=%.2f\n",
+				f.Name, p, stats.HumanOps(pt.Throughput.Mean), pt.MeanError)
 		}
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(out, tb.String())
 	return nil
 }
 
-// ablationCase is one configuration of an ablation sweep.
-type ablationCase struct {
-	label string
-	f     harness.Factory
-	push  float64 // 0 = default 0.5
-}
-
-func runAblation(name string, sc harness.SweepConfig) error {
+func runAblation(out io.Writer, name string, sc harness.SweepConfig) error {
 	p := sc.Workload.Workers
-	base := core.DefaultConfig(p)
-	var cases []ablationCase
-	switch name {
-	case "hop":
-		for _, c := range []struct {
-			label string
-			hops  int
-		}{{"round-robin-only", 0}, {"hybrid-paper(2)", 2}, {"random-heavy", base.Width}} {
-			cfg := base
-			cfg.RandomHops = c.hops
-			cases = append(cases, ablationCase{label: c.label, f: harness.NewTwoDFactory(cfg)})
-		}
-	case "depth":
-		for _, d := range []int64{1, 4, 16, 64, 256} {
-			cfg := core.Config{Width: base.Width, Depth: d, Shift: d, RandomHops: 2}
-			cases = append(cases, ablationCase{label: fmt.Sprintf("depth=%d", d), f: harness.NewTwoDFactory(cfg)})
-		}
-	case "shift":
-		for _, s := range []int64{1, 16, 32, 64} {
-			cfg := core.Config{Width: base.Width, Depth: 64, Shift: s, RandomHops: 2}
-			cases = append(cases, ablationCase{label: fmt.Sprintf("shift=%d", s), f: harness.NewTwoDFactory(cfg)})
-		}
-	case "width":
-		for _, m := range []int{1, 2, 4, 8} {
-			cfg := core.Config{Width: m * p, Depth: 64, Shift: 64, RandomHops: 2}
-			cases = append(cases, ablationCase{label: fmt.Sprintf("width=%dP", m), f: harness.NewTwoDFactory(cfg)})
-		}
-	case "asym":
-		for _, r := range []struct {
-			label string
-			push  float64
-		}{{"push80", 0.8}, {"sym50", 0.5}, {"pop80", 0.2}} {
-			cases = append(cases,
-				ablationCase{label: "2D-stack/" + r.label, f: harness.NewTwoDFactory(base), push: r.push},
-				ablationCase{label: "elimination/" + r.label, f: harness.NewEliminationFactory(elimination.DefaultConfig(p)), push: r.push},
-				ablationCase{label: "treiber/" + r.label, f: harness.NewTreiberFactory(), push: r.push},
-			)
-		}
-	default:
-		return fmt.Errorf("unknown ablation %q (want hop, depth, shift, width or asym)", name)
+	cases, err := harness.AblationCases(name, p)
+	if err != nil {
+		return err
 	}
-
-	fmt.Printf("# Ablation %q (P=%d, %v per repeat, %d repeats)\n\n", name, p, sc.Workload.Duration, sc.Repeats)
+	fmt.Fprintf(out, "# Ablation %q (P=%d, %v per repeat, %d repeats)\n\n", name, p, sc.Workload.Duration, sc.Repeats)
 	tb := stats.NewTable("case", "k", "thr(ops/s)", "thr(min)", "thr(max)", "mean-err")
 	for _, c := range cases {
 		w := sc.Workload
-		if c.push != 0 {
-			w.PushRatio = c.push
+		w.PushRatio = c.PushRatio
+		pt, err := harness.Measure(c.Factory, w, sc)
+		if err != nil {
+			return err
 		}
-		xs := make([]float64, 0, sc.Repeats)
-		for r := 0; r < sc.Repeats; r++ {
-			wr := w
-			wr.Seed = w.Seed + uint64(r)*7919
-			res, err := harness.Run(c.f, wr)
-			if err != nil {
-				return err
-			}
-			xs = append(xs, res.Throughput)
-		}
-		meanErr := 0.0
-		if sc.Quality {
-			res, err := harness.RunQuality(c.f, w)
-			if err != nil {
-				return err
-			}
-			meanErr = res.Quality.Mean()
-		}
-		sum := stats.Summarize(xs)
-		k := "-"
-		if c.f.K >= 0 {
-			k = fmt.Sprintf("%d", c.f.K)
-		}
-		tb.AddRow(c.label, k,
-			fmt.Sprintf("%.0f", sum.Mean),
-			fmt.Sprintf("%.0f", sum.Min),
-			fmt.Sprintf("%.0f", sum.Max),
-			fmt.Sprintf("%.2f", meanErr))
-		fmt.Fprintf(os.Stderr, "ablation %-24s thr=%s\n", c.label, stats.HumanOps(sum.Mean))
+		tb.AddRow(c.Label, bound(c.Factory.K),
+			fmt.Sprintf("%.0f", pt.Throughput.Mean),
+			fmt.Sprintf("%.0f", pt.Throughput.Min),
+			fmt.Sprintf("%.0f", pt.Throughput.Max),
+			fmt.Sprintf("%.2f", pt.MeanError))
+		progress(sc, "ablation %-24s thr=%s\n", c.Label, stats.HumanOps(pt.Throughput.Mean))
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(out, tb.String())
 	return nil
+}
+
+// bound renders a relaxation bound, "-" when unbounded.
+func bound(k int64) string {
+	if k < 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%d", k)
+}
+
+func progress(sc harness.SweepConfig, format string, args ...any) {
+	if sc.Progress != nil {
+		fmt.Fprintf(sc.Progress, format, args...)
+	}
 }

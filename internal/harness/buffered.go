@@ -2,7 +2,7 @@ package harness
 
 import (
 	"stack2d/internal/core"
-	"stack2d/internal/quality"
+	"stack2d/internal/relax"
 	"stack2d/internal/twodqueue"
 )
 
@@ -33,10 +33,6 @@ func (w bufferedQueueWorker) Pop() (uint64, bool) { return w.h.BufferedDequeue()
 // prefetch-residency term covers. Use all-active phases only (see the
 // package note on the fairness premise).
 func RunPhasedBuffered(s *core.Stack[uint64], bufCap int, phases []Phase, w PhasedWorkload) (PhasedResult, error) {
-	var oracle phasedOracle
-	if w.Quality {
-		oracle = &quality.Oracle{}
-	}
 	return runPhased(func(id int) (Worker, func()) {
 		h := s.NewHandle()
 		if id >= 0 {
@@ -47,16 +43,12 @@ func RunPhasedBuffered(s *core.Stack[uint64], bufCap int, phases []Phase, w Phas
 			h.FlushOps()
 			h.FlushStats()
 		}
-	}, oracle, false, phases, w)
+	}, relax.OrderLIFO, phases, w, 0)
 }
 
 // RunPhasedQueueBuffered is RunPhasedQueue with buffered workers; see
 // RunPhasedBuffered.
 func RunPhasedQueueBuffered(q *twodqueue.Queue[uint64], bufCap int, phases []Phase, w PhasedWorkload) (PhasedResult, error) {
-	var oracle phasedOracle
-	if w.Quality {
-		oracle = &quality.FIFOOracle{}
-	}
 	return runPhased(func(id int) (Worker, func()) {
 		h := q.NewHandle()
 		if id >= 0 {
@@ -67,5 +59,5 @@ func RunPhasedQueueBuffered(q *twodqueue.Queue[uint64], bufCap int, phases []Pha
 			h.FlushOps()
 			h.FlushStats()
 		}
-	}, oracle, true, phases, w)
+	}, relax.OrderFIFO, phases, w, 0)
 }

@@ -8,7 +8,9 @@
 // The harness abstracts each algorithm behind a Factory that builds fresh
 // instances per run and per-goroutine Workers (handles), so the same runner
 // reproduces Figure 1 (relaxation sweep), Figure 2 (concurrency sweep) and
-// the ablation experiments.
+// the ablation experiments. One worker loop generates every run: Run and
+// RunQuality are one-phase runs of the phased loop behind RunPhased and its
+// siblings, and only that loop picks a structure's quality oracle.
 package harness
 
 import (
@@ -41,6 +43,11 @@ type Factory struct {
 	// K is the configured relaxation bound, or -1 when unbounded/not
 	// applicable (random, random-c2, elimination).
 	K int64
+	// Order is the discipline quality runs score against; it picks the
+	// oracle and when a push is recorded in it (see runPhased). The zero
+	// value, relax.OrderLIFO, serves every stack-shaped design, the pools
+	// included; the queue factories set relax.OrderFIFO.
+	Order relax.Ordering
 	// New builds a fresh, empty instance.
 	New func() Instance
 }

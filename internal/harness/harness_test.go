@@ -37,6 +37,8 @@ func TestWorkloadValidate(t *testing.T) {
 		{"no duration", Workload{Workers: 1}, false},
 		{"bad ratio", Workload{Workers: 1, Duration: time.Millisecond, PushRatio: 1.5}, false},
 		{"negative prefill", Workload{Workers: 1, Duration: time.Millisecond, Prefill: -1}, false},
+		{"op count without duration", Workload{Workers: 1, Ops: 10}, true},
+		{"negative op count", Workload{Workers: 1, Duration: time.Millisecond, Ops: -1}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -72,11 +74,13 @@ func TestRunRejectsBadWorkload(t *testing.T) {
 	if _, err := Run(NewTreiberFactory(), Workload{}); err == nil {
 		t.Fatal("Run accepted zero workload")
 	}
-	if _, err := RunOps(NewTreiberFactory(), Workload{}, 10); err == nil {
-		t.Fatal("RunOps accepted zero workload")
+	if _, err := Run(NewTreiberFactory(), Workload{Ops: 10}); err == nil {
+		t.Fatal("Run accepted an op-counted workload with no workers")
 	}
-	if _, err := RunOps(NewTreiberFactory(), quickWorkload(1), -1); err == nil {
-		t.Fatal("RunOps accepted negative op count")
+	w := quickWorkload(1)
+	w.Ops = -1
+	if _, err := Run(NewTreiberFactory(), w); err == nil {
+		t.Fatal("Run accepted negative op count")
 	}
 }
 
@@ -85,7 +89,9 @@ func TestRunOpsDeterministicCounts(t *testing.T) {
 	for _, f := range allFigure2Factories(p) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
-			res, err := RunOps(f, quickWorkload(p), ops)
+			w := quickWorkload(p)
+			w.Ops = ops
+			res, err := Run(f, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,9 +102,22 @@ func TestRunOpsDeterministicCounts(t *testing.T) {
 	}
 }
 
+func TestRunPinThreads(t *testing.T) {
+	// Workers locked to OS threads run the same loop: exact op counts.
+	w := quickWorkload(2)
+	w.Ops, w.PinThreads = 300, true
+	res, err := Run(NewTwoDFactory(relax.TwoDConfigForK(256, 2)), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != 2*300 {
+		t.Fatalf("Ops = %d, want %d", res.Ops, 2*300)
+	}
+}
+
 func TestRunOpsPopulationConsistent(t *testing.T) {
 	// After a deterministic run, instance population must equal
-	// prefill + pushes - successful pops. RunOps doesn't expose the
+	// prefill + pushes - successful pops. Run doesn't expose the
 	// instance, so re-verify via a dedicated run here.
 	w := quickWorkload(2)
 	f := NewTwoDFactory(relax.TwoDConfigForK(256, 2))

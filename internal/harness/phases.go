@@ -8,6 +8,7 @@ import (
 
 	"stack2d/internal/core"
 	"stack2d/internal/quality"
+	"stack2d/internal/relax"
 	"stack2d/internal/seqspec"
 	"stack2d/internal/xrand"
 )
@@ -33,9 +34,9 @@ type PhasedWorkload struct {
 	Prefill int
 	// Seed makes runs reproducible.
 	Seed uint64
-	// Quality attaches the LIFO error-distance oracle. The oracle's mutex
-	// dampens contention (as in RunQuality), so compare quality runs only
-	// with other quality runs.
+	// Quality attaches the error-distance oracle of the structure's order
+	// (LIFO for stacks, FIFO for queues). The oracle's mutex dampens
+	// contention, so compare quality runs only with other quality runs.
 	Quality bool
 	// Record collects the run's full interval history (every operation
 	// timestamped on a shared logical clock at invocation and response)
@@ -82,7 +83,7 @@ type PhaseResult struct {
 	Elapsed    time.Duration
 	Throughput float64 // ops/second over the phase
 
-	// MeanDistance is the mean LIFO error distance of pops measured during
+	// MeanDistance is the mean error distance of pops measured during
 	// this phase; MaxDistanceSoFar is the cumulative maximum at phase end
 	// (the oracle's max is monotone). Zero unless Quality was enabled.
 	MeanDistance     float64
@@ -115,8 +116,9 @@ type phaseCtl struct {
 	think     int
 }
 
-// phasedOracle is the error-distance instrument of a phased run: the LIFO
-// oracle for stacks, the FIFO oracle for queues (both in internal/quality).
+// phasedOracle is the error-distance instrument of a run: the LIFO
+// oracle for stacks, the FIFO oracle for queues (both in internal/quality),
+// picked by runPhased from the structure's order.
 type phasedOracle interface {
 	Insert(label uint64)
 	Remove(label uint64) int
@@ -127,12 +129,11 @@ type phasedOracle interface {
 // caller owns any controller attached to the stack (start it before, stop
 // it after); RunPhased itself only generates load and measures, so the
 // same function serves both the static baseline and the adaptive run in
-// cmd/adapttune.
+// cmd/adapttune. Every worker flushes its handle's counters on exit, so
+// s.StatsSnapshot() after the run is exact: a one-phase RunPhased plus
+// StatsSnapshot is the instrumented run (probes, CAS failures and window
+// moves per operation) that cmd/relaxtune reports.
 func RunPhased(s *core.Stack[uint64], phases []Phase, w PhasedWorkload) (PhasedResult, error) {
-	var oracle phasedOracle
-	if w.Quality {
-		oracle = &quality.Oracle{}
-	}
 	return runPhased(func(id int) (Worker, func()) {
 		h := s.NewHandle()
 		if id >= 0 {
@@ -142,30 +143,50 @@ func RunPhased(s *core.Stack[uint64], phases []Phase, w PhasedWorkload) (PhasedR
 			h.Pin(s.PlacementSocketFor(id))
 		}
 		return h, h.FlushStats
-	}, oracle, false, phases, w)
+	}, relax.OrderLIFO, phases, w, 0)
 }
 
-// runPhased is the shared engine behind RunPhased and RunPhasedQueue:
-// mkWorker builds one per-goroutine worker plus its end-of-run stats flush
-// (so a sampling controller sees final totals), oracle is nil when quality
-// measurement is off.
+// runPhased is the package's one worker loop: every entry point only says
+// how to build a worker and which order its structure keeps. mkWorker
+// builds one worker plus its end-of-run flush (so a sampling controller
+// sees final totals); it is called on the worker's own goroutine, with id
+// -1 for the prefill worker.
 //
-// insertFirst selects when a push is recorded in the oracle. The stack
-// records after the push completes (the paper's §4 methodology; the LIFO
-// oracle inserts at the head, so a late insert can only shrink a distance).
-// The queue must record at invocation: the FIFO oracle inserts at the tail,
-// and a pusher preempted between the structure operation and a late insert
-// lets its item be dequeued first, after which the spin-waiting Remove
-// scores it against the entire resident population — a measurement artifact
-// of queue length magnitude, not a property of the structure. Recording at
-// invocation keeps the oracle order a valid linearisation candidate (no
-// dequeue of v can precede v's record) at the cost of at most one position
-// of slack per in-flight operation — the same convention as the seqspec
-// trace tests.
-func runPhased(mkWorker func(id int) (Worker, func()), oracle phasedOracle, insertFirst bool, phases []Phase, w PhasedWorkload) (PhasedResult, error) {
+// ops > 0 makes an op-counted run (Workload.Ops): its one phase ends when
+// every worker has performed exactly ops operations, and its Duration is
+// not read. Run, the only caller that sets it, has validated its Workload.
+//
+// order alone picks the quality oracle and its record point:
+//   - FIFO: quality.FIFOOracle, an enqueue recorded at invocation. The
+//     FIFO oracle inserts at the tail, so a pusher preempted between the
+//     structure operation and a late insert would let its item be dequeued
+//     first, after which the spin-waiting Remove scores it against the
+//     entire resident population — a measurement artifact of queue length
+//     magnitude, not a property of the structure. Recording at invocation
+//     keeps the oracle order a valid linearisation candidate (no dequeue of
+//     v can precede v's record) at the cost of at most one position of
+//     slack per in-flight operation — the same convention as the seqspec
+//     trace tests.
+//   - LIFO, and the pools, which the paper scores by LIFO distance too:
+//     quality.Oracle, a push recorded after it completes (the paper's §4
+//     methodology; the LIFO oracle inserts at the head, so a late insert
+//     can only shrink a distance).
+func runPhased(mkWorker func(id int) (Worker, func()), order relax.Ordering, phases []Phase, w PhasedWorkload, ops int) (PhasedResult, error) {
 	var out PhasedResult
-	if err := w.Validate(phases); err != nil {
-		return out, err
+	if ops == 0 {
+		if err := w.Validate(phases); err != nil {
+			return out, err
+		}
+	}
+
+	var oracle phasedOracle
+	insertFirst := order == relax.OrderFIFO
+	if w.Quality {
+		if insertFirst {
+			oracle = &quality.FIFOOracle{}
+		} else {
+			oracle = &quality.Oracle{}
+		}
 	}
 
 	var rec *seqspec.Recorder
@@ -192,7 +213,10 @@ func runPhased(mkWorker func(id int) (Worker, func()), oracle phasedOracle, inse
 	type counters struct {
 		pushes, pops, empty uint64
 	}
-	// perW[worker][phase]
+	// perW[worker][phase]. A worker counts in goroutine-local variables and
+	// writes its row only when it leaves a phase, so no counter shares a
+	// cache line with another worker's while the run is hot; the
+	// coordinator reads the rows after every worker has exited.
 	perW := make([][]counters, w.MaxWorkers)
 	for i := range perW {
 		perW[i] = make([]counters, len(phases))
@@ -208,20 +232,26 @@ func runPhased(mkWorker func(id int) (Worker, func()), oracle phasedOracle, inse
 			defer wg.Done()
 			worker, flush := mkWorker(id)
 			rng := xrand.New(w.Seed + uint64(id)*0x9e3779b97f4a7c15 + 1)
+			// Unique labels: worker id in the high bits, counter below;
+			// offset past the prefill range.
 			label := uint64(id+1)<<40 | uint64(w.Prefill)
+			var c counters
+			cur := 0
 			var sink uint64
 			<-start
-			for {
+			for n := 0; ops == 0 || n < ops; n++ {
 				p := ctl.Load()
-				if p.idx < 0 {
-					break
+				if p.idx != cur {
+					if p.idx < 0 {
+						break
+					}
+					perW[id][cur], c, cur = c, counters{}, p.idx
 				}
 				if id >= p.workers {
 					// Benched this phase; stay parked until the shape changes.
 					time.Sleep(50 * time.Microsecond)
 					continue
 				}
-				c := &perW[id][p.idx]
 				if rng.Float64() < p.pushRatio {
 					label++
 					if oracle != nil && insertFirst {
@@ -258,6 +288,7 @@ func runPhased(mkWorker func(id int) (Worker, func()), oracle phasedOracle, inse
 					sink = think(p.think, sink)
 				}
 			}
+			perW[id][cur] = c
 			_ = sink
 			flush()
 		}(i)
@@ -274,7 +305,11 @@ func runPhased(mkWorker func(id int) (Worker, func()), oracle phasedOracle, inse
 			ctl.Store(&phaseCtl{idx: i, workers: p.Workers, pushRatio: p.PushRatio, think: p.ThinkSpin})
 		}
 		began := time.Now()
-		time.Sleep(p.Duration)
+		if ops > 0 {
+			wg.Wait()
+		} else {
+			time.Sleep(p.Duration)
+		}
 		var q quality.Stats
 		if oracle != nil {
 			q = oracle.Snapshot()

@@ -130,3 +130,56 @@ func TestRunPhasedWithController(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The instrumented run: a one-phase RunPhased over a core.Stack, whose
+// StatsSnapshot afterwards holds every worker's flushed work counters.
+func instrumented(t *testing.T, cfg core.Config, p int, d time.Duration) (PhasedResult, core.OpStats) {
+	t.Helper()
+	s := core.MustNew[uint64](cfg)
+	res, err := RunPhased(s, []Phase{{Name: "run", Duration: d, Workers: p, PushRatio: 0.5}},
+		PhasedWorkload{MaxWorkers: p, Prefill: 1024, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, s.StatsSnapshot()
+}
+
+func TestRunInstrumentedCountsWork(t *testing.T) {
+	res, st := instrumented(t, core.DefaultConfig(2), 2, 30*time.Millisecond)
+	ph := res.Phases[0]
+	if ph.Ops == 0 {
+		t.Fatal("no operations")
+	}
+	if st.Probes < st.Ops() {
+		t.Fatalf("Probes (%d) < ops (%d): every op validates at least one sub-stack",
+			st.Probes, st.Ops())
+	}
+	// Every handle flushed on exit, so the snapshot is exact: the run's
+	// counts plus the 1024 prefill pushes.
+	if st.Pushes != ph.Pushes+1024 || st.Pops != ph.Pops || st.EmptyPops != ph.EmptyPops {
+		t.Fatalf("stats %d/%d/%d pushes/pops/empty, run counted %d(+1024)/%d/%d",
+			st.Pushes, st.Pops, st.EmptyPops, ph.Pushes, ph.Pops, ph.EmptyPops)
+	}
+	if ph.Throughput <= 0 {
+		t.Fatal("zero throughput")
+	}
+}
+
+func TestRunInstrumentedValidates(t *testing.T) {
+	if _, err := core.New[uint64](core.Config{}); err == nil {
+		t.Fatal("invalid config accepted")
+	}
+	s := core.MustNew[uint64](core.DefaultConfig(1))
+	if _, err := RunPhased(s, []Phase{{Name: "run", Workers: 1}}, PhasedWorkload{MaxWorkers: 1}); err == nil {
+		t.Fatal("invalid workload accepted")
+	}
+}
+
+func TestRunInstrumentedTightSearch(t *testing.T) {
+	// At the default operating point with few workers, the empirical step
+	// count must stay near 1 probe/op (the paper's tight-bound claim).
+	_, st := instrumented(t, core.DefaultConfig(4), 4, 40*time.Millisecond)
+	if ppo := st.ProbesPerOp(); ppo > 4 {
+		t.Fatalf("ProbesPerOp = %.2f, want near 1 at the default config", ppo)
+	}
+}

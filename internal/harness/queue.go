@@ -2,13 +2,14 @@ package harness
 
 import (
 	"stack2d/internal/msqueue"
-	"stack2d/internal/quality"
+	"stack2d/internal/relax"
 	"stack2d/internal/twodqueue"
 )
 
 // Queue adapters: the harness drives queues through the same Worker
 // interface (Push = Enqueue, Pop = Dequeue), so the extension experiments
-// (EXPERIMENTS.md §Extensions) reuse the stack methodology unchanged.
+// (EXPERIMENTS.md §Extensions) reuse the stack methodology unchanged; a
+// queue factory's FIFO order gives its quality runs the FIFO oracle.
 
 type twoDQueueInstance struct{ q *twodqueue.Queue[uint64] }
 
@@ -23,9 +24,10 @@ func (w queueHandleWorker) Pop() (uint64, bool) { return w.h.Dequeue() }
 // NewTwoDQueueFactory wraps a 2D-Queue configuration for the harness.
 func NewTwoDQueueFactory(cfg twodqueue.Config) Factory {
 	return Factory{
-		Name: "2D-queue",
-		K:    cfg.K(),
-		New:  func() Instance { return twoDQueueInstance{twodqueue.MustNew[uint64](cfg)} },
+		Name:  "2D-queue",
+		K:     cfg.K(),
+		Order: relax.OrderFIFO,
+		New:   func() Instance { return twoDQueueInstance{twodqueue.MustNew[uint64](cfg)} },
 	}
 }
 
@@ -42,9 +44,10 @@ func (w msQueueWorker) Pop() (uint64, bool) { return w.q.Dequeue() }
 // NewMSQueueFactory wraps the strict Michael–Scott baseline (k = 0).
 func NewMSQueueFactory() Factory {
 	return Factory{
-		Name: "ms-queue",
-		K:    0,
-		New:  func() Instance { return msQueueInstance{msqueue.New[uint64]()} },
+		Name:  "ms-queue",
+		K:     0,
+		Order: relax.OrderFIFO,
+		New:   func() Instance { return msQueueInstance{msqueue.New[uint64]()} },
 	}
 }
 
@@ -55,10 +58,6 @@ func NewMSQueueFactory() Factory {
 // serves both the static baseline and the adaptive run in
 // cmd/adapttune -queue.
 func RunPhasedQueue(q *twodqueue.Queue[uint64], phases []Phase, w PhasedWorkload) (PhasedResult, error) {
-	var oracle phasedOracle
-	if w.Quality {
-		oracle = &quality.FIFOOracle{}
-	}
 	return runPhased(func(id int) (Worker, func()) {
 		h := q.NewHandle()
 		if id >= 0 {
@@ -67,5 +66,5 @@ func RunPhasedQueue(q *twodqueue.Queue[uint64], phases []Phase, w PhasedWorkload
 			h.Pin(q.PlacementSocketFor(id))
 		}
 		return queueHandleWorker{h}, h.FlushStats
-	}, oracle, true, phases, w)
+	}, relax.OrderFIFO, phases, w, 0)
 }

@@ -3,13 +3,9 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"stack2d/internal/quality"
-	"stack2d/internal/stats"
-	"stack2d/internal/xrand"
 )
 
 // Workload describes one experiment run, mirroring the paper's setup.
@@ -18,6 +14,11 @@ type Workload struct {
 	Workers int
 	// Duration is the timed phase length (the paper runs 5 s).
 	Duration time.Duration
+	// Ops, when positive, replaces the timer: each worker performs exactly
+	// Ops operations and the run ends when every worker has (Duration is
+	// then not read). Tests use it for counts that do not depend on
+	// scheduling.
+	Ops int
 	// PushRatio is the probability an operation is a Push; the paper uses
 	// 0.5 ("operations selected uniformly at random from Pop and Push").
 	PushRatio float64
@@ -36,11 +37,6 @@ type Workload struct {
 	// operations"); the full version explores non-zero loads, which dilute
 	// contention.
 	ThinkSpin int
-	// SplitRoles dedicates half the workers (rounding up) to pushing and
-	// the rest to popping — the producer/consumer pattern under which
-	// elimination thrives and window maintenance is one-directional.
-	// PushRatio is ignored for role-split runs.
-	SplitRoles bool
 }
 
 // think burns the configured computational load; the result is returned so
@@ -57,7 +53,9 @@ func (w Workload) Validate() error {
 	switch {
 	case w.Workers < 1:
 		return fmt.Errorf("harness: Workers must be >= 1, got %d", w.Workers)
-	case w.Duration <= 0:
+	case w.Ops < 0:
+		return fmt.Errorf("harness: Ops must be >= 0, got %d", w.Ops)
+	case w.Ops == 0 && w.Duration <= 0:
 		return fmt.Errorf("harness: Duration must be positive, got %v", w.Duration)
 	case w.PushRatio < 0 || w.PushRatio > 1:
 		return fmt.Errorf("harness: PushRatio must be in [0,1], got %g", w.PushRatio)
@@ -81,242 +79,45 @@ func DefaultWorkload(p int) Workload {
 	}
 }
 
-// Result summarises one run.
+// Result summarises one run: its one phase's counts and throughput, plus
+// the error-distance distribution when measured (RunQuality).
 type Result struct {
-	Ops        uint64        // completed operations (pushes + pops)
-	Pushes     uint64        // completed pushes
-	Pops       uint64        // pops returning a value
-	EmptyPops  uint64        // pops reporting empty
-	Elapsed    time.Duration // measured wall time of the timed phase
-	Throughput float64       // Ops per second
-	Quality    quality.Stats // zero unless measured (RunQuality)
-
-	// LatencyP50/P99 are sampled per-operation latencies (1 op in 256 is
-	// timed); zero when too few samples were collected.
-	LatencyP50 time.Duration
-	LatencyP99 time.Duration
+	PhaseResult
+	Quality quality.Stats
 }
 
-// oracle abstracts the two error-distance instruments (LIFO side-list for
-// stacks, FIFO side-list for the queue extension).
-type oracle interface {
-	Insert(label uint64)
-	Remove(label uint64) int
-	Snapshot() quality.Stats
-}
-
-// Run executes one throughput run: prefill, then P workers hammer the stack
-// for the configured duration.
+// Run executes one throughput run: prefill, then P workers hammer the
+// structure for the configured duration (or op count).
 func Run(f Factory, w Workload) (Result, error) {
-	return run(f, w, nil)
+	return runFactory(f, w, false)
 }
 
-// RunQuality executes one run with the LIFO error-distance oracle
-// attached. Oracle maintenance serialises briefly on a mutex per
-// operation, so throughput from a quality run underestimates the
-// unobserved system; the paper likewise measures the two in dedicated
-// runs.
+// RunQuality executes one run with the error-distance oracle of the
+// factory's order attached (see runPhased). Oracle maintenance serialises
+// briefly on a mutex per operation, so throughput from a quality run
+// underestimates the unobserved system; the paper likewise measures the
+// two in dedicated runs.
 func RunQuality(f Factory, w Workload) (Result, error) {
-	return run(f, w, &quality.Oracle{})
+	return runFactory(f, w, true)
 }
 
-// RunQueueQuality is RunQuality with the FIFO oracle, for the 2D-Queue
-// extension experiments (Push = enqueue, Pop = dequeue).
-func RunQueueQuality(f Factory, w Workload) (Result, error) {
-	return run(f, w, &quality.FIFOOracle{})
-}
-
-func run(f Factory, w Workload, oracle oracle) (Result, error) {
+// runFactory runs w as the one phase of a phased run on a fresh instance.
+func runFactory(f Factory, w Workload, withQuality bool) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
 	}
 	inst := f.New()
-
-	// Prefill with unique labels; worker labels start above this range.
-	pre := inst.NewWorker()
-	for i := 0; i < w.Prefill; i++ {
-		label := uint64(i) + 1
-		pre.Push(label)
-		if oracle != nil {
-			oracle.Insert(label)
+	phase := Phase{Name: f.Name, Duration: w.Duration, Workers: w.Workers, PushRatio: w.PushRatio, ThinkSpin: w.ThinkSpin}
+	pw := PhasedWorkload{MaxWorkers: w.Workers, Prefill: w.Prefill, Seed: w.Seed, Quality: withQuality}
+	res, err := runPhased(func(id int) (Worker, func()) {
+		if w.PinThreads && id >= 0 {
+			runtime.LockOSThread()
+			return inst.NewWorker(), runtime.UnlockOSThread
 		}
-	}
-
-	type counters struct {
-		pushes, pops, empty uint64
-	}
-	perW := make([]counters, w.Workers)
-
-	var latMu sync.Mutex
-	var latencies []time.Duration
-
-	var stop atomic.Bool
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < w.Workers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if w.PinThreads {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
-			worker := inst.NewWorker()
-			rng := xrand.New(w.Seed + uint64(id)*0x9e3779b97f4a7c15 + 1)
-			// Unique labels: worker id in the high bits, counter below;
-			// offset past the prefill range.
-			label := uint64(id+1)<<40 | uint64(w.Prefill)
-			var c counters
-			var sink uint64
-			var lat []time.Duration
-			opCount := 0
-			isPusher := id < (w.Workers+1)/2
-			<-start
-			for !stop.Load() {
-				opCount++
-				var opBegan time.Time
-				timed := opCount&255 == 0
-				if timed {
-					opBegan = time.Now()
-				}
-				push := rng.Float64() < w.PushRatio
-				if w.SplitRoles {
-					push = isPusher
-				}
-				if push {
-					label++
-					worker.Push(label)
-					if oracle != nil {
-						oracle.Insert(label)
-					}
-					c.pushes++
-				} else {
-					v, ok := worker.Pop()
-					if ok {
-						if oracle != nil {
-							oracle.Remove(v)
-						}
-						c.pops++
-					} else {
-						c.empty++
-					}
-				}
-				if timed {
-					lat = append(lat, time.Since(opBegan))
-				}
-				if w.ThinkSpin > 0 {
-					sink = think(w.ThinkSpin, sink)
-				}
-			}
-			_ = sink
-			perW[id] = c
-			latMu.Lock()
-			latencies = append(latencies, lat...)
-			latMu.Unlock()
-		}(i)
-	}
-
-	began := time.Now()
-	close(start)
-	time.Sleep(w.Duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(began)
-
-	var res Result
-	for _, c := range perW {
-		res.Pushes += c.pushes
-		res.Pops += c.pops
-		res.EmptyPops += c.empty
-	}
-	res.Ops = res.Pushes + res.Pops + res.EmptyPops
-	res.Elapsed = elapsed
-	res.Throughput = float64(res.Ops) / elapsed.Seconds()
-	if oracle != nil {
-		res.Quality = oracle.Snapshot()
-	}
-	if len(latencies) >= 8 {
-		xs := make([]float64, len(latencies))
-		for i, d := range latencies {
-			xs[i] = float64(d)
-		}
-		res.LatencyP50 = time.Duration(stats.Percentile(xs, 50))
-		res.LatencyP99 = time.Duration(stats.Percentile(xs, 99))
-	}
-	return res, nil
-}
-
-// RunOps executes a deterministic fixed-operation-count run (no timer),
-// used by tests: each worker performs opsPerWorker operations. It returns
-// the aggregated result (Throughput still populated from wall time).
-func RunOps(f Factory, w Workload, opsPerWorker int) (Result, error) {
-	if err := w.Validate(); err != nil {
+		return inst.NewWorker(), func() {}
+	}, f.Order, []Phase{phase}, pw, w.Ops)
+	if err != nil {
 		return Result{}, err
 	}
-	if opsPerWorker < 0 {
-		return Result{}, fmt.Errorf("harness: opsPerWorker must be >= 0, got %d", opsPerWorker)
-	}
-	inst := f.New()
-	pre := inst.NewWorker()
-	for i := 0; i < w.Prefill; i++ {
-		pre.Push(uint64(i) + 1)
-	}
-	type counters struct {
-		pushes, pops, empty uint64
-	}
-	perW := make([]counters, w.Workers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < w.Workers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			worker := inst.NewWorker()
-			rng := xrand.New(w.Seed + uint64(id)*0x9e3779b97f4a7c15 + 1)
-			label := uint64(id+1)<<40 | uint64(w.Prefill)
-			var c counters
-			var sink uint64
-			isPusher := id < (w.Workers+1)/2
-			<-start
-			for n := 0; n < opsPerWorker; n++ {
-				push := rng.Float64() < w.PushRatio
-				if w.SplitRoles {
-					push = isPusher
-				}
-				if push {
-					label++
-					worker.Push(label)
-					c.pushes++
-				} else {
-					if _, ok := worker.Pop(); ok {
-						c.pops++
-					} else {
-						c.empty++
-					}
-				}
-				if w.ThinkSpin > 0 {
-					sink = think(w.ThinkSpin, sink)
-				}
-			}
-			_ = sink
-			perW[id] = c
-		}(i)
-	}
-	began := time.Now()
-	close(start)
-	wg.Wait()
-	elapsed := time.Since(began)
-
-	var res Result
-	for _, c := range perW {
-		res.Pushes += c.pushes
-		res.Pops += c.pops
-		res.EmptyPops += c.empty
-	}
-	res.Ops = res.Pushes + res.Pops + res.EmptyPops
-	res.Elapsed = elapsed
-	if sec := elapsed.Seconds(); sec > 0 {
-		res.Throughput = float64(res.Ops) / sec
-	}
-	return res, nil
+	return Result{PhaseResult: res.Phases[0], Quality: res.Quality}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"stack2d/internal/core"
+	"stack2d/internal/elimination"
 	"stack2d/internal/relax"
 	"stack2d/internal/stats"
 )
@@ -31,9 +33,10 @@ type SweepConfig struct {
 	Progress io.Writer
 }
 
-// measure runs Repeats throughput runs plus an optional quality run for one
-// factory/workload pair.
-func measure(f Factory, w Workload, sc SweepConfig) (Point, error) {
+// Measure runs sc.Repeats throughput runs of f under w, stepping the seed
+// per repeat, plus one quality run when sc.Quality is set (its oracle
+// follows f.Order). Every sweep's points come from here.
+func Measure(f Factory, w Workload, sc SweepConfig) (Point, error) {
 	pt := Point{K: f.K}
 	xs := make([]float64, 0, sc.Repeats)
 	for r := 0; r < sc.Repeats; r++ {
@@ -76,7 +79,7 @@ func Figure1Sweep(ks []int64, sc SweepConfig) ([]Point, error) {
 	for _, alg := range relax.Figure1Algorithms() {
 		for _, k := range ks {
 			f := Figure1Factory(alg, k, p)
-			pt, err := measure(f, sc.Workload, sc)
+			pt, err := Measure(f, sc.Workload, sc)
 			if err != nil {
 				return nil, fmt.Errorf("figure1 %v k=%d: %w", alg, k, err)
 			}
@@ -107,7 +110,7 @@ func Figure2Sweep(ps []int, sc SweepConfig) ([]Point, error) {
 			f := Figure2Factory(alg, p)
 			w := sc.Workload
 			w.Workers = p
-			pt, err := measure(f, w, sc)
+			pt, err := Measure(f, w, sc)
 			if err != nil {
 				return nil, fmt.Errorf("figure2 %v p=%d: %w", alg, p, err)
 			}
@@ -125,6 +128,77 @@ func progress(sc SweepConfig, format string, args ...any) {
 	if sc.Progress != nil {
 		fmt.Fprintf(sc.Progress, format, args...)
 	}
+}
+
+// AblationCase is one configuration of an ablation sweep.
+type AblationCase struct {
+	Label     string
+	Factory   Factory
+	PushRatio float64
+}
+
+// AblationNames lists the ablations of EXPERIMENTS.md in order:
+//   - hop (A1): the paper's hybrid hop policy, random probes then
+//     round-robin, against the pure policies;
+//   - depth (A2): the vertical dimension at fixed width, trading locality
+//     against relaxation;
+//   - shift (A3): the window step at fixed width and depth; smaller shifts
+//     move the window more often but keep relaxation tighter;
+//   - width (A4): the width multiplier, for the "width = 4P is the
+//     optimum" claim;
+//   - asym (A5): asymmetric push/pop mixes, where elimination's pairing
+//     opportunity collapses while the 2D-Stack's window keeps absorbing
+//     the imbalance.
+func AblationNames() []string {
+	return []string{"hop", "depth", "shift", "width", "asym"}
+}
+
+// AblationCases returns the cases of the named ablation at p threads, the
+// one table both stackbench -ablation and BenchmarkAblation run. Every
+// case but A5's runs the paper's 50/50 mix.
+func AblationCases(name string, p int) ([]AblationCase, error) {
+	base := core.DefaultConfig(p)
+	twoD := func(label string, cfg core.Config) AblationCase {
+		return AblationCase{Label: label, Factory: NewTwoDFactory(cfg), PushRatio: 0.5}
+	}
+	var cases []AblationCase
+	switch name {
+	case "hop":
+		for _, c := range []struct {
+			label string
+			hops  int
+		}{{"round-robin-only", 0}, {"hybrid-paper(2)", 2}, {"random-heavy", base.Width}} { // random-heavy: effectively random-only
+			cfg := base
+			cfg.RandomHops = c.hops
+			cases = append(cases, twoD(c.label, cfg))
+		}
+	case "depth":
+		for _, d := range []int64{1, 4, 16, 64, 256} {
+			cases = append(cases, twoD(fmt.Sprintf("depth=%d", d), core.Config{Width: base.Width, Depth: d, Shift: d, RandomHops: 2}))
+		}
+	case "shift":
+		for _, s := range []int64{1, 16, 32, 64} {
+			cases = append(cases, twoD(fmt.Sprintf("shift=%d", s), core.Config{Width: base.Width, Depth: 64, Shift: s, RandomHops: 2}))
+		}
+	case "width":
+		for _, m := range []int{1, 2, 4, 8} {
+			cases = append(cases, twoD(fmt.Sprintf("width=%dP", m), core.Config{Width: m * p, Depth: 64, Shift: 64, RandomHops: 2}))
+		}
+	case "asym":
+		for _, r := range []struct {
+			label string
+			push  float64
+		}{{"push80", 0.8}, {"sym50", 0.5}, {"pop80", 0.2}} {
+			cases = append(cases,
+				AblationCase{Label: "2D-stack/" + r.label, Factory: NewTwoDFactory(base), PushRatio: r.push},
+				AblationCase{Label: "elimination/" + r.label, Factory: NewEliminationFactory(elimination.DefaultConfig(p)), PushRatio: r.push},
+				AblationCase{Label: "treiber/" + r.label, Factory: NewTreiberFactory(), PushRatio: r.push},
+			)
+		}
+	default:
+		return nil, fmt.Errorf("unknown ablation %q (want hop, depth, shift, width or asym)", name)
+	}
+	return cases, nil
 }
 
 // RenderPoints formats sweep results as the textual equivalent of a figure:
