@@ -7,6 +7,7 @@
 //
 //	qualitytrace -alg 2d|k-segment|k-robin|random|random-c2|elimination|treiber \
 //	             [-k 1024] [-threads 8] [-duration 500ms]
+//	qualitytrace -fifo -alg 2d|ms-queue [-k 1024] [-threads 8] [-duration 500ms]
 package main
 
 import (
@@ -19,14 +20,13 @@ import (
 	"stack2d/internal/harness"
 	"stack2d/internal/relax"
 	"stack2d/internal/stats"
-	"stack2d/internal/twodqueue"
 )
 
 func main() {
 	var (
 		alg      = flag.String("alg", "2d", "algorithm: 2d, k-segment, k-robin, random, random-c2, elimination, treiber; or with -fifo: 2d-queue, ms-queue")
 		fifo     = flag.Bool("fifo", false, "measure FIFO error of the queue extension instead")
-		k        = flag.Int64("k", 1024, "relaxation budget for k-bounded algorithms")
+		k        = flag.Int64("k", 1024, "relaxation budget for k-bounded algorithms (the 2D-Queue too)")
 		threads  = flag.Int("threads", 8, "thread count P")
 		duration = flag.Duration("duration", 500*time.Millisecond, "run duration")
 		prefill  = flag.Int("prefill", 32768, "initial stack population")
@@ -41,29 +41,10 @@ func main() {
 		Seed:      1,
 	}
 
-	var f harness.Factory
-	if *fifo {
-		switch strings.ToLower(*alg) {
-		case "2d", "2d-queue", "2dqueue":
-			cfg := twodqueue.DefaultConfig(*threads)
-			f = harness.NewTwoDQueueFactory(cfg)
-		case "ms-queue", "msqueue", "strict":
-			f = harness.NewMSQueueFactory()
-		default:
-			fmt.Fprintf(os.Stderr, "qualitytrace: unknown queue %q\n", *alg)
-			os.Exit(2)
-		}
-	} else {
-		algorithm, perr := parseAlgorithm(*alg)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "qualitytrace:", perr)
-			os.Exit(2)
-		}
-		if algorithm.KConfigurable() {
-			f = harness.Figure1Factory(algorithm, *k, *threads)
-		} else {
-			f = harness.Figure2Factory(algorithm, *threads)
-		}
+	f, err := factory(*alg, *fifo, *k, *threads)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "qualitytrace:", err)
+		os.Exit(2)
 	}
 	res, err := harness.RunQuality(f, w)
 	if err != nil {
@@ -105,6 +86,30 @@ func main() {
 		tb.AddRow(label, fmt.Sprintf("%d", n), fmt.Sprintf("%5.1f%%", 100*float64(n)/total))
 	}
 	fmt.Println(tb.String())
+}
+
+// factory picks the structure to measure. k sizes every k-bounded one,
+// the 2D-Queue included (the geometry relax.TwoDConfigForK gives the
+// 2D-Stack for the same k and P, as NewQueue(WithRelaxation(k)) builds).
+func factory(alg string, fifo bool, k int64, threads int) (harness.Factory, error) {
+	if fifo {
+		switch strings.ToLower(alg) {
+		case "2d", "2d-queue", "2dqueue":
+			return harness.NewTwoDQueueFactory(relax.TwoDConfigForK(k, threads)), nil
+		case "ms-queue", "msqueue", "strict":
+			return harness.NewMSQueueFactory(), nil
+		default:
+			return harness.Factory{}, fmt.Errorf("unknown queue %q", alg)
+		}
+	}
+	algorithm, err := parseAlgorithm(alg)
+	if err != nil {
+		return harness.Factory{}, err
+	}
+	if algorithm.KConfigurable() {
+		return harness.Figure1Factory(algorithm, k, threads), nil
+	}
+	return harness.Figure2Factory(algorithm, threads), nil
 }
 
 func parseAlgorithm(s string) (relax.Algorithm, error) {

@@ -36,3 +36,29 @@ func TestParseAlgorithm(t *testing.T) {
 		}
 	}
 }
+
+// TestFactorySizesQueueByK checks that -k sizes the 2D-Queue under -fifo:
+// a small and a large budget build different geometries, each within its
+// budget.
+func TestFactorySizesQueueByK(t *testing.T) {
+	var bounds []int64
+	for _, k := range []int64{8, 100000} {
+		f, err := factory("2d", true, k, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.K <= 0 || f.K > k {
+			t.Errorf("-fifo -k %d built K() = %d, want in (0, %d]", k, f.K, k)
+		}
+		bounds = append(bounds, f.K)
+	}
+	if bounds[0] == bounds[1] {
+		t.Errorf("-k 8 and -k 100000 built the same geometry (K() = %d)", bounds[0])
+	}
+	if f, err := factory("ms-queue", true, 8, 2); err != nil || f.K != 0 {
+		t.Errorf("ms-queue factory = (K %d, err %v), want (0, nil)", f.K, err)
+	}
+	if _, err := factory("nope", true, 8, 2); err == nil {
+		t.Error("unknown queue accepted")
+	}
+}

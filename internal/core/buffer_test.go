@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 	"unsafe"
 
 	"stack2d/internal/pad"
+	"stack2d/internal/xrand"
 )
 
 // TestLatencySampleStridePinned pins the 1-in-64 sampling stride against
@@ -96,6 +98,47 @@ func TestSharedCountersSeqlockConsistency(t *testing.T) {
 			t.Fatalf("torn snapshot: Pushes=%d Pops=%d (want Pushes == 2*Pops)", out.Pushes, out.Pops)
 		}
 	}
+}
+
+// TestSharedCountersStoreRoundTrip pins the changed-only publish: Store
+// writes a field only when its published value differs, so every field a
+// flush moved must still read back. A random walk of increments over all
+// 45 fields, a step that moves one latency bucket alone, and a
+// ResetStats-style drop of every field to zero each Load exactly what was
+// stored.
+func TestSharedCountersStoreRoundTrip(t *testing.T) {
+	var c SharedCounters
+	var st OpStats
+	fields := []*uint64{&st.Pushes, &st.Pops, &st.EmptyPops, &st.Probes, &st.RandomHops,
+		&st.CASFailures, &st.WindowRaises, &st.WindowLowers, &st.Restarts}
+	for i := range st.SocketCAS {
+		fields = append(fields, &st.SocketCAS[i])
+	}
+	for i := range st.Latency {
+		fields = append(fields, &st.Latency[i])
+	}
+	roundTrip := func(step string) {
+		t.Helper()
+		c.Store(st)
+		if got := c.Load(); got != st {
+			t.Fatalf("%s: Load = %+v, want %+v", step, got, st)
+		}
+	}
+	rng := xrand.New(1)
+	walk := func(phase string) {
+		for i := 0; i < 2000; i++ {
+			for n := rng.Intn(4); n >= 0; n-- {
+				*fields[rng.Intn(len(fields))] += 1 + uint64(rng.Intn(64))
+			}
+			roundTrip(fmt.Sprintf("%s step %d", phase, i))
+		}
+	}
+	walk("walk")
+	st.Latency[LatencyBucket(300*time.Nanosecond)]++
+	roundTrip("one latency bucket")
+	st = OpStats{}
+	roundTrip("reset")
+	walk("walk after reset")
 }
 
 // TestOpBufferSemantics covers the buffer's contract: LIFO elision of

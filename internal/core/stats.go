@@ -242,13 +242,15 @@ const statsFlushInterval = 64
 // ops), so a size that is not line-aligned would let two handles' flush
 // lines overlap and turn every 64-op flush into cross-core invalidation
 // traffic — false sharing on exactly the slots the audit exists to keep
-// private. TestSharedCountersPadded pins the size.
+// private. TestSharedCountersPadded pins the size. A flush stores only
+// the fields that changed since the last one (Store), so a line whose
+// counters did not move stays clean and shared with its readers.
 //
 // residents sits outside the seqlock: the handle's op-buffer resident
 // count, stored by the owner after every buffer mutation (one store per
-// buffered operation, on the mirror's last line, which every flush writes
-// anyway) and read by Window.BufferedItems and, once the handle is
-// collected, by Window.AbandonedItems.
+// buffered operation, on the mirror's last line) and read by
+// Window.BufferedItems and, once the handle is collected, by
+// Window.AbandonedItems.
 type SharedCounters struct {
 	gen                                  atomic.Uint64
 	pushes, pops, emptyPops              atomic.Uint64
@@ -260,24 +262,38 @@ type SharedCounters struct {
 	_                                    [8]byte // pad to a cache-line multiple (384 B)
 }
 
+// Store publishes st, writing only the fields whose published value
+// differs: the owner is the mirror's only writer, so a load of its own
+// field is exact, and between two flushes most of the 45 fields (idle
+// socket slots, latency buckets no sample fell into, counters of paths
+// not taken) have not moved. A flush then makes a handful of fenced
+// stores instead of one per field.
 func (c *SharedCounters) Store(st OpStats) {
 	c.gen.Add(1) // odd: flush in progress
-	c.pushes.Store(st.Pushes)
-	c.pops.Store(st.Pops)
-	c.emptyPops.Store(st.EmptyPops)
-	c.probes.Store(st.Probes)
-	c.randomHops.Store(st.RandomHops)
-	c.casFailures.Store(st.CASFailures)
-	c.windowRaises.Store(st.WindowRaises)
-	c.windowLowers.Store(st.WindowLowers)
-	c.restarts.Store(st.Restarts)
+	storeChanged(&c.pushes, st.Pushes)
+	storeChanged(&c.pops, st.Pops)
+	storeChanged(&c.emptyPops, st.EmptyPops)
+	storeChanged(&c.probes, st.Probes)
+	storeChanged(&c.randomHops, st.RandomHops)
+	storeChanged(&c.casFailures, st.CASFailures)
+	storeChanged(&c.windowRaises, st.WindowRaises)
+	storeChanged(&c.windowLowers, st.WindowLowers)
+	storeChanged(&c.restarts, st.Restarts)
 	for i := range c.socketCAS {
-		c.socketCAS[i].Store(st.SocketCAS[i])
+		storeChanged(&c.socketCAS[i], st.SocketCAS[i])
 	}
 	for i := range c.latency {
-		c.latency[i].Store(st.Latency[i])
+		storeChanged(&c.latency[i], st.Latency[i])
 	}
 	c.gen.Add(1) // even: consistent
+}
+
+// storeChanged stores v into a single-writer field unless it already
+// holds v.
+func storeChanged(a *atomic.Uint64, v uint64) {
+	if a.Load() != v {
+		a.Store(v)
+	}
 }
 
 func (c *SharedCounters) Load() OpStats {

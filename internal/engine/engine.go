@@ -11,6 +11,9 @@
 // pinned ones finish), then the residual items migrate to the incoming
 // backend in pop order and the new slot publishes atomically. Callers
 // observe at most a brief stall, never an error and never a lost item.
+// The pin is a reader indicator striped over padded counters, which
+// handles are dealt round-robin, so handles on different stripes write no
+// common line (DESIGN.md §9).
 //
 // # Semantics accounting
 //
@@ -30,11 +33,13 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"stack2d/internal/core"
+	"stack2d/internal/pad"
 	"stack2d/internal/relax"
 	"stack2d/internal/yield"
 )
@@ -52,10 +57,12 @@ type SwapRecord struct {
 	FromK, ToK   int64
 }
 
-// slot is one registered backend plus its epoch-pinning state.
+// slot is one registered backend plus its epoch-pinning state. pins holds
+// one padded counter per stripe: a handle pins and unpins only its own
+// stripe, so a slot's pinned total is the sum over the stripes.
 type slot[T any] struct {
 	b        relax.Backend[T]
-	pins     atomic.Int64
+	pins     []pad.Int64Line
 	draining atomic.Bool
 }
 
@@ -72,6 +79,11 @@ type Switcher[T any] struct {
 	swaps  []SwapRecord
 	onSwap func(SwapRecord)
 
+	// stripes is every slot's pin-stripe count, a power of two;
+	// nextStripe deals the stripes to handles round-robin.
+	stripes    int
+	nextStripe atomic.Uint64
+
 	active atomic.Pointer[slot[T]]
 	disp   atomic.Int64
 	maxK   atomic.Int64
@@ -80,7 +92,14 @@ type Switcher[T any] struct {
 // New builds a switcher with initial as the active backend. The initial
 // backend fixes the switcher's ordering (LIFO or FIFO); like every
 // registered backend it must have a deterministic bound (KBound >= 0).
+// Every slot's pin is striped over the smallest power of two at least
+// GOMAXPROCS, read once here.
 func New[T any](initial relax.Backend[T]) (*Switcher[T], error) {
+	return newStriped(initial, 1<<bits.Len(uint(runtime.GOMAXPROCS(0)-1)))
+}
+
+// newStriped is New with the stripe count (a power of two) given.
+func newStriped[T any](initial relax.Backend[T], stripes int) (*Switcher[T], error) {
 	ord := initial.Algorithm().Ordering()
 	if ord == relax.OrderNone {
 		return nil, fmt.Errorf("engine: %v has pool semantics; a switcher needs an ordering to preserve", initial.Algorithm())
@@ -88,8 +107,8 @@ func New[T any](initial relax.Backend[T]) (*Switcher[T], error) {
 	if initial.KBound() < 0 {
 		return nil, fmt.Errorf("engine: %v has no deterministic bound", initial.Algorithm())
 	}
-	sw := &Switcher[T]{ordering: ord, byName: map[string]*slot[T]{}}
-	sl := &slot[T]{b: initial}
+	sw := &Switcher[T]{ordering: ord, byName: map[string]*slot[T]{}, stripes: stripes}
+	sl := sw.newSlot(initial)
 	name := initial.Algorithm().String()
 	sw.byName[name] = sl
 	sw.names = append(sw.names, name)
@@ -114,9 +133,13 @@ func (s *Switcher[T]) Register(b relax.Backend[T]) error {
 	if _, dup := s.byName[name]; dup {
 		return fmt.Errorf("engine: %s already registered", name)
 	}
-	s.byName[name] = &slot[T]{b: b}
+	s.byName[name] = s.newSlot(b)
 	s.names = append(s.names, name)
 	return nil
+}
+
+func (s *Switcher[T]) newSlot(b relax.Backend[T]) *slot[T] {
+	return &slot[T]{b: b, pins: make([]pad.Int64Line, s.stripes)}
 }
 
 // Backends returns the registered catalogue names in registration order.
@@ -199,15 +222,18 @@ func (s *Switcher[T]) Swap(name, reason string) (SwapRecord, error) {
 	}
 
 	// Quiesce: stop admitting operations into the outgoing slot, then wait
-	// for the pinned ones to finish. New operations spin on the active
-	// pointer and proceed the moment the incoming slot publishes.
+	// for the pinned ones to finish, one stripe after another. New
+	// operations spin on the active pointer and proceed the moment the
+	// incoming slot publishes.
 	from.draining.Store(true)
 	// Director yield point: drain entry — the outgoing slot just stopped
 	// admitting operations, pinned ones are still in flight.
 	yield.Fire(yield.PointSwapDrain)
-	for from.pins.Load() != 0 {
-		yield.Fire(yield.PointWait)
-		runtime.Gosched()
+	for i := range from.pins {
+		for from.pins[i].V.Load() != 0 {
+			yield.Fire(yield.PointWait)
+			runtime.Gosched()
+		}
 	}
 
 	items := from.b.Drain()
@@ -308,23 +334,30 @@ func (s *Switcher[T]) StatsSnapshot() core.OpStats {
 // NewHandle returns an operation handle. Handles survive swaps: on the
 // first operation after a swap the handle flushes its counters and opens
 // a fresh inner handle on the new backend.
-func (s *Switcher[T]) NewHandle() relax.Handle[T] { return &Handle[T]{sw: s} }
+func (s *Switcher[T]) NewHandle() relax.Handle[T] { return s.newHandle() }
 
 // NewBufferedHandle returns a handle armed with an operation buffer of
 // combined-publication threshold n (see Handle.SetOpBuffer) — the concrete
 // type, since relax.Handle does not speak buffering.
 func (s *Switcher[T]) NewBufferedHandle(n int) *Handle[T] {
-	h := &Handle[T]{sw: s}
+	h := s.newHandle()
 	h.SetOpBuffer(n)
 	return h
+}
+
+// newHandle deals the next pin stripe round-robin.
+func (s *Switcher[T]) newHandle() *Handle[T] {
+	i := s.nextStripe.Add(1) - 1
+	return &Handle[T]{sw: s, stripe: int(i & uint64(s.stripes-1))}
 }
 
 // Handle is the switcher's per-goroutine operation context. Not safe for
 // concurrent use of the same handle.
 type Handle[T any] struct {
-	sw    *Switcher[T]
-	cur   *slot[T]
-	inner relax.Handle[T]
+	sw     *Switcher[T]
+	stripe int // the slots' pin stripe this handle counts on
+	cur    *slot[T]
+	inner  relax.Handle[T]
 
 	// bufCap/pending implement engine-level operation buffering
 	// (SetOpBuffer; see opbuffer.go). Pending values belong to the handle,
@@ -333,23 +366,27 @@ type Handle[T any] struct {
 	pending []T
 }
 
-// pin acquires the active slot for one operation: pin first, then check
-// draining (the swap's store/load order makes the race safe — either the
-// swapper sees our pin, or we see its draining flag and retry on the
-// newly published slot).
+// pin acquires the active slot for one operation: pin the handle's stripe
+// first, then check draining (the swap's store/load order makes the race
+// safe — either the swapper's read of our stripe sees our pin, or we see
+// its draining flag and retry on the newly published slot).
 func (h *Handle[T]) pin() *slot[T] {
 	for {
 		s := h.sw.active.Load()
-		s.pins.Add(1)
+		pins := &s.pins[h.stripe].V
+		pins.Add(1)
 		if !s.draining.Load() {
 			return s
 		}
-		s.pins.Add(-1)
+		pins.Add(-1)
 		// Draining slot: park under the director until the swap publishes.
 		yield.Fire(yield.PointWait)
 		runtime.Gosched()
 	}
 }
+
+// unpin releases the pin on s that pin took.
+func (h *Handle[T]) unpin(s *slot[T]) { s.pins[h.stripe].V.Add(-1) }
 
 func (h *Handle[T]) use(s *slot[T]) relax.Handle[T] {
 	if h.cur != s {
@@ -366,7 +403,7 @@ func (h *Handle[T]) use(s *slot[T]) relax.Handle[T] {
 func (h *Handle[T]) Push(v T) {
 	s := h.pin()
 	h.use(s).Push(v)
-	s.pins.Add(-1)
+	h.unpin(s)
 }
 
 // Pop removes a value from the active backend; ok is false if it was
@@ -374,7 +411,7 @@ func (h *Handle[T]) Push(v T) {
 func (h *Handle[T]) Pop() (v T, ok bool) {
 	s := h.pin()
 	v, ok = h.use(s).Pop()
-	s.pins.Add(-1)
+	h.unpin(s)
 	return v, ok
 }
 

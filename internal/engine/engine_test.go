@@ -1,11 +1,16 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"stack2d/internal/adapt"
+	"stack2d/internal/pad"
 	"stack2d/internal/relax"
+	"stack2d/internal/yield"
 )
 
 // The switcher is both a backend (stackable behind the same contract it
@@ -231,6 +236,102 @@ func TestSwapUnderLoad(t *testing.T) {
 	if st.Pushes != workers*perWorker+migrated {
 		t.Fatalf("pushes = %d, want %d+%d (stats lost across swaps)",
 			st.Pushes, workers*perWorker, migrated)
+	}
+}
+
+// TestSwapWaitsForEveryStripe holds a pin on a stripe other than 0 and
+// checks that a swap quiesces it: the swapper must reach its first drain
+// wait without returning, and must return once the pin is released. A
+// swap that read only stripe 0 would return at once without waiting.
+func TestSwapWaitsForEveryStripe(t *testing.T) {
+	sw, err := newStriped(mustBackend(t, relax.TreiberStack), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Register(mustBackend(t, relax.EliminationStack)); err != nil {
+		t.Fatal(err)
+	}
+	sw.newHandle() // deals stripe 0
+	h := sw.newHandle()
+	if h.stripe == 0 {
+		t.Fatal("second handle dealt stripe 0 of 4")
+	}
+	s := h.pin()
+
+	waiting := make(chan struct{})
+	var once sync.Once
+	yield.Gate = func(p yield.Point) {
+		if p == yield.PointWait {
+			once.Do(func() { close(waiting) })
+		}
+	}
+	defer func() { yield.Gate = nil }()
+	swapped := make(chan error, 1)
+	go func() {
+		_, err := sw.Swap("elimination", "test")
+		swapped <- err
+	}()
+	select {
+	case <-waiting:
+	case err := <-swapped:
+		t.Fatalf("Swap returned (err %v) while stripe %d held a pin", err, h.stripe)
+	}
+	during := sw.ActiveBackend()
+	h.unpin(s)
+	if err := <-swapped; err != nil {
+		t.Fatal(err)
+	}
+	if during != "treiber" {
+		t.Fatalf("active = %q while stripe %d held a pin on treiber", during, h.stripe)
+	}
+	if got := sw.ActiveBackend(); got != "elimination" {
+		t.Fatalf("active = %q after the swap", got)
+	}
+}
+
+// TestPinStripesOnDistinctLines checks that every slot's pin stripes each
+// fill a cache line of their own, for 1, 2, 4 and 8 stripes and for the
+// count New derives from GOMAXPROCS (the smallest power of two at least
+// GOMAXPROCS), so handles on different stripes never write one line.
+func TestPinStripesOnDistinctLines(t *testing.T) {
+	want := 1
+	for want < runtime.GOMAXPROCS(0) {
+		want *= 2
+	}
+	for _, n := range []int{1, 2, 4, 8, 0} {
+		name, build := fmt.Sprint(n), func(b relax.Backend[uint64]) (*Switcher[uint64], error) {
+			return newStriped(b, n)
+		}
+		if n == 0 {
+			name, build, n = "New", New[uint64], want
+		}
+		t.Run(name, func(t *testing.T) {
+			sw, err := build(mustBackend(t, relax.TreiberStack))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sw.Register(mustBackend(t, relax.EliminationStack)); err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range sw.Backends() {
+				pins := sw.byName[b].pins
+				if len(pins) != n {
+					t.Fatalf("%s: %d stripes, want %d", b, len(pins), n)
+				}
+				lines := make(map[uintptr]int)
+				for i := range pins {
+					first := uintptr(unsafe.Pointer(&pins[i]))
+					line := first / pad.CacheLineSize
+					if last := first + unsafe.Sizeof(pins[i]) - 1; last/pad.CacheLineSize != line {
+						t.Fatalf("%s: stripe %d at %#x straddles two cache lines", b, i, first)
+					}
+					if j, ok := lines[line]; ok {
+						t.Fatalf("%s: stripes %d and %d share cache line %#x", b, j, i, line*pad.CacheLineSize)
+					}
+					lines[line] = i
+				}
+			}
+		})
 	}
 }
 

@@ -59,7 +59,7 @@ func (h *Handle[T]) FlushOps() {
 	for _, v := range h.pending {
 		inner.Push(v)
 	}
-	s.pins.Add(-1)
+	h.unpin(s)
 	clear(h.pending)
 	h.pending = h.pending[:0]
 }

@@ -36,19 +36,6 @@ func TestQueueFactoryK(t *testing.T) {
 	}
 }
 
-func TestQueueFIFOQualityIsZeroForStrict(t *testing.T) {
-	// Only the plumbing: a queue factory runs and counts under Run.
-	w := quickWorkload(1)
-	w.Duration = 10 * time.Millisecond
-	res, err := Run(NewMSQueueFactory(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops == 0 {
-		t.Fatal("no ops")
-	}
-}
-
 func TestRunQueueQualityStrictFIFOZero(t *testing.T) {
 	w := quickWorkload(1)
 	w.Duration = 15 * time.Millisecond
