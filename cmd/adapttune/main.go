@@ -361,14 +361,14 @@ func (s *csvSink) close() error {
 }
 
 // segmentFunc is the simulated-segment signature shared by the stack
-// (sim.TwoDSegmentPlaced) and queue (sim.TwoDQueueSegmentPlaced) models;
-// homes/localProbe are nil/false for placement-blind runs.
-type segmentFunc func(m sim.Machine, width int, depth, shift int64, randomHops, p int, horizon int64, seed uint64, homes []int, localProbe bool) (sim.TwoDWork, error)
+// (sim.TwoDSegment) and queue (sim.TwoDQueueSegment) models; homes/
+// localProbe are nil/false for placement-blind runs.
+type segmentFunc func(m sim.Machine, cfg core.Config, p int, horizon int64, seed uint64, homes []int, localProbe bool) (core.OpStats, error)
 
 // simTarget adapts the discrete-event simulation to adapt.Reconfigurable
 // (and adapt.SocketAware): each controller tick corresponds to one
-// simulated segment at the current geometry, whose instrumented counters
-// accumulate into an OpStats. With a placement policy set it carries the
+// simulated segment at the current geometry, whose counters accumulate
+// into an OpStats. With a placement policy set it carries the
 // slot→socket home map across reconfigurations exactly as the native
 // structures do (core.PlaceSlots on growth, core.ShrinkSurvivors on
 // shrink), so the controller's requester attribution steers the simulated
@@ -418,29 +418,15 @@ func (st *simTarget) StatsSnapshot() core.OpStats { return st.acc }
 
 // segment simulates horizon cycles at the current geometry with p threads
 // and folds the work into the accumulated stats.
-func (st *simTarget) segment(p int, horizon int64, seed uint64) (sim.TwoDWork, error) {
+func (st *simTarget) segment(p int, horizon int64, seed uint64) (core.OpStats, error) {
 	seg := st.seg
 	if seg == nil {
-		seg = sim.TwoDSegmentPlaced
+		seg = sim.TwoDSegment
 	}
 	localProbe := st.policy != nil && st.policy.LocalProbeOrder()
-	w, err := seg(st.machine, st.cfg.Width, st.cfg.Depth, st.cfg.Shift, st.cfg.RandomHops, p, horizon, seed, st.homes, localProbe)
-	if err != nil {
-		return w, err
-	}
-	st.acc.Pushes += w.Pushes
-	st.acc.Pops += w.Pops
-	st.acc.EmptyPops += w.EmptyPops
-	st.acc.Probes += w.Probes
-	st.acc.CASFailures += w.CASFailures
-	st.acc.WindowRaises += w.WindowMoves
-	for i := range w.Latency {
-		st.acc.Latency[i] += w.Latency[i]
-	}
-	for i := range w.SocketCAS {
-		st.acc.SocketCAS[i] += w.SocketCAS[i]
-	}
-	return w, nil
+	w, err := seg(st.machine, st.cfg, p, horizon, seed, st.homes, localProbe)
+	st.acc.Add(w)
+	return w, err
 }
 
 // simPhase is one contention phase of the simulated experiment.
@@ -484,9 +470,9 @@ func runAdaptiveSim(spec goalSpec, machine sim.Machine, seg segmentFunc, start c
 			if err != nil {
 				fatal("adaptive sim segment: %v", err)
 			}
-			ops[pi] += w.Ops
+			ops[pi] += w.Ops()
 			rec := ctrl.Step(time.Duration(horizon)) // 1 simulated cycle ≡ 1ns
-			rows = append(rows, simRow{phases[pi].name, rec, w.Ops})
+			rows = append(rows, simRow{phases[pi].name, rec, w.Ops()})
 		}
 	}
 	return ops, rows, st, ctrl
@@ -507,9 +493,9 @@ func simDemo(spec goalSpec, structure string, start core.Config, placement core.
 	if simThreads > machine.Cores() {
 		fatal("sim-threads %d exceeds the simulated machine's %d cores", simThreads, machine.Cores())
 	}
-	var seg segmentFunc = sim.TwoDSegmentPlaced
+	var seg segmentFunc = sim.TwoDSegment
 	if structure == "queue" {
-		seg = sim.TwoDQueueSegmentPlaced
+		seg = sim.TwoDQueueSegment
 	}
 	low := simThreads / 4
 	if low < 1 {
@@ -532,7 +518,7 @@ func simDemo(spec goalSpec, structure string, start core.Config, placement core.
 				if err != nil {
 					fatal("static sim segment: %v", err)
 				}
-				staticOps[pi] += w.Ops
+				staticOps[pi] += w.Ops()
 			}
 		}
 	}
@@ -677,23 +663,23 @@ func simDemo(spec goalSpec, structure string, start core.Config, placement core.
 			cfg := core.Config{Width: width, Depth: 64, Shift: 64, RandomHops: start.RandomHops}
 			rrHomes := core.PlaceSlots(core.RoundRobin(), nil, width, -1, machine.Sockets)
 			localHomes := core.PlaceSlots(core.LocalFirst(), nil, width, -1, machine.Sockets)
-			rrW, err := seg(machine, cfg.Width, cfg.Depth, cfg.Shift, cfg.RandomHops, simThreads, horizon, 1, rrHomes, false)
+			rrW, err := seg(machine, cfg, simThreads, horizon, 1, rrHomes, false)
 			if err != nil {
 				fatal("placement sweep (rr): %v", err)
 			}
-			localW, err := seg(machine, cfg.Width, cfg.Depth, cfg.Shift, cfg.RandomHops, simThreads, horizon, 1, localHomes, true)
+			localW, err := seg(machine, cfg, simThreads, horizon, 1, localHomes, true)
 			if err != nil {
 				fatal("placement sweep (local): %v", err)
 			}
 			sweep.AddRow(
 				fmt.Sprintf("%d", width),
-				fmt.Sprintf("%.1f", float64(rrW.Ops)*1000/float64(horizon)),
-				fmt.Sprintf("%.1f", float64(localW.Ops)*1000/float64(horizon)),
-				fmt.Sprintf("%.2fx", float64(localW.Ops)/float64(rrW.Ops)),
+				fmt.Sprintf("%.1f", float64(rrW.Ops())*1000/float64(horizon)),
+				fmt.Sprintf("%.1f", float64(localW.Ops())*1000/float64(horizon)),
+				fmt.Sprintf("%.2fx", float64(localW.Ops())/float64(rrW.Ops())),
 			)
-			if width >= minGatedWidth && width <= simThreads && localW.Ops <= rrW.Ops {
+			if width >= minGatedWidth && width <= simThreads && localW.Ops() <= rrW.Ops() {
 				fmt.Printf("FAIL: placement sweep width %d: local-first (%d ops) did not beat round-robin (%d ops)\n",
-					width, localW.Ops, rrW.Ops)
+					width, localW.Ops(), rrW.Ops())
 				ok = false
 			}
 		}

@@ -34,7 +34,7 @@ func TestSimTargetConvergesUnderContention(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		staticOps += w.Ops
+		staticOps += w.Ops()
 	}
 
 	st := &simTarget{machine: sim.DefaultMachine(), cfg: start}
@@ -57,7 +57,7 @@ func TestSimTargetConvergesUnderContention(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adaptiveOps += w.Ops
+		adaptiveOps += w.Ops()
 		rec := ctrl.Step(time.Duration(horizon))
 		if rec.K > kceil {
 			t.Fatalf("tick %d ran with k=%d above ceiling %d", rec.Tick, rec.K, kceil)
@@ -106,17 +106,17 @@ func TestQueueSimTargetConvergesUnderContention(t *testing.T) {
 	)
 	start := core.Config{Width: 2, Depth: 8, Shift: 8, RandomHops: 2}
 
-	static := &simTarget{machine: sim.DefaultMachine(), cfg: start, seg: sim.TwoDQueueSegmentPlaced}
+	static := &simTarget{machine: sim.DefaultMachine(), cfg: start, seg: sim.TwoDQueueSegment}
 	var staticOps uint64
 	for i := 0; i < ticks; i++ {
 		w, err := static.segment(p, horizon, uint64(i)+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		staticOps += w.Ops
+		staticOps += w.Ops()
 	}
 
-	st := &simTarget{machine: sim.DefaultMachine(), cfg: start, seg: sim.TwoDQueueSegmentPlaced}
+	st := &simTarget{machine: sim.DefaultMachine(), cfg: start, seg: sim.TwoDQueueSegment}
 	ctrl, err := adapt.New(st, adapt.Policy{
 		Goal:          adapt.MaxThroughput,
 		KCeiling:      kceil,
@@ -136,7 +136,7 @@ func TestQueueSimTargetConvergesUnderContention(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adaptiveOps += w.Ops
+		adaptiveOps += w.Ops()
 		rec := ctrl.Step(time.Duration(horizon))
 		if rec.K > kceil {
 			t.Fatalf("tick %d ran with k=%d above ceiling %d", rec.Tick, rec.K, kceil)
@@ -168,7 +168,7 @@ func TestSimLatencyGoalConverges(t *testing.T) {
 		target  = 4096 * time.Nanosecond // cycles read as ns
 	)
 	start := core.Config{Width: 2, Depth: 8, Shift: 8, RandomHops: 2}
-	for name, seg := range map[string]segmentFunc{"stack": nil, "queue": sim.TwoDQueueSegmentPlaced} {
+	for name, seg := range map[string]segmentFunc{"stack": nil, "queue": sim.TwoDQueueSegment} {
 		st := &simTarget{machine: sim.DefaultMachine(), cfg: start, seg: seg}
 		ctrl, err := adapt.New(st, adapt.Policy{
 			Goal:          adapt.TargetLatency,
@@ -222,7 +222,7 @@ func TestSimEnergyGoalReducesWorkPerOp(t *testing.T) {
 		floor   = 2e7 // ops/s with 1 cycle = 1ns
 	)
 	start := core.Config{Width: 2, Depth: 8, Shift: 8, RandomHops: 2}
-	for name, seg := range map[string]segmentFunc{"stack": nil, "queue": sim.TwoDQueueSegmentPlaced} {
+	for name, seg := range map[string]segmentFunc{"stack": nil, "queue": sim.TwoDQueueSegment} {
 		st := &simTarget{machine: sim.DefaultMachine(), cfg: start, seg: seg}
 		ctrl, err := adapt.New(st, adapt.Policy{
 			Goal:            adapt.MinEnergy,

@@ -202,16 +202,15 @@ func ShrinkPlan(policy PlacementPolicy, homes []int, keep, requester int) (surv,
 	return surv, survHomes
 }
 
-// BuildProbePlan constructs one handle's probe permutation over a homed
+// buildProbePlan constructs one handle's probe permutation over a homed
 // slot array: the handle's same-socket slots first in index order
 // (decorrelated across handles by their anchors), then the remote slots
 // rotated by rot — the rotation keeps same-socket handles that exhaust
 // their local slots from all entering the spill section at the same slot
 // and convoying on one line. It returns the permutation, its slot →
 // position inverse (so a search can resume coverage from its locality
-// anchor), and the local-slot count. Shared by the native handles (which
-// cache one plan per geometry) and the simulated thread bodies.
-func BuildProbePlan(homes []int, socket, rot int) (ord, pos []int, localN int) {
+// anchor), and the local-slot count. Handles cache one plan per geometry.
+func buildProbePlan(homes []int, socket, rot int) (ord, pos []int, localN int) {
 	width := len(homes)
 	ord = make([]int, 0, width)
 	for i, h := range homes {

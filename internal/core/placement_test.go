@@ -67,7 +67,7 @@ func TestBuildProbePlanIsPermutation(t *testing.T) {
 	homes := []int{0, 1, 0, 1, 1, 0, 0, 1}
 	for socket := 0; socket < 2; socket++ {
 		for rot := 0; rot < 6; rot++ {
-			ord, pos, localN := BuildProbePlan(homes, socket, rot)
+			ord, pos, localN := buildProbePlan(homes, socket, rot)
 			if localN != 4 {
 				t.Fatalf("socket %d: localN = %d, want 4", socket, localN)
 			}

@@ -38,7 +38,7 @@ type WindowHandle[T, S any] struct {
 	socket int
 
 	// planGeo/planSocket key the cached probe plan below: the local-first
-	// permutation this handle walks (BuildProbePlan over the geometry's
+	// permutation this handle walks (buildProbePlan over the geometry's
 	// slot homes, with a handle-private rotation of the remote section),
 	// rebuilt lazily when the geometry or the pinned socket changes.
 	planGeo    *Geometry[S]
@@ -134,7 +134,7 @@ func (h *WindowHandle[T, S]) probe(geo *Geometry[S]) (ord, pos []int, localN int
 	}
 	if h.planGeo != geo || h.planSocket != h.socket {
 		s := h.socket % geo.nsockets
-		h.planOrd, h.planPos, h.planLocalN = BuildProbePlan(geo.homes, s, h.rng.Intn(geo.Width))
+		h.planOrd, h.planPos, h.planLocalN = buildProbePlan(geo.homes, s, h.rng.Intn(geo.Width))
 		h.planGeo, h.planSocket = geo, h.socket
 	}
 	return h.planOrd, h.planPos, h.planLocalN

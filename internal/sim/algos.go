@@ -79,83 +79,6 @@ func RandomMultiBody(subs []*Word, seed uint64) func(*T) {
 	}
 }
 
-// TwoDBody models the 2D-Stack: per-sub-stack descriptor lines plus the
-// shared Global line. The locality anchor keeps a thread re-hitting its
-// own line (cache hits) while the window stays open; Global is read on
-// every search but only written when a whole window is exhausted, so its
-// line stays in shared state and cheap — the coherence argument behind the
-// design.
-func TwoDBody(subs []*Word, global *Word, depth, shift int64, randomHops int, seed uint64) func(*T) {
-	return func(t *T) {
-		rng := xrand.New(seed + uint64(t.Core())*0x9e3779b97f4a7c15)
-		width := len(subs)
-		anchor := rng.Intn(width)
-		for t.Running() {
-			push := rng.Bool()
-			for t.Running() {
-				g := t.Read(global)
-				idx := anchor
-				probes := 0
-				randLeft := randomHops
-				done := false
-				empty := true
-				for probes < width && t.Running() {
-					c := t.Read(subs[idx])
-					valid := c < g
-					if !push {
-						valid = c > g-depth
-					}
-					if valid {
-						delta := int64(1)
-						if !push {
-							delta = -1
-						}
-						if t.CAS(subs[idx], c, c+delta) {
-							anchor = idx
-							done = true
-							break
-						}
-						idx = rng.Intn(width)
-						probes = 0
-						randLeft = 0
-						continue
-					}
-					if c != 0 {
-						empty = false
-					}
-					if randLeft > 0 {
-						randLeft--
-						idx = rng.Intn(width)
-						continue
-					}
-					probes++
-					idx++
-					if idx == width {
-						idx = 0
-					}
-				}
-				if done {
-					break
-				}
-				if !push && g == depth && empty {
-					break // empty pop
-				}
-				// Move the window.
-				if push {
-					t.CAS(global, g, g+shift)
-				} else {
-					next := g - shift
-					if next < depth {
-						next = depth
-					}
-					t.CAS(global, g, next)
-				}
-			}
-			t.OpDone()
-		}
-	}
-}
-
 // EliminationBody models the elimination back-off stack: a central top
 // line plus collision-slot lines. A failed central CAS diverts to a random
 // slot where an opposite operation can cancel it out; collisions touch a

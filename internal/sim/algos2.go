@@ -1,10 +1,13 @@
 package sim
 
-import "stack2d/internal/xrand"
+import (
+	"stack2d/internal/core"
+	"stack2d/internal/xrand"
+)
 
 // Additional simulated algorithms for the Figure 1 (relaxation sweep)
-// reproduction: k-robin and k-segment, plus a width-parameterised 2D body
-// builder used by the k→config mappings.
+// reproduction: k-robin and k-segment; the 2D-Stack runs as a stack
+// segment (window.go) at the geometry its k maps to.
 
 // RobinMultiBody models the k-robin distributed stack: each thread cycles
 // deterministically through the sub-stack lines and — the behaviour the
@@ -93,10 +96,6 @@ func KSegmentBody(slots []*Word, top *Word, seed uint64) func(*T) {
 	}
 }
 
-// prefillSim is the standing population per sub-structure line used by the
-// simulated experiments (never empties within a run's horizon).
-const prefillSim = 1 << 20
-
 // Figure1Throughput runs the simulated relaxation sweep point: algorithm
 // alg configured for relaxation budget k at p threads, mirroring the
 // wall-clock harness's Figure1Factory mappings.
@@ -107,34 +106,26 @@ func Figure1Throughput(machine Machine, alg AlgoName, k int64, p int, horizon in
 	if horizon <= 0 {
 		return 0, errRange("horizon", int(horizon))
 	}
+	const seed = 0x2d57ac
+	if alg == SimTwoD {
+		// Mirror relax.TwoDConfigForK: width first (depth 1), then depth
+		// at width 4P with shift = depth.
+		cfg := core.Config{Width: int(k/3) + 1, Depth: 1, Shift: 1, RandomHops: 2}
+		if cfg.Width > 4*p {
+			cfg.Width = 4 * p
+			cfg.Depth = max(k/(3*int64(cfg.Width-1)), 1)
+			cfg.Shift = cfg.Depth
+		}
+		st, err := stackSegment(machine, cfg, p, horizon, seed, nil, false,
+			start{prefillSim, prefillSim + cfg.Depth/2 + 1})
+		return float64(st.Ops()) * 1000 / float64(horizon), err
+	}
 	s, err := New(machine)
 	if err != nil {
 		return 0, err
 	}
-	const seed = 0x2d57ac
 	var body func(*T)
 	switch alg {
-	case SimTwoD:
-		// Mirror relax.TwoDConfigForK: width first (depth 1), then depth
-		// at width 4P with shift = depth.
-		width := int(k/3) + 1
-		depth := int64(1)
-		if width > 4*p {
-			width = 4 * p
-			depth = k / (3 * int64(width-1))
-			if depth < 1 {
-				depth = 1
-			}
-		}
-		if width < 1 {
-			width = 1
-		}
-		subs := make([]*Word, width)
-		for i := range subs {
-			subs[i] = s.NewWord(prefillSim)
-		}
-		global := s.NewWord(prefillSim + depth/2 + 1)
-		body = TwoDBody(subs, global, depth, depth, 2, seed)
 	case SimKRobin:
 		width := int(k/(2*int64(p))) + 1
 		if width < 1 {

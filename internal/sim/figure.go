@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"stack2d/internal/core"
+)
 
 // AlgoName selects a simulated algorithm in Figure2Sim.
 type AlgoName string
@@ -29,38 +33,30 @@ func Throughput(machine Machine, alg AlgoName, p int, horizon int64) (float64, e
 	if horizon <= 0 {
 		return 0, fmt.Errorf("sim: horizon must be positive")
 	}
+	const seed = 0x2d57ac
+	if alg == SimTwoD {
+		// The paper's operating point, width 4P and depth = shift = 64,
+		// from the prefilled start.
+		st, err := TwoDSegment(machine, core.DefaultConfig(p), p, horizon, seed, nil, false)
+		return float64(st.Ops()) * 1000 / float64(horizon), err
+	}
 	s, err := New(machine)
 	if err != nil {
 		return 0, err
 	}
-	const prefillPerLine = 1 << 20 // effectively never empty
-	const seed = 0x2d57ac
 	var body func(*T)
 	switch alg {
 	case SimTreiber:
-		top := s.NewWord(prefillPerLine)
+		top := s.NewWord(prefillSim)
 		body = TreiberBody(top, seed)
 	case SimRandom:
 		subs := make([]*Word, 4*p)
 		for i := range subs {
-			subs[i] = s.NewWord(prefillPerLine)
+			subs[i] = s.NewWord(prefillSim)
 		}
 		body = RandomMultiBody(subs, seed)
-	case SimTwoD:
-		width := 4 * p
-		subs := make([]*Word, width)
-		for i := range subs {
-			subs[i] = s.NewWord(prefillPerLine)
-		}
-		// The window must straddle the prefill level — pushes valid up to
-		// +depth/2, pops valid down to −depth/2 — mirroring a warmed-up
-		// real stack whose Global has settled around the standing
-		// population.
-		const depth = 64
-		global := s.NewWord(prefillPerLine + depth/2)
-		body = TwoDBody(subs, global, depth, depth, 2, seed)
 	case SimElimination:
-		top := s.NewWord(prefillPerLine)
+		top := s.NewWord(prefillSim)
 		slots := make([]*Word, p)
 		for i := range slots {
 			slots[i] = s.NewWord(0)

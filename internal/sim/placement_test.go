@@ -35,11 +35,12 @@ func TestNewWordOnChargesRemoteHomeFetch(t *testing.T) {
 func TestPlacedSegmentsDeterministic(t *testing.T) {
 	m := DefaultMachine()
 	homes := core.PlaceSlots(core.LocalFirst(), nil, 8, -1, 2)
-	a, err := TwoDSegmentPlaced(m, 8, 64, 64, 2, 16, 50000, 7, homes, true)
+	cfg := core.Config{Width: 8, Depth: 64, Shift: 64, RandomHops: 2}
+	a, err := TwoDSegment(m, cfg, 16, 50000, 7, homes, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TwoDSegmentPlaced(m, 8, 64, 64, 2, 16, 50000, 7, homes, true)
+	b, err := TwoDSegment(m, cfg, 16, 50000, 7, homes, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +52,10 @@ func TestPlacedSegmentsDeterministic(t *testing.T) {
 // TestPlacedSegmentValidation rejects malformed home maps.
 func TestPlacedSegmentValidation(t *testing.T) {
 	m := DefaultMachine()
-	if _, err := TwoDSegmentPlaced(m, 4, 8, 8, 2, 2, 1000, 1, []int{0, 1}, true); err == nil {
+	if _, err := TwoDSegment(m, core.Config{Width: 4, Depth: 8, Shift: 8, RandomHops: 2}, 2, 1000, 1, []int{0, 1}, true); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := TwoDQueueSegmentPlaced(m, 2, 8, 8, 2, 2, 1000, 1, []int{0, 5}, true); err == nil {
+	if _, err := TwoDQueueSegment(m, core.Config{Width: 2, Depth: 8, Shift: 8, RandomHops: 2}, 2, 1000, 1, []int{0, 5}, true); err == nil {
 		t.Fatal("out-of-range socket accepted")
 	}
 }
@@ -69,20 +70,21 @@ func TestLocalFirstBeatsBlindUnderContention(t *testing.T) {
 	const width, p, horizon = 8, 16, 200000
 	localHomes := core.PlaceSlots(core.LocalFirst(), nil, width, -1, 2)
 	rrHomes := core.PlaceSlots(core.RoundRobin(), nil, width, -1, 2)
-	type segf func(Machine, int, int64, int64, int, int, int64, uint64, []int, bool) (TwoDWork, error)
-	for name, seg := range map[string]segf{"stack": TwoDSegmentPlaced, "queue": TwoDQueueSegmentPlaced} {
-		blind, err := seg(m, width, 64, 64, 2, p, horizon, 1, rrHomes, false)
+	cfg := core.Config{Width: width, Depth: 64, Shift: 64, RandomHops: 2}
+	type segf func(Machine, core.Config, int, int64, uint64, []int, bool) (core.OpStats, error)
+	for name, seg := range map[string]segf{"stack": TwoDSegment, "queue": TwoDQueueSegment} {
+		blind, err := seg(m, cfg, p, horizon, 1, rrHomes, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		local, err := seg(m, width, 64, 64, 2, p, horizon, 1, localHomes, true)
+		local, err := seg(m, cfg, p, horizon, 1, localHomes, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if local.Ops <= blind.Ops {
-			t.Fatalf("%s: local-first %d ops did not beat blind %d ops", name, local.Ops, blind.Ops)
+		if local.Ops() <= blind.Ops() {
+			t.Fatalf("%s: local-first %d ops did not beat blind %d ops", name, local.Ops(), blind.Ops())
 		}
-		t.Logf("%s: blind %d ops, local %d ops (%.2fx)", name, blind.Ops, local.Ops,
-			float64(local.Ops)/float64(blind.Ops))
+		t.Logf("%s: blind %d ops, local %d ops (%.2fx)", name, blind.Ops(), local.Ops(),
+			float64(local.Ops())/float64(blind.Ops()))
 	}
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"stack2d/internal/core"
+)
 
 func TestMachineValidate(t *testing.T) {
 	if err := DefaultMachine().Validate(); err != nil {
@@ -217,26 +221,27 @@ func TestTwoDBeatsTreiberUnderContention(t *testing.T) {
 // model does.
 func TestTwoDQueueSegmentDeterministicAndContended(t *testing.T) {
 	m := DefaultMachine()
-	a, err := TwoDQueueSegment(m, 4, 8, 8, 2, 16, 100000, 42)
+	narrow := core.Config{Width: 4, Depth: 8, Shift: 8, RandomHops: 2}
+	a, err := TwoDQueueSegment(m, narrow, 16, 100000, 42, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TwoDQueueSegment(m, 4, 8, 8, 2, 16, 100000, 42)
+	b, err := TwoDQueueSegment(m, narrow, 16, 100000, 42, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatalf("segment not deterministic: %+v vs %+v", a, b)
 	}
-	wide, err := TwoDQueueSegment(m, 32, 8, 8, 2, 16, 100000, 42)
+	wide, err := TwoDQueueSegment(m, core.Config{Width: 32, Depth: 8, Shift: 8, RandomHops: 2}, 16, 100000, 42, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wide.Ops <= a.Ops {
-		t.Fatalf("widening did not raise throughput: %d -> %d ops", a.Ops, wide.Ops)
+	if wide.Ops() <= a.Ops() {
+		t.Fatalf("widening did not raise throughput: %d -> %d ops", a.Ops(), wide.Ops())
 	}
-	narrowCAS := float64(a.CASFailures) / float64(a.Ops)
-	wideCAS := float64(wide.CASFailures) / float64(wide.Ops)
+	narrowCAS := float64(a.CASFailures) / float64(a.Ops())
+	wideCAS := float64(wide.CASFailures) / float64(wide.Ops())
 	if wideCAS >= narrowCAS {
 		t.Fatalf("widening did not relieve contention: %.3f -> %.3f cas/op", narrowCAS, wideCAS)
 	}
@@ -259,7 +264,8 @@ func TestTwoDQueueSegmentValidation(t *testing.T) {
 		{4, 8, 8, 2, 4, 0},
 	}
 	for _, c := range cases {
-		if _, err := TwoDQueueSegment(m, c.width, c.depth, c.shf, c.hops, c.p, c.horizon, 1); err == nil {
+		cfg := core.Config{Width: c.width, Depth: c.depth, Shift: c.shf, RandomHops: c.hops}
+		if _, err := TwoDQueueSegment(m, cfg, c.p, c.horizon, 1, nil, false); err == nil {
 			t.Errorf("TwoDQueueSegment(%+v) accepted invalid input", c)
 		}
 	}
