@@ -61,8 +61,8 @@ func TestLatencySampleStridePinned(t *testing.T) {
 // allocations (one per handle in the registries) never share a line and a
 // handle's 64-op flush cannot invalidate a neighbour's.
 func TestSharedCountersPadded(t *testing.T) {
-	if sz := unsafe.Sizeof(SharedCounters{}); sz%pad.CacheLineSize != 0 {
-		t.Fatalf("SharedCounters is %d bytes, not a multiple of the %d-byte cache line",
+	if sz := unsafe.Sizeof(sharedCounters{}); sz%pad.CacheLineSize != 0 {
+		t.Fatalf("sharedCounters is %d bytes, not a multiple of the %d-byte cache line",
 			sz, pad.CacheLineSize)
 	}
 }
@@ -77,7 +77,7 @@ func TestSharedCountersPadded(t *testing.T) {
 // race detector, where every store is slow) it could spin forever; the
 // reader loads until the writer is done.
 func TestSharedCountersSeqlockConsistency(t *testing.T) {
-	var c SharedCounters
+	var c sharedCounters
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -107,7 +107,7 @@ func TestSharedCountersSeqlockConsistency(t *testing.T) {
 // ResetStats-style drop of every field to zero each Load exactly what was
 // stored.
 func TestSharedCountersStoreRoundTrip(t *testing.T) {
-	var c SharedCounters
+	var c sharedCounters
 	var st OpStats
 	fields := []*uint64{&st.Pushes, &st.Pops, &st.EmptyPops, &st.Probes, &st.RandomHops,
 		&st.CASFailures, &st.WindowRaises, &st.WindowLowers, &st.Restarts}
@@ -299,8 +299,9 @@ func TestAbandonedItemsCounted(t *testing.T) {
 		}
 	}()
 	// The handle is unreferenced now. Collection is asynchronous, so poll:
-	// each registration prunes collected entries, and a registry of one
-	// entry after registering means every earlier handle was pruned.
+	// a registration prunes collected entries once the registry has
+	// doubled since its last prune, and a registry of one entry after
+	// registering means every earlier handle was pruned.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

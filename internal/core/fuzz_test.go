@@ -10,11 +10,13 @@ import (
 // to a 2D-Stack and checks the resulting history against Theorem 1's exact
 // (corrected) bound — through both the sequential replay checker and, with
 // synthesized non-overlapping intervals, the concurrent-history
-// KStackChecker, which must agree with zero slack. Run the seed corpus
-// with `go test` (testdata/fuzz holds the checked-in cases, including the
-// width-2/depth-4/shift-1 history that refuted the paper's transcribed
-// constant); explore with `go test -fuzz=FuzzSequentialKOutOfOrder
-// ./internal/core`.
+// KStackChecker, which must agree with zero slack. Each script runs twice,
+// each time on a fresh stack: through Push and Pop, then through
+// single-item PushBatch and PopBatch, whose batch paths must keep the same
+// bound. Run the seed corpus with `go test` (testdata/fuzz holds the
+// checked-in cases, including the width-2/depth-4/shift-1 history that
+// refuted the paper's transcribed constant); explore with
+// `go test -fuzz=FuzzSequentialKOutOfOrder ./internal/core`.
 func FuzzSequentialKOutOfOrder(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(1), uint8(1), []byte{0xff, 0x0f, 0xf0})
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), []byte{0x00})
@@ -34,41 +36,53 @@ func FuzzSequentialKOutOfOrder(f *testing.F) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("derived config invalid: %v", err)
 		}
-		s := MustNew[uint64](cfg)
-		h := s.NewHandle()
-		var ops []seqspec.Op
-		next := uint64(1)
-		for _, b := range script {
-			for bit := 0; bit < 8; bit++ {
-				if b&(1<<bit) != 0 {
-					h.Push(next)
-					ops = append(ops, seqspec.Op{Kind: seqspec.OpPush, Value: next})
-					next++
-				} else {
-					v, ok := h.Pop()
-					ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: v, Empty: !ok})
+		for _, batched := range []bool{false, true} {
+			s := MustNew[uint64](cfg)
+			h := s.NewHandle()
+			push, pop := h.Push, h.Pop
+			if batched {
+				push = func(v uint64) { h.PushBatch([]uint64{v}) }
+				pop = func() (uint64, bool) {
+					if out := h.PopBatch(1); len(out) == 1 {
+						return out[0], true
+					}
+					return 0, false
 				}
 			}
-		}
-		for {
-			v, ok := h.Pop()
-			ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: v, Empty: !ok})
-			if !ok {
-				break
+			var ops []seqspec.Op
+			next := uint64(1)
+			for _, b := range script {
+				for bit := 0; bit < 8; bit++ {
+					if b&(1<<bit) != 0 {
+						push(next)
+						ops = append(ops, seqspec.Op{Kind: seqspec.OpPush, Value: next})
+						next++
+					} else {
+						v, ok := pop()
+						ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: v, Empty: !ok})
+					}
+				}
 			}
-		}
-		maxDist, err := seqspec.CheckKOutOfOrder(ops, int(cfg.K()))
-		if err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
-		}
-		if !s.Empty() {
-			t.Fatal("stack not empty after full drain")
-		}
-		// The concurrent-history checker over the same history with
-		// synthesized sequential intervals must agree exactly: same
-		// maximum distance, no measurement slack.
-		if err := seqspec.CrossCheckKDistance(ops, cfg.K(), maxDist); err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
+			for {
+				v, ok := pop()
+				ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: v, Empty: !ok})
+				if !ok {
+					break
+				}
+			}
+			maxDist, err := seqspec.CheckKOutOfOrder(ops, int(cfg.K()))
+			if err != nil {
+				t.Fatalf("cfg %+v, batched %v: %v", cfg, batched, err)
+			}
+			if !s.Empty() {
+				t.Fatalf("cfg %+v, batched %v: stack not empty after full drain", cfg, batched)
+			}
+			// The concurrent-history checker over the same history with
+			// synthesized sequential intervals must agree exactly: same
+			// maximum distance, no measurement slack.
+			if err := seqspec.CrossCheckKDistance(ops, cfg.K(), maxDist); err != nil {
+				t.Fatalf("cfg %+v, batched %v: %v", cfg, batched, err)
+			}
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"stack2d/internal/seqspec"
 	"stack2d/internal/xrand"
@@ -273,9 +274,10 @@ func TestHandleRegistryPrunesAndRetiresStats(t *testing.T) {
 		}
 		h.FlushStats()
 	}
-	// All 8 handles are now unreferenced. Registration prunes collected
-	// entries and GC cleanups fold their counters into the retired total;
-	// both are asynchronous, so poll with a deadline.
+	// All 8 handles are now unreferenced. A registration prunes collected
+	// entries once the registry has doubled since its last prune, folding
+	// their counters into the retired total; collection is asynchronous,
+	// so poll with a deadline.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
@@ -292,6 +294,62 @@ func TestHandleRegistryPrunesAndRetiresStats(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestRegistryPrunesOnDoubling pins the registration rule: a registration
+// prunes collected entries only once the registry has doubled since its
+// last prune, so a stream of new handles pays amortised O(1) each instead
+// of a rescan of every entry, while StatsSnapshot stays exact. Five handles
+// are registered and held (the fifth registration prunes, keeps four, and
+// so puts the next prune at eight entries); they flush known work and are
+// then dropped and collected. Three more held handles grow the registry to
+// 6, 7 and 8 entries without pruning; the fourth finds eight, prunes the
+// five dead ones and reads 4. A registry that pruned on every registration
+// reads 1, 2, 3, 4. Every count depends only on the rule, not on the host:
+// the test waits for the collection before it counts.
+func TestRegistryPrunesOnDoubling(t *testing.T) {
+	s := MustNew[int](Config{Width: 2, Depth: 8, Shift: 8, RandomHops: 1})
+	var want OpStats
+	var dropped []weak.Pointer[Handle[int]]
+	func() {
+		held := make([]*Handle[int], 5)
+		for i := range held {
+			held[i] = s.NewHandle()
+		}
+		for i, h := range held {
+			for j := 0; j <= i; j++ {
+				h.Push(j)
+			}
+			h.FlushStats()
+			want.Add(h.Stats())
+			dropped = append(dropped, weak.Make(h))
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for collected := false; !collected; {
+		runtime.GC()
+		collected = true
+		for _, wp := range dropped {
+			collected = collected && wp.Value() == nil
+		}
+		if !collected {
+			if time.Now().After(deadline) {
+				t.Fatal("dropped handles were never collected")
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	var held []*Handle[int]
+	for _, entries := range []int{6, 7, 8, 4} {
+		held = append(held, s.NewHandle())
+		if got := s.RegisteredHandles(); got != entries {
+			t.Fatalf("registration %d: %d entries, want %d (prune only once the registry doubles)", 5+len(held), got, entries)
+		}
+		if snap := s.StatsSnapshot(); snap != want {
+			t.Fatalf("registration %d: snapshot %+v, want exactly %+v", 5+len(held), snap, want)
+		}
+	}
+	runtime.KeepAlive(held)
 }
 
 // TestReconfigureGrowthJoinsAtFloor is the sequential witness of the old

@@ -2,15 +2,17 @@ package core
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 )
 
 // Latency sampling. One operation in LatencySampleInterval is timed
 // end-to-end (pin to unpin) and recorded into a log2-bucketed histogram in
 // the handle's OpStats. The buckets are monotone counters like every other
-// field, so they flush through the same SharedCounters mirror, aggregate
-// through the same prune-retired registry, and subtract cleanly between
+// field, so they flush through the same sharedCounters mirror, aggregate
+// through the same prune-retired Registry, and subtract cleanly between
 // StatsSnapshots — which is what lets internal/adapt compute interval P50/
 // P99 estimates at runtime without the harness's offline sampler.
 const (
@@ -54,7 +56,7 @@ func latencyBucketBounds(i int) (lo, hi time.Duration) {
 // sub-stacks an operation inspects, how often CAS fails (contention), and
 // how often the window has to move. Counters are handle-local and updated
 // without atomics; read them from the owning goroutine only (or after it
-// has quiesced). For cross-goroutine sampling use Window.StatsSnapshot,
+// has quiesced). For cross-goroutine sampling use Registry.StatsSnapshot,
 // which reads the periodically flushed atomic copies instead.
 type OpStats struct {
 	Pushes    uint64 // completed Push operations
@@ -208,16 +210,54 @@ func (s OpStats) Sub(other OpStats) OpStats {
 	return out
 }
 
+// Counters is the handle side of a Registry: a handle's work counters and
+// their periodic publication. The owner updates Count without atomics;
+// every statsFlushInterval operations (MaybeFlush) or on demand
+// (FlushStats) the counters are copied into the mirror the registry reads.
+// WindowHandle embeds one, and so do internal/relax's counting adapter
+// handles. Owner-goroutine only, like the handles embedding it.
+type Counters struct {
+	// Count is the handle's work counters, updated by Search, the
+	// structures' visitors and the adapters without atomics (see OpStats;
+	// Stats returns a copy).
+	Count OpStats
+	// sinceFlush counts operations since Count was last published.
+	sinceFlush int
+	// shared is the published, atomically readable copy of Count, wired by
+	// Registry.Register. It is a separate allocation, held strongly by the
+	// registry, so the final published counters and resident count
+	// outlive the handle itself.
+	shared *sharedCounters
+}
+
 // Stats returns a copy of the handle's counters. Owner-goroutine only.
-func (h *WindowHandle[T, S]) Stats() OpStats { return h.Count }
+func (c *Counters) Stats() OpStats { return c.Count }
 
 // ResetStats zeroes the handle's counters (and their published copy).
 // Owner-goroutine only. Samplers holding a previous StatsSnapshot baseline
 // will see this as a shrinking total; OpStats.Sub saturates, so the
 // affected interval reads as zero rather than garbage.
-func (h *WindowHandle[T, S]) ResetStats() {
-	h.Count = OpStats{}
-	h.FlushStats()
+func (c *Counters) ResetStats() {
+	c.Count = OpStats{}
+	c.FlushStats()
+}
+
+// MaybeFlush counts one completed operation and publishes the counters
+// every statsFlushInterval of them; the handle calls it after each
+// operation, on the owner goroutine.
+func (c *Counters) MaybeFlush() {
+	c.sinceFlush++
+	if c.sinceFlush >= statsFlushInterval {
+		c.FlushStats()
+	}
+}
+
+// FlushStats immediately publishes the handle's counters to the mirror its
+// registry reads. Owner-goroutine only. Useful when a worker quiesces and a
+// sampler should see its final totals at once.
+func (c *Counters) FlushStats() {
+	c.sinceFlush = 0
+	c.shared.Store(c.Count)
 }
 
 // statsFlushInterval is how many operations a handle completes between
@@ -227,7 +267,7 @@ func (h *WindowHandle[T, S]) ResetStats() {
 // local counter increment per operation.
 const statsFlushInterval = 64
 
-// SharedCounters is the atomically readable mirror of a handle's OpStats.
+// sharedCounters is the atomically readable mirror of a handle's OpStats.
 // Single writer (the owning goroutine, via flush); any reader.
 //
 // Two memory disciplines protect the mirror. A seqlock generation (gen,
@@ -249,9 +289,9 @@ const statsFlushInterval = 64
 // residents sits outside the seqlock: the handle's op-buffer resident
 // count, stored by the owner after every buffer mutation (one store per
 // buffered operation, on the mirror's last line) and read by
-// Window.BufferedItems and, once the handle is collected, by
-// Window.AbandonedItems.
-type SharedCounters struct {
+// Registry.BufferedItems and, once the handle is collected, by
+// Registry.AbandonedItems.
+type sharedCounters struct {
 	gen                                  atomic.Uint64
 	pushes, pops, emptyPops              atomic.Uint64
 	probes, randomHops, casFailures      atomic.Uint64
@@ -268,7 +308,7 @@ type SharedCounters struct {
 // socket slots, latency buckets no sample fell into, counters of paths
 // not taken) have not moved. A flush then makes a handful of fenced
 // stores instead of one per field.
-func (c *SharedCounters) Store(st OpStats) {
+func (c *sharedCounters) Store(st OpStats) {
 	c.gen.Add(1) // odd: flush in progress
 	storeChanged(&c.pushes, st.Pushes)
 	storeChanged(&c.pops, st.Pops)
@@ -296,7 +336,7 @@ func storeChanged(a *atomic.Uint64, v uint64) {
 	}
 }
 
-func (c *SharedCounters) Load() OpStats {
+func (c *sharedCounters) Load() OpStats {
 	for {
 		g := c.gen.Load()
 		if g&1 != 0 {
@@ -327,19 +367,143 @@ func (c *SharedCounters) Load() OpStats {
 	}
 }
 
-// maybeFlush publishes the handle's counters every statsFlushInterval
-// completed operations; called from unpin on the owner goroutine.
-func (h *WindowHandle[T, S]) maybeFlush() {
-	h.sinceFlush++
-	if h.sinceFlush >= statsFlushInterval {
-		h.FlushStats()
-	}
+// Registry is the weak-handle registry: it publishes the work of every
+// handle whose Counters it registered, live or collected. Each entry holds
+// its handle (of type H) weakly — so an abandoned handle (one dropped from
+// the convenience API's sync.Pool on a GC cycle, or an engine adapter
+// handle left behind by a swap) is collectable — but the handle's counter
+// mirror strongly: a collected handle's final counters and resident count
+// stay readable until a later registration prunes the entry and folds them
+// into retired and abandoned. Every read is therefore exact with no
+// dependence on GC timing. Window embeds one for its handles (and adds the
+// epoch quiescence wait over its entries); so do internal/relax's counting
+// adapters. A Registry must not be copied.
+//
+// Registration prunes only once the registry has doubled since its last
+// prune (pruneAt), so a workload that keeps creating handles pays amortised
+// O(1) per registration instead of a rescan of every entry: a prune that
+// keeps L live entries is next due after at least L more registrations.
+type Registry[H any] struct {
+	// hMu guards the entries and the totals below.
+	hMu     sync.Mutex
+	handles []registryEntry[H]
+	// pruneAt is the entry count at which registration next prunes: twice
+	// the live entries the last prune kept.
+	pruneAt int
+	// retired accumulates the last published counters of pruned handles,
+	// so StatsSnapshot never loses completed work; abandoned accumulates
+	// their op-buffer residents, the items lost with them.
+	retired   OpStats
+	abandoned int64
 }
 
-// FlushStats immediately publishes the handle's counters to the shared
-// copy read by Window.StatsSnapshot. Owner-goroutine only. Useful when a
-// worker quiesces and a sampler should see its final totals at once.
-func (h *WindowHandle[T, S]) FlushStats() {
-	h.sinceFlush = 0
-	h.shared.Store(h.Count)
+// registryEntry is one registry slot: the weak handle for liveness (and,
+// in Window, epoch) checks plus a strong reference to its counter mirror,
+// so pruning can fold every dead entry's counters and residents
+// unconditionally.
+type registryEntry[H any] struct {
+	wp     weak.Pointer[H]
+	shared *sharedCounters
+}
+
+// Register wires c — the Counters h embeds — to a fresh mirror and adds h
+// to the registry, first pruning collected entries if the registry has
+// doubled since the last prune. The registry holds h weakly: a handle its
+// owner drops becomes collectable, and a later prune folds its last
+// published counters into the retired total and its buffered residents
+// into AbandonedItems. (Counters not yet flushed when a handle is
+// abandoned — at most statsFlushInterval operations — are lost; call
+// FlushStats before dropping a handle if they matter.)
+func (r *Registry[H]) Register(h *H, c *Counters) {
+	c.shared = &sharedCounters{}
+	r.hMu.Lock()
+	if len(r.handles) >= r.pruneAt {
+		r.prune()
+	}
+	r.handles = append(r.handles, registryEntry[H]{wp: weak.Make(h), shared: c.shared})
+	r.hMu.Unlock()
+}
+
+// prune drops the entries whose handles were collected, folding their
+// counters and residents into the totals, and clears the vacated tail so
+// the dropped mirrors are collectable too. Caller holds hMu.
+func (r *Registry[H]) prune() {
+	live := r.handles[:0]
+	for _, e := range r.handles {
+		if e.wp.Value() != nil {
+			live = append(live, e)
+		} else {
+			r.retired.Add(e.shared.Load())
+			r.abandoned += e.shared.residents.Load()
+		}
+	}
+	clear(r.handles[len(live):])
+	r.handles = live
+	r.pruneAt = 2 * len(live)
+}
+
+// RegisteredHandles returns the number of registry entries: live handles
+// plus collected ones not yet pruned. Diagnostics and tests.
+func (r *Registry[H]) RegisteredHandles() int {
+	r.hMu.Lock()
+	defer r.hMu.Unlock()
+	return len(r.handles)
+}
+
+// BufferedItems returns the op-buffer residents of every live handle:
+// pending-but-unpublished pushes plus prefetched-but-undelivered pops
+// (SetOpBuffer). The structures' Len adds it to their slot populations, so
+// combined publication never makes items phantom-invisible to sizing.
+// Approximate under concurrency, like Len.
+func (r *Registry[H]) BufferedItems() int {
+	var n int64
+	r.hMu.Lock()
+	for _, e := range r.handles {
+		if e.wp.Value() != nil {
+			n += e.shared.residents.Load()
+		}
+	}
+	r.hMu.Unlock()
+	return int(n)
+}
+
+// AbandonedItems returns how many op-buffered items were lost with handles
+// their owners dropped without FlushOps (and without delivering their
+// prefetch) once the garbage collector took the handle: only the owning
+// goroutine may touch a handle's buffers, so those items cannot be
+// recovered, only counted. Exact as soon as the handle is collected, before
+// or after its registry entry is pruned. The counterpart of FlushOps:
+// flush before dropping a buffered handle and this stays zero.
+func (r *Registry[H]) AbandonedItems() int64 {
+	r.hMu.Lock()
+	defer r.hMu.Unlock()
+	n := r.abandoned
+	for _, e := range r.handles {
+		if e.wp.Value() == nil {
+			n += e.shared.residents.Load()
+		}
+	}
+	return n
+}
+
+// StatsSnapshot aggregates the published counters of every registered
+// handle plus the retired totals of pruned ones. It is safe to call from
+// any goroutine and does not perturb the operation hot path: handles
+// publish their counters every statsFlushInterval operations, so the
+// snapshot trails the truth by at most that many operations per active
+// handle (and by the same amount, permanently, per abandoned handle).
+// Because the registry holds each handle's counter mirror strongly, a
+// collected-but-not-yet-pruned handle's work is still read here — the
+// snapshot never transiently loses completed operations. A window
+// structure's reconfiguration traffic does not read as client operations:
+// the shrink handoffs move stranded items without a handle. This is the
+// feed for internal/adapt's controller.
+func (r *Registry[H]) StatsSnapshot() OpStats {
+	r.hMu.Lock()
+	out := r.retired
+	for _, e := range r.handles {
+		out.Add(e.shared.Load())
+	}
+	r.hMu.Unlock()
+	return out
 }

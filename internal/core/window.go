@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"weak"
 
 	"stack2d/internal/pad"
 	"stack2d/internal/xrand"
@@ -16,7 +15,7 @@ import (
 // technique that does not depend on what the window's slots hold. S is the
 // sub-structure type — the descriptor sub-stack here, the Michael–Scott
 // sub-queue there. The shell owns the published geometry and its epochs,
-// the weak-handle registry (quiescence detection, stats aggregation, the
+// the weak-handle Registry (quiescence detection, stats aggregation, the
 // buffered-resident and abandoned-item totals), socket placement,
 // reconfiguration and the structural observer. A structure embeds a Window
 // by value, next to its own window ceilings, and supplies its Hooks for the
@@ -59,22 +58,10 @@ type Window[T, S any] struct {
 	// ShrinkDisplacementBound).
 	shrinkDisp atomic.Int64
 
-	// hMu guards the handle registry, which powers epoch quiescence
-	// detection, StatsSnapshot, BufferedItems and AbandonedItems. Each
-	// entry holds its handle weakly — so an abandoned handle (e.g. one
-	// dropped from the convenience API's sync.Pool on a GC cycle) is
-	// collectable — but the handle's published counters strongly: a
-	// collected handle's final counters and resident count stay readable
-	// until a later registration prunes the entry and folds them into
-	// retired and abandoned. StatsSnapshot is therefore exact with no
-	// dependence on GC-cleanup timing.
-	hMu     sync.Mutex
-	handles []handleEntry[T, S]
-	// retired accumulates the last published counters of pruned handles,
-	// so StatsSnapshot never loses completed work; abandoned accumulates
-	// their op-buffer residents, the items lost with them.
-	retired   OpStats
-	abandoned int64
+	// Registry is the handle registry, which powers epoch quiescence
+	// detection (waitQuiesce walks its entries) and provides
+	// StatsSnapshot, BufferedItems, AbandonedItems and RegisteredHandles.
+	Registry[WindowHandle[T, S]]
 }
 
 // Hooks are a structure's own steps in the shell's reconfiguration. They
@@ -93,14 +80,6 @@ type Hooks[S any] struct {
 	// and returns the displacement bound the migration adds. The stack
 	// splices chains; the queue drains round-robin.
 	Handoff func(next *Geometry[S], dropped []*S) int64
-}
-
-// handleEntry is one registry slot: the weak handle for liveness/epoch
-// checks plus a strong reference to its atomic counter mirror, so pruning
-// can fold every dead entry's counters and residents unconditionally.
-type handleEntry[T, S any] struct {
-	wp     weak.Pointer[WindowHandle[T, S]]
-	shared *SharedCounters
 }
 
 // Init validates cfg and installs the structure's first geometry and its
@@ -146,13 +125,8 @@ func (w *Window[T, S]) ShrinkDisplacementBound() int64 { return w.shrinkDisp.Loa
 // Register initialises h as a handle of this structure — its RNG, the
 // first `anchors` of its locality anchors (drawn at random in index
 // order), its creation-order socket hint — gives it the structure's buffer
-// steps, and adds it to the registry, pruning entries whose handles were
-// collected. The registry holds h weakly: a handle its owner drops becomes
-// collectable, and its entry is pruned on a later registration, folding
-// its last published counters into the retired total and its buffered
-// residents into AbandonedItems. (Counters not yet flushed when a handle
-// is abandoned — at most statsFlushInterval operations — are lost; call
-// FlushStats before dropping a handle if they matter.)
+// steps, and adds it to the registry (Registry.Register), which holds it
+// weakly.
 func (w *Window[T, S]) Register(h *WindowHandle[T, S], anchors int, buf BufferHooks[T]) {
 	h.w, h.buf = w, buf
 	h.rng = xrand.New(w.seed.V.Add(0x9e3779b97f4a7c15))
@@ -163,63 +137,7 @@ func (w *Window[T, S]) Register(h *WindowHandle[T, S], anchors int, buf BufferHo
 	}
 	h.socket = HeuristicSocket(order, geo.nsockets)
 	h.latCountdown = LatencySampleInterval
-	h.shared = &SharedCounters{}
-	w.hMu.Lock()
-	live := w.handles[:0]
-	for _, old := range w.handles {
-		if old.wp.Value() != nil {
-			live = append(live, old)
-		} else {
-			w.retired.Add(old.shared.Load())
-			w.abandoned += old.shared.residents.Load()
-		}
-	}
-	w.handles = append(live, handleEntry[T, S]{wp: weak.Make(h), shared: h.shared})
-	w.hMu.Unlock()
-}
-
-// RegisteredHandles returns the number of registry entries: live handles
-// plus collected ones not yet pruned. Diagnostics and tests.
-func (w *Window[T, S]) RegisteredHandles() int {
-	w.hMu.Lock()
-	defer w.hMu.Unlock()
-	return len(w.handles)
-}
-
-// BufferedItems returns the op-buffer residents of every live handle:
-// pending-but-unpublished pushes plus prefetched-but-undelivered pops
-// (SetOpBuffer). The structures' Len adds it to their slot populations, so
-// combined publication never makes items phantom-invisible to sizing.
-// Approximate under concurrency, like Len.
-func (w *Window[T, S]) BufferedItems() int {
-	var n int64
-	w.hMu.Lock()
-	for _, e := range w.handles {
-		if e.wp.Value() != nil {
-			n += e.shared.residents.Load()
-		}
-	}
-	w.hMu.Unlock()
-	return int(n)
-}
-
-// AbandonedItems returns how many op-buffered items were lost with handles
-// their owners dropped without FlushOps (and without delivering their
-// prefetch) once the garbage collector took the handle: only the owning
-// goroutine may touch a handle's buffers, so those items cannot be
-// recovered, only counted. Exact as soon as the handle is collected, before
-// or after its registry entry is pruned. The counterpart of FlushOps:
-// flush before dropping a buffered handle and this stays zero.
-func (w *Window[T, S]) AbandonedItems() int64 {
-	w.hMu.Lock()
-	defer w.hMu.Unlock()
-	n := w.abandoned
-	for _, e := range w.handles {
-		if e.wp.Value() == nil {
-			n += e.shared.residents.Load()
-		}
-	}
-	return n
+	w.Registry.Register(h, &h.Counters)
 }
 
 // waitQuiesce blocks until no handle is pinned to an epoch <= oldEpoch.
@@ -251,26 +169,4 @@ func (w *Window[T, S]) waitQuiesce(oldEpoch uint64) {
 		yield.Fire(yield.PointWait)
 		runtime.Gosched()
 	}
-}
-
-// StatsSnapshot aggregates the published counters of every registered
-// handle plus the retired totals of pruned ones. It is safe to call from
-// any goroutine and does not perturb the operation hot path: handles
-// publish their counters every statsFlushInterval operations, so the
-// snapshot trails the truth by at most that many operations per active
-// handle (and by the same amount, permanently, per abandoned handle).
-// Because the registry holds each handle's counter mirror strongly, a
-// collected-but-not-yet-pruned handle's work is still read here — the
-// snapshot never transiently loses completed operations. Reconfiguration
-// traffic does not read as client operations: the shrink handoffs move
-// stranded items without a handle. This is the feed for internal/adapt's
-// controller.
-func (w *Window[T, S]) StatsSnapshot() OpStats {
-	w.hMu.Lock()
-	out := w.retired
-	for _, e := range w.handles {
-		out.Add(e.shared.Load())
-	}
-	w.hMu.Unlock()
-	return out
 }

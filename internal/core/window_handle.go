@@ -25,10 +25,10 @@ type WindowHandle[T, S any] struct {
 	// success at each end of the structure. The stack uses Last[0]; the
 	// queue's enqueue end is Last[0] and its dequeue end Last[1].
 	Last [2]int
-	// Count is the handle's work counters, updated by Search and the
-	// structures' visitors without atomics (see OpStats; Stats returns a
-	// copy).
-	Count OpStats
+	// Counters holds the work counters (Count), updated by Search and the
+	// structures' visitors without atomics, and publishes them to the
+	// structure's Registry every statsFlushInterval operations.
+	Counters
 
 	// socket is the placement hint: the socket the owning goroutine is
 	// believed to run on, defaulted by the creation-order heuristic and
@@ -47,10 +47,6 @@ type WindowHandle[T, S any] struct {
 	planPos    []int
 	planLocalN int
 
-	// sinceFlush counts operations since stats were last published to
-	// shared (see maybeFlush in stats.go).
-	sinceFlush int
-
 	// latCountdown counts operations down to the next latency sample: one
 	// operation in LatencySampleInterval is timed end to end
 	// (latSampling/latStart carry the in-flight sample between pin and
@@ -67,7 +63,8 @@ type WindowHandle[T, S any] struct {
 	// structurally popped but not-yet-delivered values in delivery order;
 	// bufEpoch is the geometry epoch the buffers were last reconciled with;
 	// buf is the structure's batch steps. The resident total is published
-	// in shared (SharedCounters.residents) for Len and AbandonedItems.
+	// in the Counters' mirror (sharedCounters.residents) for Len and
+	// AbandonedItems.
 	bufCap    int
 	pending   []T
 	prefetch  []T
@@ -79,12 +76,6 @@ type WindowHandle[T, S any] struct {
 	// or 0 when idle. Written only by the owner, read by reconfigurers to
 	// detect quiescence of a superseded geometry.
 	epoch atomic.Uint64
-
-	// shared is the periodically flushed, atomically readable copy of
-	// the counters, consumed by Window.StatsSnapshot. It is a separate
-	// allocation, held strongly by the handle registry, so the final
-	// published counters and resident count outlive the handle itself.
-	shared *SharedCounters
 }
 
 // Pin declares the socket the owning goroutine runs on, overriding the
@@ -218,5 +209,5 @@ func (h *WindowHandle[T, S]) Unpin() {
 	if h.latSampling {
 		h.closeLatSample()
 	}
-	h.maybeFlush()
+	h.MaybeFlush()
 }

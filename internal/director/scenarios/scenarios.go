@@ -99,14 +99,14 @@ func All() []Scenario {
 		{
 			Name:     NameShrinkDuringDrain,
 			About:    "width shrink racing directed poppers",
-			Run:      runShrinkDuringDrain,
-			Directed: directedShrinkDuringDrain,
+			Run:      seededRandom(directedShrinkDuringDrain(NameShrinkDuringDrain, 0)),
+			Directed: directedShrinkDuringDrain(NameShrinkDuringDrain, 0),
 		},
 		{
 			Name:     NameSwapDuringStorm,
 			About:    "backend hot-swap inside a directed push/pop storm",
-			Run:      runSwapDuringStorm,
-			Directed: directedSwapDuringStorm,
+			Run:      seededRandom(directedSwapDuringStorm(NameSwapDuringStorm, 0)),
+			Directed: directedSwapDuringStorm(NameSwapDuringStorm, 0),
 		},
 		{
 			Name:     NameSocketSkew,
@@ -123,14 +123,14 @@ func All() []Scenario {
 		{
 			Name:     NameBufferedShrinkDuringDrain,
 			About:    "shrink-during-drain with op-buffered handles: pending batches cross the geometry epoch",
-			Run:      runBufferedShrinkDuringDrain,
-			Directed: directedBufferedShrinkDuringDrain,
+			Run:      seededRandom(directedShrinkDuringDrain(NameBufferedShrinkDuringDrain, bufferedScenarioCap)),
+			Directed: directedShrinkDuringDrain(NameBufferedShrinkDuringDrain, bufferedScenarioCap),
 		},
 		{
 			Name:     NameBufferedSwapDuringStorm,
 			About:    "backend hot-swap with engine-buffered handles: pending pushes cross the swap",
-			Run:      runBufferedSwapDuringStorm,
-			Directed: directedBufferedSwapDuringStorm,
+			Run:      seededRandom(directedSwapDuringStorm(NameBufferedSwapDuringStorm, bufferedScenarioCap)),
+			Directed: directedSwapDuringStorm(NameBufferedSwapDuringStorm, bufferedScenarioCap),
 		},
 	}
 }
@@ -333,136 +333,23 @@ func finishStackOutcome(name, strategy string, seed uint64, d *director.Director
 	return out, nil
 }
 
-func runShrinkDuringDrain(seed uint64) (*Outcome, error) {
-	return directedShrinkDuringDrain(seed, director.NewSeededRandom(seed))
-}
-
-func directedShrinkDuringDrain(seed uint64, strat director.Strategy) (*Outcome, error) {
-	cfgWide := core.Config{Width: 4, Depth: 4, Shift: 1, RandomHops: 0}
-	cfgNarrow := core.Config{Width: 2, Depth: 4, Shift: 1, RandomHops: 0}
-	st, err := core.New[uint64](cfgWide)
-	if err != nil {
-		return nil, err
-	}
-	var o quality.Oracle
-	var errs []error
-	d := director.New(strat)
-	for w := 0; w < 2; w++ {
-		d.Go("filler", func(tc *director.Task) {
-			h := st.NewHandle()
-			for i := 0; i < 10; i++ {
-				pushOp(tc, h.Push, &o, &errs)
-			}
-		})
-	}
-	for w := 0; w < 2; w++ {
-		d.Go("drainer", func(tc *director.Task) {
-			h := st.NewHandle()
-			for i := 0; i < 10; i++ {
-				popOp(tc, h.Pop, &o, &errs)
-			}
-		})
-	}
-	d.Go("shrink", func(tc *director.Task) {
-		// Let the storm develop a little before shrinking.
-		for i := 0; i < 6; i++ {
-			tc.Yield()
-		}
-		if err := st.Reconfigure(cfgNarrow); err != nil {
-			errs = append(errs, err)
-		}
-	})
-	if err := d.Run(); err != nil {
-		return nil, err
-	}
-	h := st.NewHandle()
-	drainInto(d, h.Pop, &o, &errs)
-	k := cfgWide.K()
-	if n := cfgNarrow.K(); n > k {
-		k = n
-	}
-	out, err := finishStackOutcome(NameShrinkDuringDrain, strat.Name(), seed, d, k, st.ShrinkDisplacementBound(), 0, errs)
-	if out != nil {
-		out.Quality = o.Snapshot()
-	}
-	return out, err
-}
-
-func runSwapDuringStorm(seed uint64) (*Outcome, error) {
-	return directedSwapDuringStorm(seed, director.NewSeededRandom(seed))
-}
-
-func directedSwapDuringStorm(seed uint64, strat director.Strategy) (*Outcome, error) {
-	twod, err := relax.NewTwoDBackend[uint64](core.Config{Width: 2, Depth: 4, Shift: 1, RandomHops: 0})
-	if err != nil {
-		return nil, err
-	}
-	sw, err := engine.New(twod)
-	if err != nil {
-		return nil, err
-	}
-	if err := sw.Register(relax.NewTreiberBackend[uint64]()); err != nil {
-		return nil, err
-	}
-	var o quality.Oracle
-	var errs []error
-	d := director.New(strat)
-	for w := 0; w < 3; w++ {
-		d.Go("storm", func(tc *director.Task) {
-			h := sw.NewHandle()
-			for i := 0; i < 6; i++ {
-				pushOp(tc, h.Push, &o, &errs)
-				if i%2 == 1 {
-					popOp(tc, h.Pop, &o, &errs)
-				}
-			}
-		})
-	}
-	d.Go("swapper", func(tc *director.Task) {
-		for i := 0; i < 4; i++ {
-			tc.Yield()
-		}
-		if err := sw.SwapBackend("treiber", "directed storm"); err != nil {
-			errs = append(errs, err)
-		}
-		for i := 0; i < 4; i++ {
-			tc.Yield()
-		}
-		if err := sw.SwapBackend("2D-stack", "directed storm return"); err != nil {
-			errs = append(errs, err)
-		}
-	})
-	if err := d.Run(); err != nil {
-		return nil, err
-	}
-	h := sw.NewHandle()
-	drainInto(d, h.Pop, &o, &errs)
-	out, err := finishStackOutcome(NameSwapDuringStorm, strat.Name(), seed, d, sw.KBound(), sw.SwapDisplacementBound(), 0, errs)
-	if out != nil {
-		out.Quality = o.Snapshot()
-	}
-	if err != nil {
-		return out, err
-	}
-	if sw.SwapCount() != 2 {
-		return out, fmt.Errorf("expected 2 swaps, got %d", sw.SwapCount())
-	}
-	return out, nil
-}
-
-// --- buffered variants (DESIGN.md §11) ---------------------------------------
+// --- reconfiguration storms --------------------------------------------------
 //
-// The buffered scenarios rerun the two reconfiguration storms with every
-// worker handle armed with an op buffer, so the adversarial schedules probe
-// the combined-publication fast path exactly where it is weakest: pending
-// pushes crossing a geometry epoch (the op buffer's epoch flush) and
-// pending pushes crossing a backend swap (the engine buffer's swap-safety
-// claim). Worker-end protocol: FlushOps publishes the pending pushes (their
-// history ops were recorded at BufferedPush time — that deferral is what
-// the BufferAllowance budget pays for), then the undelivered prefetched
-// values are delivered through recorded pops, so the drained history stays
-// conservation-complete and the fairness premise of the §11 bound (no
-// parking with non-empty buffers) holds at every task exit.
+// The two storms run plain or op-buffered (DESIGN.md §11) from one body
+// each. A buffer cap of 0 gives the plain scenario: SetOpBuffer(0) leaves a
+// handle disarmed, so BufferedPush/BufferedPop are exactly Push/Pop,
+// FlushOps and the undelivered-prefetch loop do nothing, and
+// seqspec.BufferAllowance(·, 0) is 0. A positive cap gives the buffered
+// twin, which probes the combined-publication fast path exactly where it
+// is weakest: pending pushes crossing a geometry epoch (the op buffer's
+// epoch flush) and pending pushes crossing a backend swap (the engine
+// buffer's swap-safety claim). Worker-end protocol: FlushOps publishes the
+// pending pushes (their history ops were recorded at BufferedPush time —
+// that deferral is what the BufferAllowance budget pays for), then the
+// undelivered prefetched values are delivered through recorded pops, so
+// the drained history stays conservation-complete and the fairness
+// premise of the §11 bound (no parking with non-empty buffers) holds at
+// every task exit.
 
 // bufferedScenarioCap is the op-buffer threshold the buffered scenarios
 // arm. Small on purpose: the workloads are tens of ops per worker, and the
@@ -470,133 +357,142 @@ func directedSwapDuringStorm(seed uint64, strat director.Strategy) (*Outcome, er
 // not full-batch steady state.
 const bufferedScenarioCap = 4
 
-func runBufferedShrinkDuringDrain(seed uint64) (*Outcome, error) {
-	return directedBufferedShrinkDuringDrain(seed, director.NewSeededRandom(seed))
+// seededRandom is a directed body's Run: the body under the seeded-random
+// strategy.
+func seededRandom(directed func(uint64, director.Strategy) (*Outcome, error)) func(uint64) (*Outcome, error) {
+	return func(seed uint64) (*Outcome, error) { return directed(seed, director.NewSeededRandom(seed)) }
 }
 
-func directedBufferedShrinkDuringDrain(seed uint64, strat director.Strategy) (*Outcome, error) {
-	cfgWide := core.Config{Width: 4, Depth: 4, Shift: 1, RandomHops: 0}
-	cfgNarrow := core.Config{Width: 2, Depth: 4, Shift: 1, RandomHops: 0}
-	st, err := core.New[uint64](cfgWide)
-	if err != nil {
-		return nil, err
-	}
-	var o quality.Oracle
-	var errs []error
-	d := director.New(strat)
-	for w := 0; w < 2; w++ {
-		d.Go("filler", func(tc *director.Task) {
-			h := st.NewHandle()
-			h.SetOpBuffer(bufferedScenarioCap)
-			for i := 0; i < 10; i++ {
-				pushOp(tc, h.BufferedPush, &o, &errs)
-			}
-			h.FlushOps()
-		})
-	}
-	for w := 0; w < 2; w++ {
-		d.Go("drainer", func(tc *director.Task) {
-			h := st.NewHandle()
-			h.SetOpBuffer(bufferedScenarioCap)
-			for i := 0; i < 10; i++ {
-				popOp(tc, h.BufferedPop, &o, &errs)
-			}
-			// Deliver what the last refill prefetched but did not serve —
-			// each of these pops is satisfied from the prefetch, so the
-			// count is exact.
-			_, undelivered := h.BufferedCounts()
-			for i := 0; i < undelivered; i++ {
-				popOp(tc, h.BufferedPop, &o, &errs)
-			}
-		})
-	}
-	d.Go("shrink", func(tc *director.Task) {
-		for i := 0; i < 6; i++ {
-			tc.Yield()
+// directedShrinkDuringDrain is the scenario name's body: two fillers and
+// two drainers, their handles armed with an op buffer of bufCap, race a
+// width shrink from 4 slots to 2.
+func directedShrinkDuringDrain(name string, bufCap int) func(uint64, director.Strategy) (*Outcome, error) {
+	return func(seed uint64, strat director.Strategy) (*Outcome, error) {
+		cfgWide := core.Config{Width: 4, Depth: 4, Shift: 1, RandomHops: 0}
+		cfgNarrow := core.Config{Width: 2, Depth: 4, Shift: 1, RandomHops: 0}
+		st, err := core.New[uint64](cfgWide)
+		if err != nil {
+			return nil, err
 		}
-		if err := st.Reconfigure(cfgNarrow); err != nil {
-			errs = append(errs, err)
+		var o quality.Oracle
+		var errs []error
+		d := director.New(strat)
+		for w := 0; w < 2; w++ {
+			d.Go("filler", func(tc *director.Task) {
+				h := st.NewHandle()
+				h.SetOpBuffer(bufCap)
+				for i := 0; i < 10; i++ {
+					pushOp(tc, h.BufferedPush, &o, &errs)
+				}
+				h.FlushOps()
+			})
 		}
-	})
-	if err := d.Run(); err != nil {
-		return nil, err
-	}
-	h := st.NewHandle()
-	drainInto(d, h.Pop, &o, &errs)
-	k := cfgWide.K()
-	if n := cfgNarrow.K(); n > k {
-		k = n
-	}
-	out, err := finishStackOutcome(NameBufferedShrinkDuringDrain, strat.Name(), seed, d,
-		k, st.ShrinkDisplacementBound(), seqspec.BufferAllowance(4, bufferedScenarioCap), errs)
-	if out != nil {
-		out.Quality = o.Snapshot()
-	}
-	return out, err
-}
-
-func runBufferedSwapDuringStorm(seed uint64) (*Outcome, error) {
-	return directedBufferedSwapDuringStorm(seed, director.NewSeededRandom(seed))
-}
-
-func directedBufferedSwapDuringStorm(seed uint64, strat director.Strategy) (*Outcome, error) {
-	twod, err := relax.NewTwoDBackend[uint64](core.Config{Width: 2, Depth: 4, Shift: 1, RandomHops: 0})
-	if err != nil {
-		return nil, err
-	}
-	sw, err := engine.New(twod)
-	if err != nil {
-		return nil, err
-	}
-	if err := sw.Register(relax.NewTreiberBackend[uint64]()); err != nil {
-		return nil, err
-	}
-	var o quality.Oracle
-	var errs []error
-	d := director.New(strat)
-	for w := 0; w < 3; w++ {
-		d.Go("storm", func(tc *director.Task) {
-			h := sw.NewBufferedHandle(bufferedScenarioCap)
-			for i := 0; i < 6; i++ {
-				pushOp(tc, h.BufferedPush, &o, &errs)
-				if i%2 == 1 {
+		for w := 0; w < 2; w++ {
+			d.Go("drainer", func(tc *director.Task) {
+				h := st.NewHandle()
+				h.SetOpBuffer(bufCap)
+				for i := 0; i < 10; i++ {
 					popOp(tc, h.BufferedPop, &o, &errs)
 				}
+				// Deliver what the last refill prefetched but did not
+				// serve — each of these pops is satisfied from the
+				// prefetch, so the count is exact.
+				_, undelivered := h.BufferedCounts()
+				for i := 0; i < undelivered; i++ {
+					popOp(tc, h.BufferedPop, &o, &errs)
+				}
+			})
+		}
+		d.Go("shrink", func(tc *director.Task) {
+			// Let the storm develop a little before shrinking.
+			for i := 0; i < 6; i++ {
+				tc.Yield()
 			}
-			h.FlushOps() // the engine buffer holds no prefetch to deliver
+			if err := st.Reconfigure(cfgNarrow); err != nil {
+				errs = append(errs, err)
+			}
 		})
-	}
-	d.Go("swapper", func(tc *director.Task) {
-		for i := 0; i < 4; i++ {
-			tc.Yield()
+		if err := d.Run(); err != nil {
+			return nil, err
 		}
-		if err := sw.SwapBackend("treiber", "buffered directed storm"); err != nil {
-			errs = append(errs, err)
+		h := st.NewHandle()
+		drainInto(d, h.Pop, &o, &errs)
+		k := cfgWide.K()
+		if n := cfgNarrow.K(); n > k {
+			k = n
 		}
-		for i := 0; i < 4; i++ {
-			tc.Yield()
+		out, err := finishStackOutcome(name, strat.Name(), seed, d,
+			k, st.ShrinkDisplacementBound(), seqspec.BufferAllowance(4, bufCap), errs)
+		if out != nil {
+			out.Quality = o.Snapshot()
 		}
-		if err := sw.SwapBackend("2D-stack", "buffered directed storm return"); err != nil {
-			errs = append(errs, err)
-		}
-	})
-	if err := d.Run(); err != nil {
-		return nil, err
-	}
-	h := sw.NewHandle()
-	drainInto(d, h.Pop, &o, &errs)
-	out, err := finishStackOutcome(NameBufferedSwapDuringStorm, strat.Name(), seed, d,
-		sw.KBound(), sw.SwapDisplacementBound(), seqspec.BufferAllowance(3, bufferedScenarioCap), errs)
-	if out != nil {
-		out.Quality = o.Snapshot()
-	}
-	if err != nil {
 		return out, err
 	}
-	if sw.SwapCount() != 2 {
-		return out, fmt.Errorf("expected 2 swaps, got %d", sw.SwapCount())
+}
+
+// directedSwapDuringStorm is the scenario name's body: three storm
+// workers, their engine handles armed with an op buffer of bufCap, push
+// and pop while the switcher swaps from the 2D-Stack to Treiber and back.
+func directedSwapDuringStorm(name string, bufCap int) func(uint64, director.Strategy) (*Outcome, error) {
+	return func(seed uint64, strat director.Strategy) (*Outcome, error) {
+		twod, err := relax.NewTwoDBackend[uint64](core.Config{Width: 2, Depth: 4, Shift: 1, RandomHops: 0})
+		if err != nil {
+			return nil, err
+		}
+		sw, err := engine.New(twod)
+		if err != nil {
+			return nil, err
+		}
+		if err := sw.Register(relax.NewTreiberBackend[uint64]()); err != nil {
+			return nil, err
+		}
+		var o quality.Oracle
+		var errs []error
+		d := director.New(strat)
+		for w := 0; w < 3; w++ {
+			d.Go("storm", func(tc *director.Task) {
+				h := sw.NewBufferedHandle(bufCap)
+				for i := 0; i < 6; i++ {
+					pushOp(tc, h.BufferedPush, &o, &errs)
+					if i%2 == 1 {
+						popOp(tc, h.BufferedPop, &o, &errs)
+					}
+				}
+				h.FlushOps() // the engine buffer holds no prefetch to deliver
+			})
+		}
+		d.Go("swapper", func(tc *director.Task) {
+			for i := 0; i < 4; i++ {
+				tc.Yield()
+			}
+			if err := sw.SwapBackend("treiber", "directed storm"); err != nil {
+				errs = append(errs, err)
+			}
+			for i := 0; i < 4; i++ {
+				tc.Yield()
+			}
+			if err := sw.SwapBackend("2D-stack", "directed storm return"); err != nil {
+				errs = append(errs, err)
+			}
+		})
+		if err := d.Run(); err != nil {
+			return nil, err
+		}
+		h := sw.NewHandle()
+		drainInto(d, h.Pop, &o, &errs)
+		out, err := finishStackOutcome(name, strat.Name(), seed, d,
+			sw.KBound(), sw.SwapDisplacementBound(), seqspec.BufferAllowance(3, bufCap), errs)
+		if out != nil {
+			out.Quality = o.Snapshot()
+		}
+		if err != nil {
+			return out, err
+		}
+		if sw.SwapCount() != 2 {
+			return out, fmt.Errorf("expected 2 swaps, got %d", sw.SwapCount())
+		}
+		return out, nil
 	}
-	return out, nil
 }
 
 func runSocketSkew(seed uint64) (*Outcome, error) {

@@ -1,8 +1,6 @@
 package relax
 
 import (
-	"sync"
-
 	"stack2d/internal/core"
 	"stack2d/internal/elimination"
 	"stack2d/internal/eltree"
@@ -23,9 +21,9 @@ import (
 
 // Handle is the per-goroutine operation context of a Backend. Handles are
 // not safe for concurrent use; the Backend is, across handles. Flush
-// publishes the handle's pending counters to the backend's registry (the
-// statsFlushInterval scheme of core): call it when a worker quiesces so a
-// sampler sees final totals.
+// publishes the handle's pending counters to the backend's registry (a
+// core.Registry, flushed every 64 operations like core's own handles):
+// call it when a worker quiesces so a sampler sees final totals.
 type Handle[T any] interface {
 	Push(v T)
 	Pop() (v T, ok bool)
@@ -56,58 +54,6 @@ type Backend[T any] interface {
 	Len() int
 	Drain() []T
 	StatsSnapshot() core.OpStats
-}
-
-// backendFlushInterval mirrors core's statsFlushInterval: adapter handles
-// publish their counters to the registry every this many operations, so
-// snapshots trail the truth by at most that much per handle.
-const backendFlushInterval = 64
-
-// statsRegistry is the race-safe counter registry shared by the adapters,
-// the same scheme core.Stack uses for its handles: each handle owns a
-// plain OpStats (single-writer, no atomics) and periodically publishes it
-// to a SharedCounters mirror; snapshots aggregate the mirrors.
-type statsRegistry struct {
-	mu      sync.Mutex
-	entries []*core.SharedCounters
-}
-
-func (r *statsRegistry) register() *core.SharedCounters {
-	c := &core.SharedCounters{}
-	r.mu.Lock()
-	r.entries = append(r.entries, c)
-	r.mu.Unlock()
-	return c
-}
-
-func (r *statsRegistry) snapshot() core.OpStats {
-	var out core.OpStats
-	r.mu.Lock()
-	for _, e := range r.entries {
-		out.Add(e.Load())
-	}
-	r.mu.Unlock()
-	return out
-}
-
-// counted is the embeddable flush state of an adapter handle.
-type counted struct {
-	stats      core.OpStats
-	shared     *core.SharedCounters
-	sinceFlush int
-}
-
-func (c *counted) done() {
-	c.sinceFlush++
-	if c.sinceFlush >= backendFlushInterval {
-		c.Flush()
-	}
-}
-
-// Flush publishes the handle's counters to the backend's registry.
-func (c *counted) Flush() {
-	c.sinceFlush = 0
-	c.shared.Store(c.stats)
 }
 
 // --- 2D-Stack ---------------------------------------------------------------
@@ -154,11 +100,13 @@ func (h twoDHandle[T]) Flush()              { h.h.FlushStats() }
 
 // The strict list-based baselines count their own operation outcomes and
 // CAS failures (treiber.PushStats/msqueue.EnqueueStats), so their adapter
-// handles add only the registry flush.
+// handles add only the registry flush. Every counting adapter below embeds
+// a core.Registry of its handles (which supplies StatsSnapshot) and its
+// handles embed core.Counters, the scheme core's window handles use.
 
 type treiberBackend[T any] struct {
-	s   *treiber.Stack[T]
-	reg statsRegistry
+	core.Registry[treiberHandle[T]]
+	s *treiber.Stack[T]
 }
 
 // NewTreiberBackend wraps the strict Treiber baseline (k = 0).
@@ -166,36 +114,37 @@ func NewTreiberBackend[T any]() Backend[T] {
 	return &treiberBackend[T]{s: treiber.New[T]()}
 }
 
-func (b *treiberBackend[T]) Algorithm() Algorithm        { return TreiberStack }
-func (b *treiberBackend[T]) KBound() int64               { return 0 }
-func (b *treiberBackend[T]) Len() int                    { return b.s.Len() }
-func (b *treiberBackend[T]) Drain() []T                  { return b.s.Drain() }
-func (b *treiberBackend[T]) StatsSnapshot() core.OpStats { return b.reg.snapshot() }
+func (b *treiberBackend[T]) Algorithm() Algorithm { return TreiberStack }
+func (b *treiberBackend[T]) KBound() int64        { return 0 }
+func (b *treiberBackend[T]) Len() int             { return b.s.Len() }
+func (b *treiberBackend[T]) Drain() []T           { return b.s.Drain() }
 func (b *treiberBackend[T]) NewHandle() Handle[T] {
 	h := &treiberHandle[T]{s: b.s}
-	h.shared = b.reg.register()
+	b.Register(h, &h.Counters)
 	return h
 }
 
 type treiberHandle[T any] struct {
-	counted
+	core.Counters
 	s *treiber.Stack[T]
 }
 
 func (h *treiberHandle[T]) Push(v T) {
-	h.s.PushStats(v, &h.stats)
-	h.done()
+	h.s.PushStats(v, &h.Count)
+	h.MaybeFlush()
 }
 
 func (h *treiberHandle[T]) Pop() (v T, ok bool) {
-	v, ok = h.s.PopStats(&h.stats)
-	h.done()
+	v, ok = h.s.PopStats(&h.Count)
+	h.MaybeFlush()
 	return v, ok
 }
 
+func (h *treiberHandle[T]) Flush() { h.FlushStats() }
+
 type msqueueBackend[T any] struct {
-	q   *msqueue.Queue[T]
-	reg statsRegistry
+	core.Registry[msqueueHandle[T]]
+	q *msqueue.Queue[T]
 }
 
 // NewMSQueueBackend wraps the strict Michael–Scott baseline (k = 0,
@@ -204,32 +153,33 @@ func NewMSQueueBackend[T any]() Backend[T] {
 	return &msqueueBackend[T]{q: msqueue.New[T]()}
 }
 
-func (b *msqueueBackend[T]) Algorithm() Algorithm        { return MSQueue }
-func (b *msqueueBackend[T]) KBound() int64               { return 0 }
-func (b *msqueueBackend[T]) Len() int                    { return b.q.Len() }
-func (b *msqueueBackend[T]) Drain() []T                  { return b.q.Drain() }
-func (b *msqueueBackend[T]) StatsSnapshot() core.OpStats { return b.reg.snapshot() }
+func (b *msqueueBackend[T]) Algorithm() Algorithm { return MSQueue }
+func (b *msqueueBackend[T]) KBound() int64        { return 0 }
+func (b *msqueueBackend[T]) Len() int             { return b.q.Len() }
+func (b *msqueueBackend[T]) Drain() []T           { return b.q.Drain() }
 func (b *msqueueBackend[T]) NewHandle() Handle[T] {
 	h := &msqueueHandle[T]{q: b.q}
-	h.shared = b.reg.register()
+	b.Register(h, &h.Counters)
 	return h
 }
 
 type msqueueHandle[T any] struct {
-	counted
+	core.Counters
 	q *msqueue.Queue[T]
 }
 
 func (h *msqueueHandle[T]) Push(v T) {
-	h.q.EnqueueStats(v, &h.stats)
-	h.done()
+	h.q.EnqueueStats(v, &h.Count)
+	h.MaybeFlush()
 }
 
 func (h *msqueueHandle[T]) Pop() (v T, ok bool) {
-	v, ok = h.q.DequeueStats(&h.stats)
-	h.done()
+	v, ok = h.q.DequeueStats(&h.Count)
+	h.MaybeFlush()
 	return v, ok
 }
+
+func (h *msqueueHandle[T]) Flush() { h.FlushStats() }
 
 // --- handle-based zoo structures --------------------------------------------
 
@@ -245,47 +195,48 @@ type zooHandle[T any] interface {
 // signals — probes, CAS failures — land there), and the adapter counts
 // the operation outcomes itself. One type, five structures.
 type zooBackend[T any] struct {
+	core.Registry[zooCountedHandle[T]]
 	alg    Algorithm
 	k      int64
-	reg    statsRegistry
 	mkH    func(st *core.OpStats) zooHandle[T]
 	lenF   func() int
 	drainF func() []T
 }
 
-func (b *zooBackend[T]) Algorithm() Algorithm        { return b.alg }
-func (b *zooBackend[T]) KBound() int64               { return b.k }
-func (b *zooBackend[T]) Len() int                    { return b.lenF() }
-func (b *zooBackend[T]) Drain() []T                  { return b.drainF() }
-func (b *zooBackend[T]) StatsSnapshot() core.OpStats { return b.reg.snapshot() }
+func (b *zooBackend[T]) Algorithm() Algorithm { return b.alg }
+func (b *zooBackend[T]) KBound() int64        { return b.k }
+func (b *zooBackend[T]) Len() int             { return b.lenF() }
+func (b *zooBackend[T]) Drain() []T           { return b.drainF() }
 func (b *zooBackend[T]) NewHandle() Handle[T] {
 	h := &zooCountedHandle[T]{}
-	h.shared = b.reg.register()
-	h.inner = b.mkH(&h.stats)
+	b.Register(h, &h.Counters)
+	h.inner = b.mkH(&h.Count)
 	return h
 }
 
 type zooCountedHandle[T any] struct {
-	counted
+	core.Counters
 	inner zooHandle[T]
 }
 
 func (h *zooCountedHandle[T]) Push(v T) {
 	h.inner.Push(v)
-	h.stats.Pushes++
-	h.done()
+	h.Count.Pushes++
+	h.MaybeFlush()
 }
 
 func (h *zooCountedHandle[T]) Pop() (v T, ok bool) {
 	v, ok = h.inner.Pop()
 	if ok {
-		h.stats.Pops++
+		h.Count.Pops++
 	} else {
-		h.stats.EmptyPops++
+		h.Count.EmptyPops++
 	}
-	h.done()
+	h.MaybeFlush()
 	return v, ok
 }
+
+func (h *zooCountedHandle[T]) Flush() { h.FlushStats() }
 
 // NewEliminationBackend wraps the elimination back-off stack (strict
 // LIFO, k = 0).

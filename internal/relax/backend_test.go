@@ -2,8 +2,10 @@ package relax
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"stack2d/internal/core"
 )
@@ -174,15 +176,66 @@ func TestBackendStatsSnapshotConcurrent(t *testing.T) {
 	}
 }
 
-// TestBackendMirrorSnapshotConsistency is the regression for the mirror
-// seqlock (core.SharedCounters.Load/Store): every snapshot taken while
+// TestBackendRegistryPrunesAndRetiresStats is core's
+// TestHandleRegistryPrunesAndRetiresStats on the counting adapters: an
+// engine makes one adapter handle per engine handle after every swap and
+// drops the old one, so dropped adapter handles must not grow the
+// registry without bound, and their flushed counters must survive in the
+// snapshot exactly — at every poll, pruned or not.
+func TestBackendRegistryPrunesAndRetiresStats(t *testing.T) {
+	const dropped = 64
+	for _, a := range []Algorithm{TreiberStack, MSQueue, EliminationStack} {
+		t.Run(a.String(), func(t *testing.T) {
+			b, err := NewDefaultBackend[int](a, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg, ok := b.(interface{ RegisteredHandles() int })
+			if !ok {
+				t.Fatal("backend does not register its handles in a core.Registry")
+			}
+			var want core.OpStats
+			for i := 0; i < dropped; i++ {
+				h := b.NewHandle()
+				for j := 0; j < 10; j++ {
+					h.Push(j)
+				}
+				h.Pop()
+				h.Flush()
+				want.Add(h.(interface{ Stats() core.OpStats }).Stats())
+			}
+			if want.Pushes != 10*dropped || want.Pops != dropped {
+				t.Fatalf("flushed %d pushes and %d pops, want %d and %d", want.Pushes, want.Pops, 10*dropped, dropped)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				runtime.GC()
+				b.NewHandle() // registering prunes once the registry has doubled
+				entries := reg.RegisteredHandles()
+				if snap := b.StatsSnapshot(); snap != want {
+					t.Fatalf("snapshot %+v, want exactly %+v", snap, want)
+				}
+				if entries <= 3 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("registry still holds %d entries after %d handles were dropped", entries, dropped)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestBackendMirrorSnapshotConsistency is the regression for the seqlock
+// of core's per-handle counter mirror: every snapshot taken while
 // handles flush must be cross-field consistent per mirror. Workers run
 // push-then-pop pairs and flush after every operation, so a consistent
 // mirror always shows Pops <= Pushes with the gap at most one per handle;
 // the old per-field loads could pair a stale Pushes with a fresh Pops
-// (Pops > Pushes) or drift by a whole flush interval. Covers both registry
-// sides: the 2D backend reads core.Stack's own registry, Treiber the
-// adapters' statsRegistry.
+// (Pops > Pushes) or drift by a whole flush interval. Covers both kinds of
+// registry owner: the 2D backend reads core.Stack's window registry,
+// Treiber the core.Registry its adapter embeds.
 func TestBackendMirrorSnapshotConsistency(t *testing.T) {
 	for _, a := range []Algorithm{TwoDStack, TreiberStack} {
 		a := a

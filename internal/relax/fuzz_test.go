@@ -1,0 +1,85 @@
+package relax
+
+import (
+	"testing"
+
+	"stack2d/internal/seqspec"
+)
+
+// maxFuzzScript caps a fuzzed script at 250 bytes, 2 000 operations: the
+// replay checkers are quadratic in the history's length.
+const maxFuzzScript = 250
+
+// FuzzBackendCatalogue drives one handle of a catalogue backend
+// (NewDefaultBackend at a fuzzed algorithm and P) through a fuzzed op
+// script, one bit per operation (1 = push), drains it through the same
+// handle, and judges the history by what the catalogue promises: strict
+// LIFO for the stacks whose KBound is 0, strict FIFO for the Michael–Scott
+// queue, k-out-of-order at KBound for the 2D-Stack and k-segment (with
+// KStackChecker agreeing exactly), and conservation only for the
+// unordered pools and k-robin, whose KRobinBound is an estimate that
+// single-threaded scripts exceed. Every run must also conserve items: each
+// pushed item popped exactly once, none left behind. Explore with
+// `go test -run '^$' -fuzz FuzzBackendCatalogue ./internal/relax/`.
+func FuzzBackendCatalogue(f *testing.F) {
+	for _, a := range AllAlgorithms() {
+		f.Add(uint8(a), uint8(0), []byte{0xff, 0x0f, 0xf0, 0xaa, 0x55})
+		f.Add(uint8(a), uint8(3), []byte{0xff, 0xff, 0xff, 0x3f, 0x00, 0xb7})
+	}
+	f.Fuzz(func(t *testing.T, algRaw, pRaw uint8, script []byte) {
+		all := AllAlgorithms()
+		a, p := all[int(algRaw)%len(all)], int(pRaw%8)+1
+		if len(script) > maxFuzzScript {
+			script = script[:maxFuzzScript]
+		}
+		b, err := NewDefaultBackend[uint64](a, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := b.NewHandle()
+		var ops []seqspec.Op
+		next := uint64(1)
+		pop := func() bool {
+			v, ok := h.Pop()
+			ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: v, Empty: !ok})
+			return ok
+		}
+		for _, c := range script {
+			for bit := 0; bit < 8; bit++ {
+				if c&(1<<bit) == 0 {
+					pop()
+					continue
+				}
+				h.Push(next)
+				ops = append(ops, seqspec.Op{Kind: seqspec.OpPush, Value: next})
+				next++
+			}
+		}
+		for pop() {
+		}
+		dists, err := seqspec.MeasureDistances(ops)
+		if err != nil {
+			t.Fatalf("%v, P=%d: %v", a, p, err)
+		}
+		if pushed := int(next - 1); len(dists) != pushed || b.Len() != 0 {
+			t.Fatalf("%v, P=%d: %d of %d pushed items popped, Len %d after the drain", a, p, len(dists), pushed, b.Len())
+		}
+		k := b.KBound()
+		switch {
+		case a.Ordering() == OrderNone || a == KRobin:
+			// Conservation, checked above, is the whole promise.
+		case a.Ordering() == OrderFIFO:
+			_, err = seqspec.CheckKOutOfOrderFIFO(ops, int(k))
+		case k == 0:
+			err = seqspec.CheckLIFO(ops)
+		default:
+			var maxDist int
+			if maxDist, err = seqspec.CheckKOutOfOrder(ops, int(k)); err == nil {
+				err = seqspec.CrossCheckKDistance(ops, k, maxDist)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%v, P=%d, k=%d: %v", a, p, k, err)
+		}
+	})
+}

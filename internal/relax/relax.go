@@ -256,12 +256,13 @@ func KRobinConfigForK(k int64, p int) multistack.Config {
 // This is a central estimate, not a guarantee: round-robin scheduling has
 // no tight deterministic bound, because a Pop that lands on a drained
 // sub-stack sweeps forward to the next non-empty one, desynchronising the
-// push and pop cursors. Differential fuzzing (cmd/stackfuzz) observes
-// single-threaded distances up to ≈4.5·(width−1) on adversarial scripts —
-// still Θ(width), so the estimate is the right shape for configuring the
-// Figure 1 sweep, but only the 2D-Stack's window mechanism turns the shape
-// into the hard bound of Theorem 1. That contrast is one of the paper's
-// selling points.
+// push and pop cursors. Differential fuzzing has observed single-threaded
+// distances up to ≈4.5·(width−1) on adversarial scripts, which is why
+// FuzzBackendCatalogue checks k-robin for conservation only — still
+// Θ(width), so the estimate is the right shape for configuring the Figure
+// 1 sweep, but only the 2D-Stack's window mechanism turns the shape into
+// the hard bound of Theorem 1. That contrast is one of the paper's selling
+// points.
 func KRobinBound(width, p int) int64 {
 	if p < 1 {
 		p = 1
