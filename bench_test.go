@@ -11,8 +11,9 @@
 // Ablations A1–A5:      go test -bench=Ablation -benchmem
 //
 // The Figure and Ablation benchmarks take their axes and case tables from
-// internal/harness, the ones cmd/stackbench sweeps; they add -benchmem
-// columns and benchstat-ready output to its throughput and quality tables.
+// internal/harness, the ones cmd/stackbench sweeps, and build every design
+// through internal/relax's catalogue; they add -benchmem columns and
+// benchstat-ready output to its throughput and quality tables.
 //
 // Each benchmark prefills the stack with the paper's 32,768 items outside
 // the timed region and then drives a 50/50 push/pop mix with no think time.
@@ -26,24 +27,37 @@ import (
 	"testing"
 
 	"stack2d/internal/core"
-	"stack2d/internal/elimination"
-	"stack2d/internal/eltree"
 	"stack2d/internal/harness"
 	"stack2d/internal/relax"
-	"stack2d/internal/twodqueue"
 	"stack2d/internal/xrand"
 	"stack2d/internal/yield"
 )
 
 const benchPrefill = 32768
 
+// catalogue is the harness Factory of alg's catalogue default at p threads
+// (relax.NewDefaultBackend, the Figure 2 setup).
+func catalogue(alg relax.Algorithm, p int) harness.Factory {
+	return func() (relax.Backend[uint64], error) { return relax.NewDefaultBackend[uint64](alg, p) }
+}
+
+// build builds f's structure, failing the benchmark on an error.
+func build(b *testing.B, f harness.Factory) relax.Backend[uint64] {
+	b.Helper()
+	inst, err := f()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inst
+}
+
 // driveFactory runs the canonical paper workload (uniform 50/50 push/pop)
-// against one factory under b.RunParallel with `par` goroutines per
-// GOMAXPROCS processor.
+// against one factory's structure, through its uncounted handles, under
+// b.RunParallel with `par` goroutines per GOMAXPROCS processor.
 func driveFactory(b *testing.B, f harness.Factory, par int, pushRatio float64) {
 	b.Helper()
-	inst := f.New()
-	pre := inst.NewWorker()
+	inst := build(b, f)
+	pre := relax.NewUncountedHandle(inst)
 	for i := 0; i < benchPrefill; i++ {
 		pre.Push(uint64(i) + 1)
 	}
@@ -51,7 +65,7 @@ func driveFactory(b *testing.B, f harness.Factory, par int, pushRatio float64) {
 	b.SetParallelism(par)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		w := inst.NewWorker()
+		w := relax.NewUncountedHandle(inst)
 		id := workerID.Add(1)
 		rng := xrand.New(0x2d57ac + id*0x9e3779b97f4a7c15)
 		label := id << 40
@@ -73,8 +87,8 @@ func BenchmarkFigure1(b *testing.B) {
 	for _, p := range []int{8, 16} {
 		for _, k := range harness.Figure1Ks() {
 			for _, alg := range relax.Figure1Algorithms() {
-				f := harness.Figure1Factory(alg, k, p)
-				b.Run(fmt.Sprintf("P=%d/k=%d/%s", p, k, f.Name), func(b *testing.B) {
+				f := func() (relax.Backend[uint64], error) { return relax.NewBackendForK[uint64](alg, k, p) }
+				b.Run(fmt.Sprintf("P=%d/k=%d/%s", p, k, alg), func(b *testing.B) {
 					driveFactory(b, f, p, 0.5)
 				})
 			}
@@ -87,9 +101,8 @@ func BenchmarkFigure1(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	for _, p := range harness.Figure2Ps() {
 		for _, alg := range relax.Figure2Algorithms() {
-			f := harness.Figure2Factory(alg, p)
-			b.Run(fmt.Sprintf("P=%d/%s", p, f.Name), func(b *testing.B) {
-				driveFactory(b, f, p, 0.5)
+			b.Run(fmt.Sprintf("P=%d/%s", p, alg), func(b *testing.B) {
+				driveFactory(b, catalogue(alg, p), p, 0.5)
 			})
 		}
 	}
@@ -117,8 +130,7 @@ func BenchmarkAblation(b *testing.B) {
 // layer (pooled handles) against raw handles.
 func BenchmarkPublicAPI(b *testing.B) {
 	b.Run("handle", func(b *testing.B) {
-		f := harness.NewTwoDFactory(core.DefaultConfig(8))
-		driveFactory(b, f, 8, 0.5)
+		driveFactory(b, catalogue(relax.TwoDStack, 8), 8, 0.5)
 	})
 }
 
@@ -127,12 +139,9 @@ func BenchmarkPublicAPI(b *testing.B) {
 // baseline, mirroring the Figure 2 methodology.
 func BenchmarkExtensionQueue(b *testing.B) {
 	for _, p := range []int{1, 4, 8, 16} {
-		for _, f := range []harness.Factory{
-			harness.NewMSQueueFactory(),
-			harness.NewTwoDQueueFactory(twodqueue.DefaultConfig(p)),
-		} {
-			b.Run(fmt.Sprintf("P=%d/%s", p, f.Name), func(b *testing.B) {
-				driveFactory(b, f, p, 0.5)
+		for _, alg := range []relax.Algorithm{relax.MSQueue, relax.TwoDQueue} {
+			b.Run(fmt.Sprintf("P=%d/%s", p, alg), func(b *testing.B) {
+				driveFactory(b, catalogue(alg, p), p, 0.5)
 			})
 		}
 	}
@@ -145,13 +154,9 @@ func BenchmarkExtensionQueue(b *testing.B) {
 func BenchmarkExtensionThinkTime(b *testing.B) {
 	const p = 8
 	for _, spin := range []int{0, 64, 512} {
-		for _, f := range []harness.Factory{
-			harness.NewTreiberFactory(),
-			harness.NewTwoDFactory(core.DefaultConfig(p)),
-		} {
-			spin := spin
-			b.Run(fmt.Sprintf("think=%d/%s", spin, f.Name), func(b *testing.B) {
-				driveThinking(b, f, p, spin)
+		for _, alg := range []relax.Algorithm{relax.TreiberStack, relax.TwoDStack} {
+			b.Run(fmt.Sprintf("think=%d/%s", spin, alg), func(b *testing.B) {
+				driveThinking(b, catalogue(alg, p), p, spin)
 			})
 		}
 	}
@@ -160,8 +165,8 @@ func BenchmarkExtensionThinkTime(b *testing.B) {
 // driveThinking is driveFactory with a spin workload between operations.
 func driveThinking(b *testing.B, f harness.Factory, par, spin int) {
 	b.Helper()
-	inst := f.New()
-	pre := inst.NewWorker()
+	inst := build(b, f)
+	pre := relax.NewUncountedHandle(inst)
 	for i := 0; i < benchPrefill; i++ {
 		pre.Push(uint64(i) + 1)
 	}
@@ -169,7 +174,7 @@ func driveThinking(b *testing.B, f harness.Factory, par, spin int) {
 	b.SetParallelism(par)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		w := inst.NewWorker()
+		w := relax.NewUncountedHandle(inst)
 		id := workerID.Add(1)
 		rng := xrand.New(0x7e11 + id*0x9e3779b97f4a7c15)
 		label := id << 40
@@ -195,16 +200,12 @@ func driveThinking(b *testing.B, f harness.Factory, par, spin int) {
 // the strict and relaxed designs of the evaluation proper.
 func BenchmarkRelatedWork(b *testing.B) {
 	for _, p := range []int{1, 8, 16} {
-		factories := []harness.Factory{
-			harness.NewTwoDFactory(core.DefaultConfig(p)),
-			harness.NewTreiberFactory(),
-			harness.NewEliminationFactory(elimination.DefaultConfig(p)),
-			harness.NewFlatCombiningFactory(),
-			harness.NewElimTreeFactory(eltree.DefaultConfig(p)),
-		}
-		for _, f := range factories {
-			b.Run(fmt.Sprintf("P=%d/%s", p, f.Name), func(b *testing.B) {
-				driveFactory(b, f, p, 0.5)
+		for _, alg := range []relax.Algorithm{
+			relax.TwoDStack, relax.TreiberStack, relax.EliminationStack,
+			relax.FlatCombiningStack, relax.ElTreePool,
+		} {
+			b.Run(fmt.Sprintf("P=%d/%s", p, alg), func(b *testing.B) {
+				driveFactory(b, catalogue(alg, p), p, 0.5)
 			})
 		}
 	}
@@ -216,8 +217,7 @@ func BenchmarkBatchOps(b *testing.B) {
 	const p = 8
 	const batch = 16
 	b.Run("singleton", func(b *testing.B) {
-		f := harness.NewTwoDFactory(core.DefaultConfig(p))
-		driveFactory(b, f, p, 0.5)
+		driveFactory(b, catalogue(relax.TwoDStack, p), p, 0.5)
 	})
 	b.Run("batch16", func(b *testing.B) {
 		inst := core.MustNew[uint64](core.DefaultConfig(p))
@@ -278,7 +278,7 @@ func BenchmarkDirectorGate(b *testing.B) {
 	}
 	contended := func(b *testing.B) {
 		b.ReportAllocs()
-		driveFactory(b, harness.NewTwoDFactory(core.DefaultConfig(8)), 8, 0.5)
+		driveFactory(b, catalogue(relax.TwoDStack, 8), 8, 0.5)
 	}
 	for _, w := range []struct {
 		name string

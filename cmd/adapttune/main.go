@@ -909,7 +909,7 @@ func reportNative(spec goalSpec, experiment string, ctrl *adapt.Controller, stat
 		for _, rec := range ctrl.History() {
 			// Mirror the controller's own signal threshold: a tick with
 			// fewer samples than MinLatencySamples is not a usable P99.
-			if rec.LatencySamples >= ctrl.Policy().MinLatencySamples {
+			if rec.LatencySamples >= adapt.MinLatencySamples {
 				last, found = rec, true
 			}
 		}

@@ -3,9 +3,14 @@
 // this tool also shows the histogram and tail, which the brief announcement
 // could not fit).
 //
+// -alg takes any catalogue name relax.ParseAlgorithm accepts, and the
+// structure is relax.NewBackendForK's for -alg, -k and -threads; the
+// oracle follows its order. -fifo requires a queue, and under it "2d"
+// names the 2D-Queue.
+//
 // Usage:
 //
-//	qualitytrace -alg 2d|k-segment|k-robin|random|random-c2|elimination|treiber \
+//	qualitytrace -alg 2d|k-segment|k-robin|random|random-c2|elimination|treiber|... \
 //	             [-k 1024] [-threads 8] [-duration 500ms]
 //	qualitytrace -fifo -alg 2d|ms-queue [-k 1024] [-threads 8] [-duration 500ms]
 package main
@@ -14,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"stack2d/internal/harness"
@@ -24,7 +28,7 @@ import (
 
 func main() {
 	var (
-		alg      = flag.String("alg", "2d", "algorithm: 2d, k-segment, k-robin, random, random-c2, elimination, treiber; or with -fifo: 2d-queue, ms-queue")
+		alg      = flag.String("alg", "2d", "algorithm, any catalogue name: 2d, k-segment, k-robin, random, random-c2, elimination, treiber, ...; with -fifo: 2d (the 2D-Queue), ms-queue")
 		fifo     = flag.Bool("fifo", false, "measure FIFO error of the queue extension instead")
 		k        = flag.Int64("k", 1024, "relaxation budget for k-bounded algorithms (the 2D-Queue too)")
 		threads  = flag.Int("threads", 8, "thread count P")
@@ -41,21 +45,21 @@ func main() {
 		Seed:      1,
 	}
 
-	f, err := factory(*alg, *fifo, *k, *threads)
+	b, err := backend(*alg, *fifo, *k, *threads)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qualitytrace:", err)
 		os.Exit(2)
 	}
-	res, err := harness.RunQuality(f, w)
+	res, err := harness.RunQuality(func() (relax.Backend[uint64], error) { return b, nil }, w)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qualitytrace:", err)
 		os.Exit(1)
 	}
 
 	q := res.Quality
-	fmt.Printf("# %s  (P=%d", f.Name, *threads)
-	if f.K >= 0 {
-		fmt.Printf(", k=%d", f.K)
+	fmt.Printf("# %s  (P=%d", b.Algorithm(), *threads)
+	if b.KBound() >= 0 {
+		fmt.Printf(", k=%d", b.KBound())
 	}
 	fmt.Printf(", %v, prefill %d)\n\n", *duration, *prefill)
 	fmt.Printf("operations:     %d (%.0f ops/s, oracle attached)\n", res.Ops, res.Throughput)
@@ -75,7 +79,7 @@ func main() {
 		switch i {
 		case 0:
 			label = "0 (exact LIFO)"
-			if *fifo {
+			if b.Algorithm().Ordering() == relax.OrderFIFO {
 				label = "0 (exact FIFO)"
 			}
 		case 1:
@@ -88,47 +92,20 @@ func main() {
 	fmt.Println(tb.String())
 }
 
-// factory picks the structure to measure. k sizes every k-bounded one,
-// the 2D-Queue included (the geometry relax.TwoDConfigForK gives the
-// 2D-Stack for the same k and P, as NewQueue(WithRelaxation(k)) builds).
-func factory(alg string, fifo bool, k int64, threads int) (harness.Factory, error) {
-	if fifo {
-		switch strings.ToLower(alg) {
-		case "2d", "2d-queue", "2dqueue":
-			return harness.NewTwoDQueueFactory(relax.TwoDConfigForK(k, threads)), nil
-		case "ms-queue", "msqueue", "strict":
-			return harness.NewMSQueueFactory(), nil
-		default:
-			return harness.Factory{}, fmt.Errorf("unknown queue %q", alg)
-		}
-	}
-	algorithm, err := parseAlgorithm(alg)
+// backend builds the structure to measure: relax.NewBackendForK's for the
+// named algorithm, so k sizes every k-configurable one, the 2D-Queue
+// included. Under -fifo the algorithm must be a queue, and "2d" names the
+// 2D-Queue.
+func backend(alg string, fifo bool, k int64, threads int) (relax.Backend[uint64], error) {
+	a, err := relax.ParseAlgorithm(alg)
 	if err != nil {
-		return harness.Factory{}, err
+		return nil, err
 	}
-	if algorithm.KConfigurable() {
-		return harness.Figure1Factory(algorithm, k, threads), nil
+	if fifo && a == relax.TwoDStack {
+		a = relax.TwoDQueue
 	}
-	return harness.Figure2Factory(algorithm, threads), nil
-}
-
-func parseAlgorithm(s string) (relax.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "2d", "2d-stack", "2dstack":
-		return relax.TwoDStack, nil
-	case "k-segment", "ksegment":
-		return relax.KSegment, nil
-	case "k-robin", "krobin":
-		return relax.KRobin, nil
-	case "random":
-		return relax.RandomStack, nil
-	case "random-c2", "c2":
-		return relax.RandomC2Stack, nil
-	case "elimination":
-		return relax.EliminationStack, nil
-	case "treiber":
-		return relax.TreiberStack, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
+	if fifo && a.Ordering() != relax.OrderFIFO {
+		return nil, fmt.Errorf("%v is not a queue", a)
 	}
+	return relax.NewBackendForK[uint64](a, k, threads)
 }

@@ -26,8 +26,8 @@ import (
 	"time"
 
 	"stack2d/internal/harness"
+	"stack2d/internal/relax"
 	"stack2d/internal/stats"
-	"stack2d/internal/twodqueue"
 )
 
 func main() {
@@ -128,23 +128,20 @@ func runQueueSweep(out io.Writer, sc harness.SweepConfig) error {
 		sc.Workload.Duration, sc.Repeats, sc.Workload.Prefill)
 	tb := stats.NewTable("algorithm", "P", "k", "thr(ops/s)", "mean-err", "max-err")
 	for _, p := range []int{1, 2, 4, 8, 16} {
-		factories := []harness.Factory{
-			harness.NewMSQueueFactory(),
-			harness.NewTwoDQueueFactory(twodqueue.DefaultConfig(p)),
-		}
-		for _, f := range factories {
+		for _, alg := range []relax.Algorithm{relax.MSQueue, relax.TwoDQueue} {
 			w := sc.Workload
 			w.Workers = p
+			f := func() (relax.Backend[uint64], error) { return relax.NewDefaultBackend[uint64](alg, p) }
 			pt, err := harness.Measure(f, w, sc)
 			if err != nil {
 				return err
 			}
-			tb.AddRow(f.Name, fmt.Sprintf("%d", p), bound(f.K),
+			tb.AddRow(alg.String(), fmt.Sprintf("%d", p), bound(pt.K),
 				fmt.Sprintf("%.0f", pt.Throughput.Mean),
 				fmt.Sprintf("%.2f", pt.MeanError),
 				fmt.Sprintf("%d", pt.MaxError))
 			progress(sc, "queue %-10s P=%-3d thr=%s err=%.2f\n",
-				f.Name, p, stats.HumanOps(pt.Throughput.Mean), pt.MeanError)
+				alg, p, stats.HumanOps(pt.Throughput.Mean), pt.MeanError)
 		}
 	}
 	fmt.Fprintln(out, tb.String())
@@ -166,7 +163,7 @@ func runAblation(out io.Writer, name string, sc harness.SweepConfig) error {
 		if err != nil {
 			return err
 		}
-		tb.AddRow(c.Label, bound(c.Factory.K),
+		tb.AddRow(c.Label, bound(pt.K),
 			fmt.Sprintf("%.0f", pt.Throughput.Mean),
 			fmt.Sprintf("%.0f", pt.Throughput.Min),
 			fmt.Sprintf("%.0f", pt.Throughput.Max),

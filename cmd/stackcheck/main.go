@@ -6,14 +6,19 @@
 //     values recovered (pops + final drain) must equal the multiset pushed;
 //   - k-bound: a concurrent run's interval history (every operation
 //     stamped at invocation and response on one logical clock) must
-//     respect the configured k-out-of-order bound under the interval
-//     checker's measurement slack (seqspec.KStackChecker);
+//     respect the structure's k-out-of-order bound (its backend's KBound)
+//     under the interval checker's measurement slack (seqspec.KStackChecker,
+//     or seqspec.KFIFOChecker for the queues); it is skipped for the
+//     designs with no deterministic bound;
 //   - empty sanity: pops must never report empty while more than k items
 //     are provably present.
 //
+// -alg takes any catalogue name relax.ParseAlgorithm accepts; the
+// structure is relax.NewBackendForK's for -alg, -k and -threads.
+//
 // Usage:
 //
-//	stackcheck -alg 2d|k-segment|k-robin|random|random-c2|elimination|treiber \
+//	stackcheck -alg 2d|k-segment|k-robin|random|random-c2|elimination|treiber|... \
 //	           [-k 256] [-threads 8] [-ops 200000] [-rounds 3]
 //
 // Exit status 0 means every round passed.
@@ -23,10 +28,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 
-	"stack2d/internal/harness"
 	"stack2d/internal/relax"
 	"stack2d/internal/seqspec"
 	"stack2d/internal/xrand"
@@ -42,49 +45,46 @@ func main() {
 	)
 	flag.Parse()
 
-	algorithm, err := parseAlgorithm(*alg)
+	algorithm, err := relax.ParseAlgorithm(*alg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stackcheck:", err)
 		os.Exit(2)
 	}
-	var f harness.Factory
-	kBound := int64(-1)
-	if algorithm.KConfigurable() {
-		f = harness.Figure1Factory(algorithm, *k, *threads)
-		kBound = f.K
-	} else {
-		f = harness.Figure2Factory(algorithm, *threads)
-		if algorithm == relax.TreiberStack || algorithm == relax.EliminationStack {
-			kBound = 0
+	fresh := func() relax.Backend[uint64] {
+		b, err := relax.NewBackendForK[uint64](algorithm, *k, *threads)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "stackcheck:", err)
+			os.Exit(2)
 		}
+		return b
 	}
+	kBound := fresh().KBound()
 
 	fmt.Printf("checking %s (k=%v) with %d workers x %d ops x %d rounds\n",
-		f.Name, kBound, *threads, *ops, *rounds)
+		algorithm, kBound, *threads, *ops, *rounds)
 
 	for round := 1; round <= *rounds; round++ {
-		if err := checkConservation(f, *threads, *ops); err != nil {
+		if err := checkConservation(fresh(), *threads, *ops); err != nil {
 			fmt.Fprintf(os.Stderr, "round %d: conservation FAILED: %v\n", round, err)
 			os.Exit(1)
 		}
 		fmt.Printf("round %d: conservation ok\n", round)
 		if kBound >= 0 {
-			if err := checkKBound(f, kBound, *threads, *ops/4); err != nil {
+			if err := checkKBound(fresh(), *threads, *ops/4); err != nil {
 				fmt.Fprintf(os.Stderr, "round %d: k-bound FAILED: %v\n", round, err)
 				os.Exit(1)
 			}
 			fmt.Printf("round %d: k-bound ok (k=%d)\n", round, kBound)
 		} else {
-			fmt.Printf("round %d: k-bound skipped (%s is unbounded)\n", round, f.Name)
+			fmt.Printf("round %d: k-bound skipped (%s is unbounded)\n", round, algorithm)
 		}
 	}
 	fmt.Println("PASS")
 }
 
-// checkConservation drives a concurrent mixed workload and verifies the
-// multiset of recovered values equals the multiset pushed.
-func checkConservation(f harness.Factory, workers, opsPerW int) error {
-	inst := f.New()
+// checkConservation drives a concurrent mixed workload on b and verifies
+// the multiset of recovered values equals the multiset pushed.
+func checkConservation(b relax.Backend[uint64], workers, opsPerW int) error {
 	popped := make([][]uint64, workers)
 	pushed := make([]uint64, workers)
 	var wg sync.WaitGroup
@@ -92,7 +92,7 @@ func checkConservation(f harness.Factory, workers, opsPerW int) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wk := inst.NewWorker()
+			wk := relax.NewUncountedHandle(b)
 			rng := xrand.New(uint64(w) + 99)
 			base := uint64(w+1) << 40
 			n := uint64(0)
@@ -119,7 +119,7 @@ func checkConservation(f harness.Factory, workers, opsPerW int) error {
 			seen[v]++
 		}
 	}
-	drainWorker := inst.NewWorker()
+	drainWorker := relax.NewUncountedHandle(b)
 	for {
 		v, ok := drainWorker.Pop()
 		if !ok {
@@ -138,20 +138,19 @@ func checkConservation(f harness.Factory, workers, opsPerW int) error {
 	return nil
 }
 
-// checkKBound records a concurrent interval history and checks it against
-// the relaxation bound with seqspec's interval checker. Ordering a
-// concurrent history by completion instead would charge the structure for
-// scheduling skew: under real parallelism it measures even a strict
-// Treiber stack far out of order.
-func checkKBound(f harness.Factory, k int64, workers, opsPerW int) error {
-	inst := f.New()
+// checkKBound records a concurrent interval history on b and checks it
+// against b's relaxation bound with seqspec's interval checker for b's
+// order. Ordering a concurrent history by completion instead would charge
+// the structure for scheduling skew: under real parallelism it measures
+// even a strict Treiber stack far out of order.
+func checkKBound(b relax.Backend[uint64], workers, opsPerW int) error {
 	rec := seqspec.NewRecorder(workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wk := inst.NewWorker()
+			wk := relax.NewUncountedHandle(b)
 			rng := xrand.New(uint64(w) + 7)
 			for i := 0; i < opsPerW; i++ {
 				if rng.Bool() {
@@ -163,32 +162,16 @@ func checkKBound(f harness.Factory, k int64, workers, opsPerW int) error {
 		}(w)
 	}
 	wg.Wait()
-	rec.Drain(workers, inst.NewWorker().Pop)
-	rep, err := seqspec.KStackChecker{K: k}.Check(rec.History())
+	rec.Drain(workers, relax.NewUncountedHandle(b).Pop)
+	k := b.KBound()
+	check := seqspec.KStackChecker{K: k}.Check
+	if b.Algorithm().Ordering() == relax.OrderFIFO {
+		check = seqspec.KFIFOChecker{K: k}.Check
+	}
+	rep, err := check(rec.History())
 	if err != nil {
 		return err
 	}
 	fmt.Printf("  max observed distance %d (bound %d, max slack %d)\n", rep.MaxDistance, k, rep.MaxSlack)
 	return nil
-}
-
-func parseAlgorithm(s string) (relax.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "2d", "2d-stack", "2dstack":
-		return relax.TwoDStack, nil
-	case "k-segment", "ksegment":
-		return relax.KSegment, nil
-	case "k-robin", "krobin":
-		return relax.KRobin, nil
-	case "random":
-		return relax.RandomStack, nil
-	case "random-c2", "c2":
-		return relax.RandomC2Stack, nil
-	case "elimination":
-		return relax.EliminationStack, nil
-	case "treiber":
-		return relax.TreiberStack, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
-	}
 }

@@ -3,44 +3,47 @@ package main
 import (
 	"testing"
 
-	"stack2d/internal/harness"
 	"stack2d/internal/relax"
 )
 
-func TestParseAlgorithmCoversFigure2Set(t *testing.T) {
-	names := []string{"2d", "k-segment", "k-robin", "random", "random-c2", "elimination", "treiber"}
-	seen := map[relax.Algorithm]bool{}
-	for _, n := range names {
-		a, err := parseAlgorithm(n)
-		if err != nil {
-			t.Fatalf("parseAlgorithm(%q): %v", n, err)
-		}
-		seen[a] = true
+func backend(t *testing.T, a relax.Algorithm, k int64) relax.Backend[uint64] {
+	t.Helper()
+	b, err := relax.NewBackendForK[uint64](a, k, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range relax.Figure2Algorithms() {
-		if !seen[a] {
-			t.Errorf("algorithm %v not reachable from the CLI", a)
-		}
-	}
+	return b
 }
 
 func TestCheckConservationPasses(t *testing.T) {
-	f := harness.Figure1Factory(relax.TwoDStack, 128, 2)
-	if err := checkConservation(f, 2, 5000); err != nil {
+	if err := checkConservation(backend(t, relax.TwoDStack, 128), 2, 5000); err != nil {
 		t.Fatalf("conservation on a correct stack failed: %v", err)
 	}
 }
 
 func TestCheckKBoundPasses(t *testing.T) {
-	f := harness.Figure1Factory(relax.TwoDStack, 128, 2)
-	if err := checkKBound(f, f.K, 2, 5000); err != nil {
+	if err := checkKBound(backend(t, relax.TwoDStack, 128), 2, 5000); err != nil {
 		t.Fatalf("k-bound on a correct stack failed: %v", err)
 	}
 }
 
 func TestCheckKBoundStrictTreiber(t *testing.T) {
-	f := harness.NewTreiberFactory()
-	if err := checkKBound(f, 0, 2, 5000); err != nil {
+	b := backend(t, relax.TreiberStack, 128)
+	if b.KBound() != 0 {
+		t.Fatalf("treiber KBound = %d, want 0", b.KBound())
+	}
+	if err := checkKBound(b, 2, 5000); err != nil {
 		t.Fatalf("k-bound on treiber failed: %v", err)
+	}
+}
+
+// TestCheckKBoundQueues checks the FIFO entries with KFIFOChecker at
+// their own bound: the 2D-Queue sized by -k, the strict Michael–Scott
+// queue at zero.
+func TestCheckKBoundQueues(t *testing.T) {
+	for _, a := range []relax.Algorithm{relax.TwoDQueue, relax.MSQueue} {
+		if err := checkKBound(backend(t, a, 128), 2, 5000); err != nil {
+			t.Fatalf("k-bound on %v failed: %v", a, err)
+		}
 	}
 }

@@ -101,6 +101,48 @@ func (g Goal) String() string {
 	}
 }
 
+// The controllers' decision thresholds. Signals are per operation.
+const (
+	// HighCAS is the CAS-failures-per-operation level above which the
+	// controller widens the structure, and the level a Selector counts
+	// as a contention storm.
+	HighCAS = 0.05
+	// LowCAS is the level below which contention is considered gone and
+	// narrowing becomes admissible.
+	LowCAS = 0.005
+	// HighMoves is the window-moves-per-operation level above which the
+	// window deepens.
+	HighMoves = 0.01
+	// LowMoves is the level below which window churn is considered gone
+	// (a narrowing precondition).
+	LowMoves = 0.002
+	// HighProbes is the probes-per-operation level above which (with low
+	// contention and low churn) the structure narrows.
+	HighProbes = 4
+	// FloorMargin is the hysteresis band above the throughput floor:
+	// MinRelaxation (and MinEnergy) act on their secondary objective only
+	// while throughput exceeds floor·(1+FloorMargin), so they do not
+	// oscillate at the boundary.
+	FloorMargin = 0.25
+	// LatencyMargin is the hysteresis band below the latency target:
+	// TargetLatency tightens semantics only while P99 stays under
+	// target·(1−LatencyMargin).
+	LatencyMargin = 0.25
+	// MinLatencySamples is the minimum number of latency samples a tick
+	// must observe for its P99 estimate to count as a signal; ticks with
+	// fewer hold instead of acting (with the structures' 1-in-64
+	// sampling, the default MinOpsPerTick already implies at least ~2).
+	MinLatencySamples = 4
+	// SymmetryBand bounds |push fraction − 0.5| for a Selector's storm to
+	// count as symmetric (elimination-friendly).
+	SymmetryBand = 0.1
+
+	// defaultCooldown and defaultMinOpsPerTick are Policy's defaults and
+	// a Selector's fixed values.
+	defaultCooldown      = 2
+	defaultMinOpsPerTick = 128
+)
+
 // Policy configures a Controller. Zero fields are defaulted at New (see
 // DefaultPolicy); the zero value as a whole selects the MaxThroughput goal
 // with an uncapped ladder sized for GOMAXPROCS.
@@ -112,42 +154,13 @@ type Policy struct {
 	KCeiling int64
 	// ThroughputFloor is the ops/second the MinRelaxation goal defends.
 	ThroughputFloor float64
-	// FloorMargin is the hysteresis band above the floor: MinRelaxation
-	// (and MinEnergy) act on their secondary objective only while
-	// throughput exceeds floor·(1+margin), so they do not oscillate at the
-	// boundary. Default 0.25.
-	FloorMargin float64
 	// LatencyTarget is the sampled-P99 operation latency the TargetLatency
 	// goal drives toward; required (positive) for that goal, ignored by
 	// the others.
 	LatencyTarget time.Duration
-	// LatencyMargin is the hysteresis band below the target: TargetLatency
-	// tightens semantics only while P99 stays under target·(1−margin), so
-	// it does not oscillate at the boundary. Default 0.25.
-	LatencyMargin float64
-	// MinLatencySamples is the minimum number of latency samples a tick
-	// must observe for the P99 estimate to count as a signal; ticks with
-	// fewer hold instead of acting. Default 4 (with the structures' 1-in-64
-	// sampling, the default MinOpsPerTick already implies at least ~2).
-	MinLatencySamples uint64
 	// Tick is the sampling interval of the background controller loop.
 	// Default 10ms.
 	Tick time.Duration
-	// HighCAS is the CAS-failures-per-operation level above which the
-	// structure widens. Default 0.05.
-	HighCAS float64
-	// LowCAS is the level below which contention is considered gone and
-	// narrowing becomes admissible. Default 0.005.
-	LowCAS float64
-	// HighMoves is the window-moves-per-operation level above which the
-	// window deepens. Default 0.01.
-	HighMoves float64
-	// LowMoves is the level below which window churn is considered gone
-	// (a narrowing precondition). Default 0.002.
-	LowMoves float64
-	// HighProbes is the probes-per-operation level above which (with low
-	// contention and low churn) the structure narrows. Default 4.
-	HighProbes float64
 	// MinWidth/MaxWidth bound the horizontal knob. Defaults: 1 and
 	// 4·GOMAXPROCS.
 	MinWidth, MaxWidth int
@@ -171,32 +184,8 @@ func DefaultPolicy() Policy {
 }
 
 func (p Policy) withDefaults() Policy {
-	if p.FloorMargin == 0 {
-		p.FloorMargin = 0.25
-	}
-	if p.LatencyMargin == 0 {
-		p.LatencyMargin = 0.25
-	}
-	if p.MinLatencySamples == 0 {
-		p.MinLatencySamples = 4
-	}
 	if p.Tick == 0 {
 		p.Tick = 10 * time.Millisecond
-	}
-	if p.HighCAS == 0 {
-		p.HighCAS = 0.05
-	}
-	if p.LowCAS == 0 {
-		p.LowCAS = 0.005
-	}
-	if p.HighMoves == 0 {
-		p.HighMoves = 0.01
-	}
-	if p.LowMoves == 0 {
-		p.LowMoves = 0.002
-	}
-	if p.HighProbes == 0 {
-		p.HighProbes = 4
 	}
 	if p.MinWidth == 0 {
 		p.MinWidth = 1
@@ -211,10 +200,10 @@ func (p Policy) withDefaults() Policy {
 		p.MaxDepth = 512
 	}
 	if p.Cooldown == 0 {
-		p.Cooldown = 2
+		p.Cooldown = defaultCooldown
 	}
 	if p.MinOpsPerTick == 0 {
-		p.MinOpsPerTick = 128
+		p.MinOpsPerTick = defaultMinOpsPerTick
 	}
 	return p
 }
@@ -240,12 +229,6 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("adapt: MinEnergy goal needs a positive ThroughputFloor")
 	case p.Goal == TargetLatency && p.LatencyTarget <= 0:
 		return fmt.Errorf("adapt: TargetLatency goal needs a positive LatencyTarget")
-	case p.LatencyMargin < 0 || p.LatencyMargin >= 1:
-		return fmt.Errorf("adapt: LatencyMargin must be in [0,1), got %g", p.LatencyMargin)
-	case p.LowCAS > p.HighCAS:
-		return fmt.Errorf("adapt: LowCAS %g above HighCAS %g", p.LowCAS, p.HighCAS)
-	case p.LowMoves > p.HighMoves:
-		return fmt.Errorf("adapt: LowMoves %g above HighMoves %g", p.LowMoves, p.HighMoves)
 	}
 	return nil
 }
@@ -501,19 +484,19 @@ func (c *Controller) decide(rec TickRecord) string {
 		c.cooldown--
 		return "cooldown"
 	}
-	casDominant := rec.CASPerOp >= c.pol.HighCAS
-	churning := rec.MovesPerOp >= c.pol.HighMoves
-	quiet := rec.CASPerOp <= c.pol.LowCAS && rec.MovesPerOp <= c.pol.LowMoves
+	casDominant := rec.CASPerOp >= HighCAS
+	churning := rec.MovesPerOp >= HighMoves
+	quiet := rec.CASPerOp <= LowCAS && rec.MovesPerOp <= LowMoves
 	switch c.pol.Goal {
 	case MinRelaxation:
 		if rec.Throughput < c.pol.ThroughputFloor {
 			return c.widen(casDominant || !churning)
 		}
-		if rec.Throughput > c.pol.ThroughputFloor*(1+c.pol.FloorMargin) {
+		if rec.Throughput > c.pol.ThroughputFloor*(1+FloorMargin) {
 			return c.narrowK()
 		}
 	case TargetLatency:
-		if rec.LatencySamples < c.pol.MinLatencySamples {
+		if rec.LatencySamples < MinLatencySamples {
 			return "hold"
 		}
 		if rec.P99 > c.pol.LatencyTarget {
@@ -524,7 +507,7 @@ func (c *Controller) decide(rec TickRecord) string {
 			if churning {
 				return c.widen(false) // window churn: deepen
 			}
-			if rec.ProbesPerOp >= c.pol.HighProbes {
+			if rec.ProbesPerOp >= HighProbes {
 				return c.narrowWidth() // search cost: narrow
 			}
 			// A tail none of the structure's signals explain (e.g.
@@ -532,7 +515,7 @@ func (c *Controller) decide(rec TickRecord) string {
 			// than ratchet the window down for nothing.
 			return "hold"
 		}
-		if float64(rec.P99) < float64(c.pol.LatencyTarget)*(1-c.pol.LatencyMargin) && quiet {
+		if float64(rec.P99) < float64(c.pol.LatencyTarget)*(1-LatencyMargin) && quiet {
 			// Comfortably under target with quiet signals: spend the spare
 			// latency budget on tighter semantics.
 			return c.narrowK()
@@ -541,14 +524,14 @@ func (c *Controller) decide(rec TickRecord) string {
 		if rec.Throughput < c.pol.ThroughputFloor {
 			return c.widen(casDominant || !churning)
 		}
-		if rec.Throughput > c.pol.ThroughputFloor*(1+c.pol.FloorMargin) {
+		if rec.Throughput > c.pol.ThroughputFloor*(1+FloorMargin) {
 			// Headroom above the floor: reduce work per op. Window moves are
 			// the global coordination events — deepen while they dominate;
 			// then probes — narrow while searches are long.
-			if rec.MovesPerOp >= c.pol.HighMoves {
+			if rec.MovesPerOp >= HighMoves {
 				return c.deepen()
 			}
-			if rec.ProbesPerOp >= c.pol.HighProbes {
+			if rec.ProbesPerOp >= HighProbes {
 				return c.narrowWidth()
 			}
 		}
@@ -559,7 +542,7 @@ func (c *Controller) decide(rec TickRecord) string {
 		if churning {
 			return c.widen(false)
 		}
-		if quiet && rec.ProbesPerOp >= c.pol.HighProbes {
+		if quiet && rec.ProbesPerOp >= HighProbes {
 			return c.narrowWidth()
 		}
 	}

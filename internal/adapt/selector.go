@@ -49,6 +49,11 @@ const (
 )
 
 // SelectorPolicy configures a Selector. Zero fields default at NewSelector.
+// A Selector's other thresholds are fixed: a contention storm is HighCAS
+// CAS failures per operation, symmetric when the push fraction is within
+// SymmetryBand of one half; after a swap it holds for 2 ticks so the
+// signals resettle on the new backend; and a tick with fewer than 128
+// operations only enforces the budget.
 type SelectorPolicy struct {
 	// KBudget is the initial semantics ceiling: the Selector never
 	// activates a backend whose KBound exceeds it, and evicts the active
@@ -60,18 +65,6 @@ type SelectorPolicy struct {
 	KBudget int64
 	// Tick is the sampling interval of the background loop. Default 10ms.
 	Tick time.Duration
-	// HighCAS is the CAS-failures-per-operation level that counts as a
-	// contention storm. Default 0.05 (same scale as Policy.HighCAS).
-	HighCAS float64
-	// SymmetryBand bounds |push fraction − 0.5| for a storm to count as
-	// symmetric (elimination-friendly). Default 0.1.
-	SymmetryBand float64
-	// Cooldown is how many decision ticks the Selector holds after a swap
-	// so the signals resettle on the new backend. Default 2.
-	Cooldown int
-	// MinOpsPerTick is the signal floor; quieter ticks only enforce the
-	// budget. Default 128.
-	MinOpsPerTick uint64
 }
 
 func (p SelectorPolicy) withDefaults() SelectorPolicy {
@@ -81,18 +74,6 @@ func (p SelectorPolicy) withDefaults() SelectorPolicy {
 	if p.Tick == 0 {
 		p.Tick = 10 * time.Millisecond
 	}
-	if p.HighCAS == 0 {
-		p.HighCAS = 0.05
-	}
-	if p.SymmetryBand == 0 {
-		p.SymmetryBand = 0.1
-	}
-	if p.Cooldown == 0 {
-		p.Cooldown = 2
-	}
-	if p.MinOpsPerTick == 0 {
-		p.MinOpsPerTick = 128
-	}
 	return p
 }
 
@@ -101,10 +82,6 @@ func (p SelectorPolicy) Validate() error {
 	switch {
 	case p.Tick <= 0:
 		return fmt.Errorf("adapt: Tick must be positive, got %v", p.Tick)
-	case p.HighCAS < 0:
-		return fmt.Errorf("adapt: HighCAS must be >= 0, got %g", p.HighCAS)
-	case p.SymmetryBand < 0 || p.SymmetryBand > 0.5:
-		return fmt.Errorf("adapt: SymmetryBand must be in [0,0.5], got %g", p.SymmetryBand)
 	}
 	return nil
 }
@@ -279,7 +256,7 @@ func (s *Selector) decide(rec SelectorRecord) (action, reason string) {
 		return "hold", ""
 	}
 
-	if rec.Ops < s.pol.MinOpsPerTick {
+	if rec.Ops < defaultMinOpsPerTick {
 		return "idle", ""
 	}
 	if s.cooldown > 0 {
@@ -287,8 +264,8 @@ func (s *Selector) decide(rec SelectorRecord) (action, reason string) {
 		return "cooldown", ""
 	}
 
-	if rec.CASPerOp >= s.pol.HighCAS {
-		if math.Abs(rec.PushFrac-0.5) <= s.pol.SymmetryBand {
+	if rec.CASPerOp >= HighCAS {
+		if math.Abs(rec.PushFrac-0.5) <= SymmetryBand {
 			// A symmetric storm: elimination pairs the operations off the
 			// central structure. Only if it fits the budget.
 			if name, ok := s.fits("elimination"); ok && name != active {
@@ -338,7 +315,7 @@ func (s *Selector) swap(name, reason string) (string, string) {
 	if err := s.target.SwapBackend(name, reason); err != nil {
 		return "error:" + err.Error(), reason
 	}
-	s.cooldown = s.pol.Cooldown
+	s.cooldown = defaultCooldown
 	return "swap", reason
 }
 

@@ -117,7 +117,11 @@ func (h *Handle[T]) popBatchInto(out []T, limit int) []T {
 		if done || global <= depth {
 			// Done, or the window is at its floor and full coverage found
 			// nothing: the stack is out of items (within the
-			// empty-detection slack).
+			// empty-detection slack). A batch that took nothing is one
+			// empty pop, as on the queue.
+			if len(out) == 0 {
+				h.Count.EmptyPops++
+			}
 			break
 		}
 		yield.Fire(yield.PointWindowMove)

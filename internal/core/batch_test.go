@@ -202,3 +202,34 @@ func TestPropertyBatchKBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEmptyBatchPopCountsOneEmptyPop: on the stack, as on the queue, a
+// PopBatch that takes nothing and a BufferedPop whose refill comes back
+// empty each count one EmptyPops, so OpStats.Ops() counts batched and
+// buffered traffic whole. A short batch that took something is no empty
+// pop.
+func TestEmptyBatchPopCountsOneEmptyPop(t *testing.T) {
+	s := MustNew[int](Config{Width: 2, Depth: 2, Shift: 2})
+	h := s.NewHandle()
+	if got := h.PopBatch(4); len(got) != 0 {
+		t.Fatalf("PopBatch on an empty stack returned %v", got)
+	}
+	if st := h.Stats(); st.EmptyPops != 1 || st.Ops() != 1 {
+		t.Fatalf("after one empty PopBatch: EmptyPops %d, Ops %d; want 1, 1", st.EmptyPops, st.Ops())
+	}
+	h.Push(1)
+	if got := h.PopBatch(4); len(got) != 1 {
+		t.Fatalf("PopBatch(4) over one item returned %v", got)
+	}
+	if st := h.Stats(); st.EmptyPops != 1 || st.Pops != 1 {
+		t.Fatalf("after a short PopBatch: EmptyPops %d, Pops %d; want 1, 1", st.EmptyPops, st.Pops)
+	}
+	b := s.NewHandle()
+	b.SetOpBuffer(4)
+	if v, ok := b.BufferedPop(); ok {
+		t.Fatalf("BufferedPop on an empty stack returned %d", v)
+	}
+	if st := b.Stats(); st.EmptyPops != 1 || st.Ops() != 1 {
+		t.Fatalf("after one empty BufferedPop: EmptyPops %d, Ops %d; want 1, 1", st.EmptyPops, st.Ops())
+	}
+}

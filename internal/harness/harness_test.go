@@ -18,13 +18,12 @@ func quickWorkload(p int) Workload {
 	}
 }
 
-func allFigure2Factories(p int) []Factory {
-	out := make([]Factory, 0, len(relax.Figure2Algorithms()))
-	for _, alg := range relax.Figure2Algorithms() {
-		out = append(out, Figure2Factory(alg, p))
-	}
-	return out
+// of is the Factory of one backend constructor call.
+func of[C any](mk func(C) (relax.Backend[uint64], error), cfg C) Factory {
+	return func() (relax.Backend[uint64], error) { return mk(cfg) }
 }
+
+func treiber() (relax.Backend[uint64], error) { return relax.NewTreiberBackend[uint64](), nil }
 
 func TestWorkloadValidate(t *testing.T) {
 	cases := []struct {
@@ -50,10 +49,9 @@ func TestWorkloadValidate(t *testing.T) {
 }
 
 func TestRunProducesOps(t *testing.T) {
-	for _, f := range allFigure2Factories(2) {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			res, err := Run(f, quickWorkload(2))
+	for _, alg := range relax.Figure2Algorithms() {
+		t.Run(alg.String(), func(t *testing.T) {
+			res, err := Run(defaultAt(alg, 2), quickWorkload(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,27 +69,26 @@ func TestRunProducesOps(t *testing.T) {
 }
 
 func TestRunRejectsBadWorkload(t *testing.T) {
-	if _, err := Run(NewTreiberFactory(), Workload{}); err == nil {
+	if _, err := Run(treiber, Workload{}); err == nil {
 		t.Fatal("Run accepted zero workload")
 	}
-	if _, err := Run(NewTreiberFactory(), Workload{Ops: 10}); err == nil {
+	if _, err := Run(treiber, Workload{Ops: 10}); err == nil {
 		t.Fatal("Run accepted an op-counted workload with no workers")
 	}
 	w := quickWorkload(1)
 	w.Ops = -1
-	if _, err := Run(NewTreiberFactory(), w); err == nil {
+	if _, err := Run(treiber, w); err == nil {
 		t.Fatal("Run accepted negative op count")
 	}
 }
 
 func TestRunOpsDeterministicCounts(t *testing.T) {
 	const p, ops = 4, 500
-	for _, f := range allFigure2Factories(p) {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
+	for _, alg := range relax.Figure2Algorithms() {
+		t.Run(alg.String(), func(t *testing.T) {
 			w := quickWorkload(p)
 			w.Ops = ops
-			res, err := Run(f, w)
+			res, err := Run(defaultAt(alg, p), w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +103,7 @@ func TestRunPinThreads(t *testing.T) {
 	// Workers locked to OS threads run the same loop: exact op counts.
 	w := quickWorkload(2)
 	w.Ops, w.PinThreads = 300, true
-	res, err := Run(NewTwoDFactory(relax.TwoDConfigForK(256, 2)), w)
+	res, err := Run(of(relax.NewTwoDBackend[uint64], relax.TwoDConfigForK(256, 2)), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,17 +113,19 @@ func TestRunPinThreads(t *testing.T) {
 }
 
 func TestRunOpsPopulationConsistent(t *testing.T) {
-	// After a deterministic run, instance population must equal
-	// prefill + pushes - successful pops. Run doesn't expose the
-	// instance, so re-verify via a dedicated run here.
+	// After a deterministic run, the population must equal prefill +
+	// pushes - successful pops. Run doesn't expose the backend, so
+	// re-verify through the uncounted handles a run drives.
 	w := quickWorkload(2)
-	f := NewTwoDFactory(relax.TwoDConfigForK(256, 2))
-	inst := f.New()
-	pre := inst.NewWorker()
+	b, err := relax.NewTwoDBackend[uint64](relax.TwoDConfigForK(256, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := relax.NewUncountedHandle(b)
 	for i := 0; i < w.Prefill; i++ {
 		pre.Push(uint64(i) + 1)
 	}
-	worker := inst.NewWorker()
+	worker := relax.NewUncountedHandle(b)
 	pushes, pops := 0, 0
 	for n := 0; n < 4000; n++ {
 		if n%2 == 0 {
@@ -137,7 +136,7 @@ func TestRunOpsPopulationConsistent(t *testing.T) {
 		}
 	}
 	want := w.Prefill + pushes - pops
-	if got := inst.Len(); got != want {
+	if got := b.Len(); got != want {
 		t.Fatalf("population = %d, want %d", got, want)
 	}
 }
@@ -146,7 +145,7 @@ func TestRunQualityMeasuresStrictZero(t *testing.T) {
 	// A strict stack driven by one worker must score mean error 0.
 	w := quickWorkload(1)
 	w.Duration = 10 * time.Millisecond
-	res, err := RunQuality(NewTreiberFactory(), w)
+	res, err := RunQuality(treiber, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +161,7 @@ func TestRunQualityRelaxedNonZero(t *testing.T) {
 	// A very relaxed 2D-Stack under a single worker still spreads items
 	// across sub-stacks, so error distances must be observed.
 	w := quickWorkload(1)
-	f := NewTwoDFactory(relax.TwoDConfigForK(4096, 1))
-	res, err := RunQuality(f, w)
+	res, err := RunQuality(of(relax.NewTwoDBackend[uint64], relax.TwoDConfigForK(4096, 1)), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,53 +173,36 @@ func TestRunQualityRelaxedNonZero(t *testing.T) {
 	}
 }
 
-func TestFigure1FactoryPanicsOnUnbounded(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Figure1Factory(random) did not panic")
-		}
-	}()
-	Figure1Factory(relax.RandomStack, 64, 2)
-}
-
+// TestFigure1FactoryConfiguresBudget checks that the Figure 1 sweep's
+// structures (relax.NewBackendForK) stay within each budget, and that
+// Measure reports the built backend's algorithm and bound.
 func TestFigure1FactoryConfiguresBudget(t *testing.T) {
+	w := Workload{Workers: 1, Ops: 10, PushRatio: 0.5, Seed: 1}
 	for _, alg := range relax.Figure1Algorithms() {
 		for _, k := range []int64{8, 64, 1024} {
-			f := Figure1Factory(alg, k, 4)
-			if f.K > k {
-				t.Errorf("%v k=%d: configured bound %d exceeds budget", alg, k, f.K)
-			}
-			if f.New() == nil {
-				t.Errorf("%v: factory built nil instance", alg)
-			}
-		}
-	}
-}
-
-func TestFigure2FactoryNames(t *testing.T) {
-	for _, alg := range relax.Figure2Algorithms() {
-		f := Figure2Factory(alg, 4)
-		if f.Name != alg.String() {
-			t.Errorf("factory name %q != algorithm %q", f.Name, alg.String())
-		}
-	}
-}
-
-// TestDefaultBackendIsFigure2Setup pins relax.NewDefaultBackend to the
-// Figure 2 configuration: for every Figure-2 algorithm at each P, the
-// default backend reports the algorithm and bound Figure2Factory builds.
-func TestDefaultBackendIsFigure2Setup(t *testing.T) {
-	for _, p := range []int{1, 4, 16} {
-		for _, alg := range relax.Figure2Algorithms() {
-			f := Figure2Factory(alg, p)
-			b, err := relax.NewDefaultBackend[uint64](alg, p)
+			f := func() (relax.Backend[uint64], error) { return relax.NewBackendForK[uint64](alg, k, 4) }
+			pt, err := Measure(f, w, SweepConfig{Repeats: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b.Algorithm().String() != f.Name || b.KBound() != f.K {
-				t.Errorf("P=%d: default backend %s (k=%d), Figure2Factory %s (k=%d)",
-					p, b.Algorithm(), b.KBound(), f.Name, f.K)
+			if pt.Algorithm != alg || pt.K < 0 || pt.K > k {
+				t.Errorf("%v k=%d: measured %v with bound %d", alg, k, pt.Algorithm, pt.K)
 			}
+		}
+	}
+}
+
+// TestFigure2FactoryNames checks that a run is named after the algorithm
+// of the backend it built.
+func TestFigure2FactoryNames(t *testing.T) {
+	w := Workload{Workers: 1, Ops: 10, PushRatio: 0.5, Seed: 1}
+	for _, alg := range relax.Figure2Algorithms() {
+		res, err := Run(defaultAt(alg, 4), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Phase.Name != alg.String() {
+			t.Errorf("run name %q != algorithm %q", res.Phase.Name, alg.String())
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"stack2d/internal/multistack"
 	"stack2d/internal/relax"
 )
 
@@ -29,20 +28,21 @@ func TestQualityOrderingAcrossDesigns(t *testing.T) {
 		Prefill:   16384,
 		Seed:      7,
 	}
-	measure := func(f Factory) float64 {
-		res, err := RunQuality(f, w)
+	measure := func(alg relax.Algorithm) float64 {
+		res, err := RunQuality(defaultAt(alg, 4), w)
 		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
+			t.Fatalf("%v: %v", alg, err)
 		}
 		if res.Quality.Count == 0 {
-			t.Fatalf("%s: no pops measured", f.Name)
+			t.Fatalf("%v: no pops measured", alg)
 		}
 		return res.Quality.Mean()
 	}
-	const width = 64
-	randomErr := measure(NewMultiFactory(multistack.Config{Width: width, Policy: multistack.Random}, 4))
-	c2Err := measure(NewMultiFactory(multistack.Config{Width: width, Policy: multistack.RandomC2}, 4))
-	twoDErr := measure(Figure2Factory(relax.TwoDStack, 4))
+	// The random policies' default is relax.Figure2FixedWidth = 64
+	// sub-stacks at every P.
+	randomErr := measure(relax.RandomStack)
+	c2Err := measure(relax.RandomC2Stack)
+	twoDErr := measure(relax.TwoDStack)
 
 	t.Logf("mean error: random=%.1f random-c2=%.1f 2D-stack=%.1f", randomErr, c2Err, twoDErr)
 	if c2Err*2 > randomErr {
@@ -68,7 +68,7 @@ func TestQualityGrowsWithRelaxation(t *testing.T) {
 		Seed:      3,
 	}
 	errAt := func(k int64) float64 {
-		res, err := RunQuality(Figure1Factory(relax.TwoDStack, k, 2), w)
+		res, err := RunQuality(of(relax.NewTwoDBackend[uint64], relax.TwoDConfigForK(k, 2)), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,17 +92,13 @@ func TestStrictDesignsScoreZeroQuality(t *testing.T) {
 		Prefill:   4096,
 		Seed:      5,
 	}
-	for _, f := range []Factory{
-		NewTreiberFactory(),
-		Figure2Factory(relax.EliminationStack, 1),
-		NewFlatCombiningFactory(),
-	} {
-		res, err := RunQuality(f, w)
+	for _, alg := range []relax.Algorithm{relax.TreiberStack, relax.EliminationStack, relax.FlatCombiningStack} {
+		res, err := RunQuality(defaultAt(alg, 1), w)
 		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
+			t.Fatalf("%v: %v", alg, err)
 		}
 		if res.Quality.Mean() != 0 {
-			t.Errorf("%s: mean error %.3f, want 0", f.Name, res.Quality.Mean())
+			t.Errorf("%v: mean error %.3f, want 0", alg, res.Quality.Mean())
 		}
 	}
 }

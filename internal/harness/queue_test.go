@@ -4,18 +4,16 @@ import (
 	"testing"
 	"time"
 
+	"stack2d/internal/relax"
 	"stack2d/internal/twodqueue"
 )
 
+func msQueue() (relax.Backend[uint64], error) { return relax.NewMSQueueBackend[uint64](), nil }
+
 func TestQueueFactoriesProduceOps(t *testing.T) {
-	factories := []Factory{
-		NewTwoDQueueFactory(twodqueue.DefaultConfig(2)),
-		NewMSQueueFactory(),
-	}
-	for _, f := range factories {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			res, err := Run(f, quickWorkload(2))
+	for _, alg := range []relax.Algorithm{relax.TwoDQueue, relax.MSQueue} {
+		t.Run(alg.String(), func(t *testing.T) {
+			res, err := Run(defaultAt(alg, 2), quickWorkload(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -26,20 +24,23 @@ func TestQueueFactoriesProduceOps(t *testing.T) {
 	}
 }
 
+// TestQueueFactoryK checks that Measure reports a queue's bound from the
+// backend it built.
 func TestQueueFactoryK(t *testing.T) {
+	w := Workload{Workers: 1, Ops: 10, PushRatio: 0.5, Seed: 1}
 	cfg := twodqueue.Config{Width: 3, Depth: 8, Shift: 4, RandomHops: 1}
-	if f := NewTwoDQueueFactory(cfg); f.K != cfg.K() {
-		t.Fatalf("factory K = %d, want %d", f.K, cfg.K())
+	if pt, err := Measure(of(relax.NewTwoDQueueBackend[uint64], cfg), w, SweepConfig{Repeats: 1}); err != nil || pt.K != cfg.K() {
+		t.Fatalf("2D-queue K = %d (err %v), want %d", pt.K, err, cfg.K())
 	}
-	if f := NewMSQueueFactory(); f.K != 0 {
-		t.Fatalf("ms-queue K = %d, want 0", f.K)
+	if pt, err := Measure(msQueue, w, SweepConfig{Repeats: 1}); err != nil || pt.K != 0 {
+		t.Fatalf("ms-queue K = %d (err %v), want 0", pt.K, err)
 	}
 }
 
 func TestRunQueueQualityStrictFIFOZero(t *testing.T) {
 	w := quickWorkload(1)
 	w.Duration = 15 * time.Millisecond
-	res, err := RunQuality(NewMSQueueFactory(), w)
+	res, err := RunQuality(msQueue, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestRunQueueQualityRelaxedNonZero(t *testing.T) {
 	w := quickWorkload(1)
 	w.Duration = 20 * time.Millisecond
 	cfg := twodqueue.Config{Width: 16, Depth: 16, Shift: 16, RandomHops: 2}
-	res, err := RunQuality(NewTwoDQueueFactory(cfg), w)
+	res, err := RunQuality(of(relax.NewTwoDQueueBackend[uint64], cfg), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestRunQueueQualityRelaxedNonZero(t *testing.T) {
 func TestStrictQueueFIFOErrorIsInFlightSlack(t *testing.T) {
 	const p = 4
 	w := Workload{Workers: p, Duration: 200 * time.Millisecond, PushRatio: 0.5, Prefill: 1024, Seed: 9}
-	res, err := RunQuality(NewMSQueueFactory(), w)
+	res, err := RunQuality(msQueue, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +110,11 @@ func TestThinkSpinSlowsThroughput(t *testing.T) {
 	fast := quickWorkload(2)
 	slow := fast
 	slow.ThinkSpin = 2000
-	fres, err := Run(NewTreiberFactory(), fast)
+	fres, err := Run(treiber, fast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := Run(NewTreiberFactory(), slow)
+	sres, err := Run(treiber, slow)
 	if err != nil {
 		t.Fatal(err)
 	}

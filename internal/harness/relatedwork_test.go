@@ -3,18 +3,13 @@ package harness
 import (
 	"testing"
 
-	"stack2d/internal/eltree"
+	"stack2d/internal/relax"
 )
 
 func TestRelatedWorkFactoriesProduceOps(t *testing.T) {
-	factories := []Factory{
-		NewFlatCombiningFactory(),
-		NewElimTreeFactory(eltree.DefaultConfig(2)),
-	}
-	for _, f := range factories {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			res, err := Run(f, quickWorkload(2))
+	for _, alg := range []relax.Algorithm{relax.FlatCombiningStack, relax.ElTreePool} {
+		t.Run(alg.String(), func(t *testing.T) {
+			res, err := Run(defaultAt(alg, 2), quickWorkload(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -27,7 +22,7 @@ func TestRelatedWorkFactoriesProduceOps(t *testing.T) {
 
 func TestFlatCombiningQualityIsStrict(t *testing.T) {
 	w := quickWorkload(1)
-	res, err := RunQuality(NewFlatCombiningFactory(), w)
+	res, err := RunQuality(defaultAt(relax.FlatCombiningStack, 1), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +39,7 @@ func TestElimTreeQualityIsUnordered(t *testing.T) {
 	// the toggles still pair pushes and pops deterministically, so just
 	// verify the plumbing runs and conserves counts.
 	w := quickWorkload(2)
-	res, err := Run(NewElimTreeFactory(eltree.DefaultConfig(2)), w)
+	res, err := Run(defaultAt(relax.ElTreePool, 2), w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"stack2d/internal/quality"
+	"stack2d/internal/relax"
 )
 
 // Workload describes one experiment run, mirroring the paper's setup.
@@ -86,38 +87,46 @@ type Result struct {
 	Quality quality.Stats
 }
 
-// Run executes one throughput run: prefill, then P workers hammer the
-// structure for the configured duration (or op count).
+// Run executes one throughput run: prefill, then P workers hammer a fresh
+// structure from f for the configured duration (or op count).
 func Run(f Factory, w Workload) (Result, error) {
-	return runFactory(f, w, false)
+	res, _, err := run(f, w, false)
+	return res, err
 }
 
 // RunQuality executes one run with the error-distance oracle of the
-// factory's order attached (see runPhased). Oracle maintenance serialises
-// briefly on a mutex per operation, so throughput from a quality run
-// underestimates the unobserved system; the paper likewise measures the
-// two in dedicated runs.
+// structure's order attached (see runPhased). Oracle maintenance
+// serialises briefly on a mutex per operation, so throughput from a
+// quality run underestimates the unobserved system; the paper likewise
+// measures the two in dedicated runs.
 func RunQuality(f Factory, w Workload) (Result, error) {
-	return runFactory(f, w, true)
+	res, _, err := run(f, w, true)
+	return res, err
 }
 
-// runFactory runs w as the one phase of a phased run on a fresh instance.
-func runFactory(f Factory, w Workload, withQuality bool) (Result, error) {
+// run runs w as the one phase of a phased run on a fresh backend from f,
+// named after its algorithm, whose workers drive uncounted handles; it
+// returns the backend too, for the identity and bound Measure reports.
+func run(f Factory, w Workload, withQuality bool) (Result, relax.Backend[uint64], error) {
 	if err := w.Validate(); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
-	inst := f.New()
-	phase := Phase{Name: f.Name, Duration: w.Duration, Workers: w.Workers, PushRatio: w.PushRatio, ThinkSpin: w.ThinkSpin}
+	b, err := f()
+	if err != nil {
+		return Result{}, nil, err
+	}
+	alg := b.Algorithm()
+	phase := Phase{Name: alg.String(), Duration: w.Duration, Workers: w.Workers, PushRatio: w.PushRatio, ThinkSpin: w.ThinkSpin}
 	pw := PhasedWorkload{MaxWorkers: w.Workers, Prefill: w.Prefill, Seed: w.Seed, Quality: withQuality}
 	res, err := runPhased(func(id int) (Worker, func()) {
 		if w.PinThreads && id >= 0 {
 			runtime.LockOSThread()
-			return inst.NewWorker(), runtime.UnlockOSThread
+			return relax.NewUncountedHandle(b), runtime.UnlockOSThread
 		}
-		return inst.NewWorker(), func() {}
-	}, f.Order, []Phase{phase}, pw, w.Ops)
+		return relax.NewUncountedHandle(b), func() {}
+	}, alg.Ordering(), []Phase{phase}, pw, w.Ops)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
-	return Result{PhaseResult: res.Phases[0], Quality: res.Quality}, nil
+	return Result{PhaseResult: res.Phases[0], Quality: res.Quality}, b, nil
 }

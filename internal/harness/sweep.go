@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"stack2d/internal/core"
-	"stack2d/internal/elimination"
 	"stack2d/internal/relax"
 	"stack2d/internal/stats"
 )
@@ -35,30 +34,39 @@ type SweepConfig struct {
 
 // Measure runs sc.Repeats throughput runs of f under w, stepping the seed
 // per repeat, plus one quality run when sc.Quality is set (its oracle
-// follows f.Order). Every sweep's points come from here.
+// follows the structure's order). The point's algorithm and bound are the
+// built backend's. Every sweep's points come from here.
 func Measure(f Factory, w Workload, sc SweepConfig) (Point, error) {
-	pt := Point{K: f.K}
+	var pt Point
 	xs := make([]float64, 0, sc.Repeats)
 	for r := 0; r < sc.Repeats; r++ {
 		wr := w
 		wr.Seed = w.Seed + uint64(r)*7919
-		res, err := Run(f, wr)
+		res, b, err := run(f, wr, false)
 		if err != nil {
 			return pt, err
 		}
+		pt.Algorithm, pt.K = b.Algorithm(), b.KBound()
 		xs = append(xs, res.Throughput)
 		pt.EmptyPops += res.EmptyPops
 	}
 	pt.Throughput = stats.Summarize(xs)
 	if sc.Quality {
-		res, err := RunQuality(f, w)
+		res, b, err := run(f, w, true)
 		if err != nil {
 			return pt, err
 		}
+		pt.Algorithm, pt.K = b.Algorithm(), b.KBound()
 		pt.MeanError = res.Quality.Mean()
 		pt.MaxError = res.Quality.Max
 	}
 	return pt, nil
+}
+
+// defaultAt is the Factory of alg's catalogue default at p threads, its
+// Figure 2 setup.
+func defaultAt(alg relax.Algorithm, p int) Factory {
+	return func() (relax.Backend[uint64], error) { return relax.NewDefaultBackend[uint64](alg, p) }
 }
 
 // Figure1Ks is the default relaxation sweep (the paper plots k on a log
@@ -69,7 +77,7 @@ func Figure1Ks() []int64 {
 
 // Figure1Sweep regenerates the paper's Figure 1: throughput and accuracy of
 // the k-bounded algorithms as the relaxation bound k increases, at fixed
-// thread count sc.Workload.Workers.
+// thread count sc.Workload.Workers, each built by relax.NewBackendForK.
 func Figure1Sweep(ks []int64, sc SweepConfig) ([]Point, error) {
 	if len(ks) == 0 {
 		ks = Figure1Ks()
@@ -78,12 +86,11 @@ func Figure1Sweep(ks []int64, sc SweepConfig) ([]Point, error) {
 	var out []Point
 	for _, alg := range relax.Figure1Algorithms() {
 		for _, k := range ks {
-			f := Figure1Factory(alg, k, p)
+			f := func() (relax.Backend[uint64], error) { return relax.NewBackendForK[uint64](alg, k, p) }
 			pt, err := Measure(f, sc.Workload, sc)
 			if err != nil {
 				return nil, fmt.Errorf("figure1 %v k=%d: %w", alg, k, err)
 			}
-			pt.Algorithm = alg
 			pt.X = k
 			out = append(out, pt)
 			progress(sc, "figure1 %-10s k=%-6d thr=%s err=%.2f\n",
@@ -99,7 +106,8 @@ func Figure2Ps() []int {
 }
 
 // Figure2Sweep regenerates the paper's Figure 2: throughput and accuracy of
-// all algorithms as concurrency increases.
+// all algorithms as concurrency increases, each at its catalogue default
+// (relax.NewDefaultBackend).
 func Figure2Sweep(ps []int, sc SweepConfig) ([]Point, error) {
 	if len(ps) == 0 {
 		ps = Figure2Ps()
@@ -107,14 +115,12 @@ func Figure2Sweep(ps []int, sc SweepConfig) ([]Point, error) {
 	var out []Point
 	for _, alg := range relax.Figure2Algorithms() {
 		for _, p := range ps {
-			f := Figure2Factory(alg, p)
 			w := sc.Workload
 			w.Workers = p
-			pt, err := Measure(f, w, sc)
+			pt, err := Measure(defaultAt(alg, p), w, sc)
 			if err != nil {
 				return nil, fmt.Errorf("figure2 %v p=%d: %w", alg, p, err)
 			}
-			pt.Algorithm = alg
 			pt.X = int64(p)
 			out = append(out, pt)
 			progress(sc, "figure2 %-11s P=%-3d thr=%s err=%.2f\n",
@@ -159,7 +165,8 @@ func AblationNames() []string {
 func AblationCases(name string, p int) ([]AblationCase, error) {
 	base := core.DefaultConfig(p)
 	twoD := func(label string, cfg core.Config) AblationCase {
-		return AblationCase{Label: label, Factory: NewTwoDFactory(cfg), PushRatio: 0.5}
+		f := func() (relax.Backend[uint64], error) { return relax.NewTwoDBackend[uint64](cfg) }
+		return AblationCase{Label: label, Factory: f, PushRatio: 0.5}
 	}
 	var cases []AblationCase
 	switch name {
@@ -189,11 +196,9 @@ func AblationCases(name string, p int) ([]AblationCase, error) {
 			label string
 			push  float64
 		}{{"push80", 0.8}, {"sym50", 0.5}, {"pop80", 0.2}} {
-			cases = append(cases,
-				AblationCase{Label: "2D-stack/" + r.label, Factory: NewTwoDFactory(base), PushRatio: r.push},
-				AblationCase{Label: "elimination/" + r.label, Factory: NewEliminationFactory(elimination.DefaultConfig(p)), PushRatio: r.push},
-				AblationCase{Label: "treiber/" + r.label, Factory: NewTreiberFactory(), PushRatio: r.push},
-			)
+			for _, alg := range []relax.Algorithm{relax.TwoDStack, relax.EliminationStack, relax.TreiberStack} {
+				cases = append(cases, AblationCase{Label: alg.String() + "/" + r.label, Factory: defaultAt(alg, p), PushRatio: r.push})
+			}
 		}
 	default:
 		return nil, fmt.Errorf("unknown ablation %q (want hop, depth, shift, width or asym)", name)

@@ -9,15 +9,22 @@ import (
 	"stack2d/internal/msqueue"
 	"stack2d/internal/multistack"
 	"stack2d/internal/treiber"
+	"stack2d/internal/twodqueue"
 )
 
 // The backend contract: one control-plane surface over every structure in
-// the catalogue. PRs 1–6 built the Reconfigurable/StatsSnapshot/checker
-// machinery for the 2D structures only; Backend is the interface that
-// lets the controller, the conformance harness and the observability
-// plane see the whole zoo. engine.Switcher composes Backends into a
-// hot-swappable structure, and internal/adapt's Selector picks among them
-// by semantics budget and observed signals.
+// the catalogue. Backend is the interface that lets the controller, the
+// conformance harness and the observability plane see the whole zoo, and
+// the one every benchmark and command builds its designs through.
+// engine.Switcher composes Backends into a hot-swappable structure, and
+// internal/adapt's Selector picks among them by semantics budget and
+// observed signals.
+
+// Ops is the operation surface every catalogue structure's handles share.
+type Ops[T any] interface {
+	Push(v T)
+	Pop() (v T, ok bool)
+}
 
 // Handle is the per-goroutine operation context of a Backend. Handles are
 // not safe for concurrent use; the Backend is, across handles. Flush
@@ -25,9 +32,23 @@ import (
 // core.Registry, flushed every 64 operations like core's own handles):
 // call it when a worker quiesces so a sampler sees final totals.
 type Handle[T any] interface {
-	Push(v T)
-	Pop() (v T, ok bool)
+	Ops[T]
 	Flush()
+}
+
+// NewUncountedHandle returns a handle of b that publishes no counters of
+// its own: the 2D-Stack's or the 2D-Queue's own handle (which count
+// intrinsically, in the window registry), the Treiber stack or the
+// Michael–Scott queue itself, or a zoo structure's handle with no stats
+// pointer. It is the handle a throughput measurement drives: the counting
+// adapters' bookkeeping costs the baselines up to about a tenth of their
+// measured throughput (DESIGN.md §9). A backend outside the catalogue (an
+// engine.Switcher) has only counting handles, and gets one.
+func NewUncountedHandle[T any](b Backend[T]) Ops[T] {
+	if u, ok := b.(interface{ uncounted() Ops[T] }); ok {
+		return u.uncounted()
+	}
+	return b.NewHandle()
 }
 
 // Backend is the uniform contract the relaxation zoo is adapted behind.
@@ -91,10 +112,41 @@ func (b *twoDBackend[T]) ShrinkDisplacementBound() int64 { return b.s.ShrinkDisp
 type twoDHandle[T any] struct{ h *core.Handle[T] }
 
 func (b *twoDBackend[T]) NewHandle() Handle[T] { return twoDHandle[T]{h: b.s.NewHandle()} }
+func (b *twoDBackend[T]) uncounted() Ops[T]    { return b.s.NewHandle() }
 
 func (h twoDHandle[T]) Push(v T)            { h.h.Push(v) }
 func (h twoDHandle[T]) Pop() (v T, ok bool) { return h.h.Pop() }
 func (h twoDHandle[T]) Flush()              { h.h.FlushStats() }
+
+// --- 2D-Queue ---------------------------------------------------------------
+
+// twoDQueueBackend adapts twodqueue.Queue (OrderFIFO: Push enqueues, Pop
+// dequeues). Like the 2D-Stack's, its handles count in the queue's own
+// window registry, so its counting and uncounted handles are the same.
+type twoDQueueBackend[T any] struct{ q *twodqueue.Queue[T] }
+
+// NewTwoDQueueBackend wraps a 2D-Queue configuration (KBound = cfg.K()).
+func NewTwoDQueueBackend[T any](cfg twodqueue.Config) (Backend[T], error) {
+	q, err := twodqueue.New[T](cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &twoDQueueBackend[T]{q: q}, nil
+}
+
+func (b *twoDQueueBackend[T]) Algorithm() Algorithm        { return TwoDQueue }
+func (b *twoDQueueBackend[T]) KBound() int64               { return b.q.Config().K() }
+func (b *twoDQueueBackend[T]) Len() int                    { return b.q.Len() }
+func (b *twoDQueueBackend[T]) Drain() []T                  { return b.q.Drain() }
+func (b *twoDQueueBackend[T]) StatsSnapshot() core.OpStats { return b.q.StatsSnapshot() }
+func (b *twoDQueueBackend[T]) NewHandle() Handle[T]        { return twoDQueueHandle[T]{h: b.q.NewHandle()} }
+func (b *twoDQueueBackend[T]) uncounted() Ops[T]           { return b.NewHandle() }
+
+type twoDQueueHandle[T any] struct{ h *twodqueue.Handle[T] }
+
+func (h twoDQueueHandle[T]) Push(v T)            { h.h.Enqueue(v) }
+func (h twoDQueueHandle[T]) Pop() (v T, ok bool) { return h.h.Dequeue() }
+func (h twoDQueueHandle[T]) Flush()              { h.h.FlushStats() }
 
 // --- self-counting baselines (treiber, ms-queue) ----------------------------
 
@@ -118,6 +170,7 @@ func (b *treiberBackend[T]) Algorithm() Algorithm { return TreiberStack }
 func (b *treiberBackend[T]) KBound() int64        { return 0 }
 func (b *treiberBackend[T]) Len() int             { return b.s.Len() }
 func (b *treiberBackend[T]) Drain() []T           { return b.s.Drain() }
+func (b *treiberBackend[T]) uncounted() Ops[T]    { return b.s }
 func (b *treiberBackend[T]) NewHandle() Handle[T] {
 	h := &treiberHandle[T]{s: b.s}
 	b.Register(h, &h.Counters)
@@ -157,6 +210,7 @@ func (b *msqueueBackend[T]) Algorithm() Algorithm { return MSQueue }
 func (b *msqueueBackend[T]) KBound() int64        { return 0 }
 func (b *msqueueBackend[T]) Len() int             { return b.q.Len() }
 func (b *msqueueBackend[T]) Drain() []T           { return b.q.Drain() }
+func (b *msqueueBackend[T]) uncounted() Ops[T]    { return msqueueOps[T]{b.q} }
 func (b *msqueueBackend[T]) NewHandle() Handle[T] {
 	h := &msqueueHandle[T]{q: b.q}
 	b.Register(h, &h.Counters)
@@ -181,24 +235,25 @@ func (h *msqueueHandle[T]) Pop() (v T, ok bool) {
 
 func (h *msqueueHandle[T]) Flush() { h.FlushStats() }
 
+// msqueueOps is the bare queue under the catalogue's operation names.
+type msqueueOps[T any] struct{ q *msqueue.Queue[T] }
+
+func (o msqueueOps[T]) Push(v T)            { o.q.Enqueue(v) }
+func (o msqueueOps[T]) Pop() (v T, ok bool) { return o.q.Dequeue() }
+
 // --- handle-based zoo structures --------------------------------------------
 
-// zooHandle is the operation surface shared by the handle-based zoo
-// packages (elimination, ksegment, multistack, eltree, flatcombining).
-type zooHandle[T any] interface {
-	Push(v T)
-	Pop() (v T, ok bool)
-}
-
-// zooBackend adapts any handle-based zoo structure: the inner handle is
-// built with its SetStats pointed at the adapter's counters (so internal
-// signals — probes, CAS failures — land there), and the adapter counts
-// the operation outcomes itself. One type, five structures.
+// zooBackend adapts any handle-based zoo structure (elimination, ksegment,
+// multistack, eltree, flatcombining): the inner handle is built with its
+// SetStats pointed at the adapter's counters (so internal signals —
+// probes, CAS failures — land there), and the adapter counts the
+// operation outcomes itself. Its uncounted handle is an inner handle with
+// no stats pointer. One type, five structures.
 type zooBackend[T any] struct {
 	core.Registry[zooCountedHandle[T]]
 	alg    Algorithm
 	k      int64
-	mkH    func(st *core.OpStats) zooHandle[T]
+	mkH    func(st *core.OpStats) Ops[T]
 	lenF   func() int
 	drainF func() []T
 }
@@ -207,6 +262,7 @@ func (b *zooBackend[T]) Algorithm() Algorithm { return b.alg }
 func (b *zooBackend[T]) KBound() int64        { return b.k }
 func (b *zooBackend[T]) Len() int             { return b.lenF() }
 func (b *zooBackend[T]) Drain() []T           { return b.drainF() }
+func (b *zooBackend[T]) uncounted() Ops[T]    { return b.mkH(nil) }
 func (b *zooBackend[T]) NewHandle() Handle[T] {
 	h := &zooCountedHandle[T]{}
 	b.Register(h, &h.Counters)
@@ -216,7 +272,7 @@ func (b *zooBackend[T]) NewHandle() Handle[T] {
 
 type zooCountedHandle[T any] struct {
 	core.Counters
-	inner zooHandle[T]
+	inner Ops[T]
 }
 
 func (h *zooCountedHandle[T]) Push(v T) {
@@ -247,7 +303,7 @@ func NewEliminationBackend[T any](cfg elimination.Config) (Backend[T], error) {
 	}
 	return &zooBackend[T]{
 		alg: EliminationStack, k: 0,
-		mkH: func(st *core.OpStats) zooHandle[T] {
+		mkH: func(st *core.OpStats) Ops[T] {
 			h := s.NewHandle()
 			h.SetStats(st)
 			return h
@@ -264,7 +320,7 @@ func NewKSegmentBackend[T any](cfg ksegment.Config) (Backend[T], error) {
 	}
 	return &zooBackend[T]{
 		alg: KSegment, k: cfg.K(),
-		mkH: func(st *core.OpStats) zooHandle[T] {
+		mkH: func(st *core.OpStats) Ops[T] {
 			h := s.NewHandle()
 			h.SetStats(st)
 			return h
@@ -290,7 +346,7 @@ func NewMultiBackend[T any](cfg multistack.Config, p int) (Backend[T], error) {
 	}
 	return &zooBackend[T]{
 		alg: alg, k: k,
-		mkH: func(st *core.OpStats) zooHandle[T] {
+		mkH: func(st *core.OpStats) Ops[T] {
 			h := s.NewHandle()
 			h.SetStats(st)
 			return h
@@ -308,7 +364,7 @@ func NewElTreeBackend[T any](cfg eltree.Config) (Backend[T], error) {
 	}
 	return &zooBackend[T]{
 		alg: ElTreePool, k: -1,
-		mkH: func(st *core.OpStats) zooHandle[T] {
+		mkH: func(st *core.OpStats) Ops[T] {
 			h := p.NewHandle()
 			h.SetStats(st)
 			return h
@@ -323,7 +379,7 @@ func NewFlatCombiningBackend[T any]() Backend[T] {
 	s := flatcombining.New[T]()
 	return &zooBackend[T]{
 		alg: FlatCombiningStack, k: 0,
-		mkH: func(st *core.OpStats) zooHandle[T] {
+		mkH: func(st *core.OpStats) Ops[T] {
 			h := s.NewHandle()
 			h.SetStats(st)
 			return h
@@ -333,11 +389,11 @@ func NewFlatCombiningBackend[T any]() Backend[T] {
 }
 
 // NewDefaultBackend builds the algorithm's default configuration for p
-// expected threads — the Figure 2 setups (harness.Figure2Factory) for the
-// figure algorithms, DefaultConfig-style sizing for the rest. It is the
-// constructor the catalogue audit and the engine tests use; pass a target
-// k through the specific constructors when the default is not what you
-// want.
+// expected threads — the Figure 2 setups for the figure algorithms,
+// DefaultConfig-style sizing for the rest. It is the constructor the
+// Figure 2 sweep, the catalogue audit and the engine tests use;
+// NewBackendForK sizes the k-configurable algorithms for a budget
+// instead.
 func NewDefaultBackend[T any](a Algorithm, p int) (Backend[T], error) {
 	if p < 1 {
 		p = 1
@@ -363,8 +419,31 @@ func NewDefaultBackend[T any](a Algorithm, p int) (Backend[T], error) {
 		return NewFlatCombiningBackend[T](), nil
 	case MSQueue:
 		return NewMSQueueBackend[T](), nil
+	case TwoDQueue:
+		return NewTwoDQueueBackend[T](twodqueue.DefaultConfig(p))
 	default:
 		return nil, errUnknownAlgorithm(a)
+	}
+}
+
+// NewBackendForK builds the algorithm for a target relaxation budget k at
+// p threads: a k-configurable algorithm through its k mapping
+// (TwoDConfigForK, which sizes the 2D-Queue too, KSegmentConfigForK or
+// KRobinConfigForK), every other one at NewDefaultBackend(a, p). It is
+// the Figure 1 setup, and what the command-line tools build from their
+// -alg, -k and -threads flags.
+func NewBackendForK[T any](a Algorithm, k int64, p int) (Backend[T], error) {
+	switch a {
+	case TwoDStack:
+		return NewTwoDBackend[T](TwoDConfigForK(k, p))
+	case KSegment:
+		return NewKSegmentBackend[T](KSegmentConfigForK(k))
+	case KRobin:
+		return NewMultiBackend[T](KRobinConfigForK(k, p), p)
+	case TwoDQueue:
+		return NewTwoDQueueBackend[T](TwoDConfigForK(k, p))
+	default:
+		return NewDefaultBackend[T](a, p)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // spelling round-trips through ParseAlgorithm. Adding an Algorithm
 // constant without wiring a backend (or vice versa) fails here.
 func TestCatalogueAudit(t *testing.T) {
-	if len(AllAlgorithms()) != 10 {
-		t.Fatalf("catalogue has %d entries, want 10", len(AllAlgorithms()))
+	if len(AllAlgorithms()) != 11 {
+		t.Fatalf("catalogue has %d entries, want 11", len(AllAlgorithms()))
 	}
 	for _, a := range AllAlgorithms() {
 		a := a
@@ -46,6 +46,75 @@ func TestCatalogueAudit(t *testing.T) {
 	}
 	if _, err := NewDefaultBackend[int](Algorithm(99), 4); err == nil {
 		t.Error("NewDefaultBackend accepted an unknown algorithm")
+	}
+}
+
+// TestNewBackendForKAppliesTheMappings pins the one rule from (algorithm,
+// k, P) to a structure: a k-configurable algorithm gets its k mapping (a
+// bound within the budget, different budgets building different
+// geometries), every other one its P default whatever k is.
+func TestNewBackendForKAppliesTheMappings(t *testing.T) {
+	const p = 4
+	for _, a := range AllAlgorithms() {
+		small, err := NewBackendForK[int](a, 16, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		large, err := NewBackendForK[int](a, 4096, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		def, err := NewDefaultBackend[int](a, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if small.Algorithm() != a || large.Algorithm() != a {
+			t.Errorf("%v: built %v and %v", a, small.Algorithm(), large.Algorithm())
+		}
+		if !a.KConfigurable() {
+			if small.KBound() != def.KBound() || large.KBound() != def.KBound() {
+				t.Errorf("%v: KBound %d and %d at k=16 and k=4096, want the P default's %d",
+					a, small.KBound(), large.KBound(), def.KBound())
+			}
+			continue
+		}
+		if small.KBound() > 16 || large.KBound() > 4096 || small.KBound() >= large.KBound() {
+			t.Errorf("%v: KBound %d at k=16 and %d at k=4096, want within budget and growing",
+				a, small.KBound(), large.KBound())
+		}
+	}
+}
+
+// TestUncountedHandlesPublishNothing keeps the counting adapters' cost out
+// of throughput measurements: operations through NewUncountedHandle reach
+// no backend's StatsSnapshot, except the 2D-Stack's and the 2D-Queue's,
+// whose own handles count in the window registry as they always have.
+func TestUncountedHandlesPublishNothing(t *testing.T) {
+	for _, a := range AllAlgorithms() {
+		b, err := NewDefaultBackend[int](a, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := NewUncountedHandle(b)
+		for i := 0; i < 300; i++ { // > the 64-operation flush interval
+			h.Push(i)
+		}
+		for i := 0; i < 301; i++ {
+			h.Pop()
+		}
+		st := b.StatsSnapshot()
+		if a == TwoDStack || a == TwoDQueue {
+			if st.Pushes == 0 {
+				t.Errorf("%v: the window handle published no pushes: %+v", a, st)
+			}
+			continue
+		}
+		if st != (core.OpStats{}) {
+			t.Errorf("%v: uncounted handle published %+v", a, st)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%v: Len %d after popping every item", a, b.Len())
+		}
 	}
 }
 

@@ -14,8 +14,9 @@ const maxFuzzScript = 250
 // (NewDefaultBackend at a fuzzed algorithm and P) through a fuzzed op
 // script, one bit per operation (1 = push), drains it through the same
 // handle, and judges the history by what the catalogue promises: strict
-// LIFO for the stacks whose KBound is 0, strict FIFO for the Michael–Scott
-// queue, k-out-of-order at KBound for the 2D-Stack and k-segment (with
+// LIFO for the stacks whose KBound is 0, k-out-of-order FIFO at KBound for
+// the queues (strict for Michael–Scott, the 2D-Queue's bound for the
+// 2D-Queue), k-out-of-order at KBound for the 2D-Stack and k-segment (with
 // KStackChecker agreeing exactly), and conservation only for the
 // unordered pools and k-robin, whose KRobinBound is an estimate that
 // single-threaded scripts exceed. Every run must also conserve items: each

@@ -1,8 +1,9 @@
-// Package relax centralises the relaxation-semantics algebra of the
-// reproduction: the k-out-of-order bounds of each algorithm, the mapping
-// from a target relaxation level k to concrete per-algorithm configurations
-// (the x-axis of the paper's Figure 1), and trace checking against those
-// bounds.
+// Package relax is the reproduction's one structure catalogue: the list
+// of algorithms, what each builds at a thread count P (NewDefaultBackend,
+// the Figure 2 setup) or at a target relaxation level k (NewBackendForK
+// through the …ConfigForK mappings, the x-axis of the paper's Figure 1),
+// the k-out-of-order bound each promises, and the Backend contract every
+// benchmark, command and the engine build their structures through.
 //
 // # Semantics
 //
@@ -16,6 +17,7 @@
 //   - 2D-Stack: k = (2·depth + shift)·(width − 1)   (Theorem 1, constant
 //     corrected per DESIGN.md §2; equal to the paper's transcription at
 //     shift = depth, which every configuration derived here uses)
+//   - 2D-Queue: the same bound for the same geometry, against FIFO order.
 //   - k-segment: k = s − 1 for segment size s (sequential bound; all items
 //     of the top segment are interchangeable, and items below the top
 //     segment are strictly older).
@@ -31,6 +33,7 @@ package relax
 
 import (
 	"fmt"
+	"strings"
 
 	"stack2d/internal/core"
 	"stack2d/internal/ksegment"
@@ -43,8 +46,8 @@ type Algorithm int
 // The algorithms of the paper's Figures 1 and 2, by their paper names,
 // followed by the related-work structures the repository carries beyond
 // the figures (elimination-diffraction tree, flat combining, the
-// Michael–Scott queue baseline). New entries append — the numeric values
-// are stable.
+// Michael–Scott queue baseline) and the 2D-Queue, the paper's announced
+// generalisation. New entries append — the numeric values are stable.
 const (
 	TwoDStack Algorithm = iota
 	KSegment
@@ -56,6 +59,7 @@ const (
 	ElTreePool
 	FlatCombiningStack
 	MSQueue
+	TwoDQueue
 )
 
 func (a Algorithm) String() string {
@@ -80,16 +84,30 @@ func (a Algorithm) String() string {
 		return "flat-combining"
 	case MSQueue:
 		return "ms-queue"
+	case TwoDQueue:
+		return "2D-queue"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
 }
 
-// ParseAlgorithm inverts String; it accepts exactly the catalogue
-// spellings (the round trip is pinned by TestCatalogueAudit).
+// shortNames are the abbreviations the command-line tools accept beside
+// the catalogue spellings ("strict" is the strict queue, which is how
+// qualitytrace -fifo has always named it).
+var shortNames = map[string]Algorithm{"2d": TwoDStack, "c2": RandomC2Stack, "strict": MSQueue}
+
+// ParseAlgorithm inverts String, ignoring case and hyphens ("2D-Stack",
+// "2dstack", "K-Robin", "ksegment", "ms-queue"), and also accepts the
+// short names "2d", "c2" and "strict". It is the one parser behind every
+// command's -alg flag; the String round trip is pinned by
+// TestCatalogueAudit.
 func ParseAlgorithm(s string) (Algorithm, error) {
+	norm := func(s string) string { return strings.ReplaceAll(strings.ToLower(s), "-", "") }
+	if a, ok := shortNames[strings.ToLower(s)]; ok {
+		return a, nil
+	}
 	for _, a := range AllAlgorithms() {
-		if a.String() == s {
+		if norm(a.String()) == norm(s) {
 			return a, nil
 		}
 	}
@@ -101,7 +119,7 @@ func AllAlgorithms() []Algorithm {
 	return []Algorithm{
 		TwoDStack, KSegment, KRobin, RandomStack, RandomC2Stack,
 		EliminationStack, TreiberStack, ElTreePool, FlatCombiningStack,
-		MSQueue,
+		MSQueue, TwoDQueue,
 	}
 }
 
@@ -112,7 +130,7 @@ func AllAlgorithms() []Algorithm {
 func (a Algorithm) KBounded() bool {
 	switch a {
 	case TwoDStack, KSegment, KRobin, TreiberStack,
-		EliminationStack, FlatCombiningStack, MSQueue:
+		EliminationStack, FlatCombiningStack, MSQueue, TwoDQueue:
 		return true
 	default:
 		return false
@@ -121,7 +139,7 @@ func (a Algorithm) KBounded() bool {
 
 // Ordering is the sequential discipline an algorithm relaxes: most of the
 // catalogue is stack-shaped (k-out-of-order against LIFO), the
-// Michael–Scott baseline is queue-shaped, and the elimination-diffraction
+// Michael–Scott baseline and the 2D-Queue are queue-shaped, and the elimination-diffraction
 // tree and the random policies promise no deterministic order at all.
 // engine.Switcher only swaps between backends of the same ordering — a
 // swap must preserve which checker (seqspec.KStackChecker vs KFIFOChecker)
@@ -153,7 +171,7 @@ func (o Ordering) String() string {
 // for them: an adversarial schedule displaces items arbitrarily far.
 func (a Algorithm) Ordering() Ordering {
 	switch a {
-	case MSQueue:
+	case MSQueue, TwoDQueue:
 		return OrderFIFO
 	case RandomStack, RandomC2Stack, ElTreePool:
 		return OrderNone
@@ -170,11 +188,13 @@ func Figure1Algorithms() []Algorithm {
 
 // KConfigurable reports whether the algorithm's structure can be derived
 // from a target relaxation budget k (the x-axis of Figure 1): these are
-// the algorithms harness.Figure1Factory accepts. The strict baselines are
-// k-bounded (k = 0) but not configurable — there is no knob to derive.
+// the algorithms NewBackendForK applies a k mapping to — the three of
+// Figure 1 plus the 2D-Queue, which takes the 2D-Stack's geometry for the
+// same k. The strict baselines are k-bounded (k = 0) but not configurable
+// — there is no knob to derive.
 func (a Algorithm) KConfigurable() bool {
 	switch a {
-	case TwoDStack, KSegment, KRobin:
+	case TwoDStack, KSegment, KRobin, TwoDQueue:
 		return true
 	default:
 		return false
@@ -190,14 +210,14 @@ func Figure2Algorithms() []Algorithm {
 }
 
 // Figure2K is the relaxation budget Figure 2 sizes k-robin for (its width
-// shrinks as P grows to hold the bound). harness.Figure2Factory and
-// NewDefaultBackend both build the Figure 2 setups from it and from
-// Figure2FixedWidth.
+// shrinks as P grows to hold the bound). NewDefaultBackend builds the
+// Figure 2 setups from it and from Figure2FixedWidth.
 const Figure2K = 1024
 
 // Figure2FixedWidth is the fixed structure size of Figure 2's k-segment
 // (its segment size) and random policies (their sub-stack count) at every
-// P — which is why the paper sees their quality stay constant with P.
+// P — which is why the paper sees their quality stay constant with P. The
+// simulated Figure 2 sizes its random stack by it too.
 const Figure2FixedWidth = 64
 
 // TwoDConfigForK maps a target relaxation k and thread count p to a 2D-Stack

@@ -16,6 +16,7 @@ func TestAlgorithmNamesMatchPaper(t *testing.T) {
 		RandomC2Stack:    "random-c2",
 		EliminationStack: "elimination",
 		TreiberStack:     "treiber",
+		TwoDQueue:        "2D-queue",
 	}
 	for a, name := range want {
 		if a.String() != name {
@@ -27,10 +28,72 @@ func TestAlgorithmNamesMatchPaper(t *testing.T) {
 	}
 }
 
+// TestParseAlgorithm pins the spellings every command's -alg flag
+// accepts: the catalogue names in any case, with or without hyphens, and
+// the short names.
+func TestParseAlgorithm(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Algorithm
+		ok   bool
+	}{
+		{"2d", TwoDStack, true},
+		{"2D-Stack", TwoDStack, true},
+		{"2dstack", TwoDStack, true},
+		{"k-segment", KSegment, true},
+		{"ksegment", KSegment, true},
+		{"K-Robin", KRobin, true},
+		{"krobin", KRobin, true},
+		{"random", RandomStack, true},
+		{"c2", RandomC2Stack, true},
+		{"random-c2", RandomC2Stack, true},
+		{"elimination", EliminationStack, true},
+		{"treiber", TreiberStack, true},
+		{"eltree", ElTreePool, true},
+		{"flat-combining", FlatCombiningStack, true},
+		{"2d-queue", TwoDQueue, true},
+		{"2DQueue", TwoDQueue, true},
+		{"ms-queue", MSQueue, true},
+		{"msqueue", MSQueue, true},
+		{"strict", MSQueue, true},
+		{"nope", 0, false},
+		{"", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseAlgorithm(c.in)
+		if (err == nil) != c.ok {
+			t.Errorf("ParseAlgorithm(%q) error = %v, want ok=%v", c.in, err, c.ok)
+			continue
+		}
+		if c.ok && got != c.want {
+			t.Errorf("ParseAlgorithm(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestParseAlgorithmCoversFigure2Set checks that the short spellings the
+// command-line usage strings print reach every Figure 2 design.
+func TestParseAlgorithmCoversFigure2Set(t *testing.T) {
+	names := []string{"2d", "k-segment", "k-robin", "random", "random-c2", "elimination", "treiber"}
+	seen := map[Algorithm]bool{}
+	for _, n := range names {
+		a, err := ParseAlgorithm(n)
+		if err != nil {
+			t.Fatalf("ParseAlgorithm(%q): %v", n, err)
+		}
+		seen[a] = true
+	}
+	for _, a := range Figure2Algorithms() {
+		if !seen[a] {
+			t.Errorf("algorithm %v not reachable from the usage spellings", a)
+		}
+	}
+}
+
 func TestKBounded(t *testing.T) {
 	bounded := []Algorithm{
 		TwoDStack, KSegment, KRobin, TreiberStack,
-		EliminationStack, FlatCombiningStack, MSQueue,
+		EliminationStack, FlatCombiningStack, MSQueue, TwoDQueue,
 	}
 	for _, a := range bounded {
 		if !a.KBounded() {

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"stack2d/internal/core"
+	"stack2d/internal/relax"
 	"stack2d/internal/xrand"
 )
 
@@ -97,8 +97,10 @@ func KSegmentBody(slots []*Word, top *Word, seed uint64) func(*T) {
 }
 
 // Figure1Throughput runs the simulated relaxation sweep point: algorithm
-// alg configured for relaxation budget k at p threads, mirroring the
-// wall-clock harness's Figure1Factory mappings.
+// alg configured for relaxation budget k at p threads by relax's k
+// mappings, the ones the wall-clock Figure 1 builds through
+// relax.NewBackendForK (the simulated k-segment caps its slot array at
+// 1<<14).
 func Figure1Throughput(machine Machine, alg AlgoName, k int64, p int, horizon int64) (float64, error) {
 	if p < 1 || p > machine.Cores() {
 		return 0, errRange("p", p)
@@ -108,14 +110,7 @@ func Figure1Throughput(machine Machine, alg AlgoName, k int64, p int, horizon in
 	}
 	const seed = 0x2d57ac
 	if alg == SimTwoD {
-		// Mirror relax.TwoDConfigForK: width first (depth 1), then depth
-		// at width 4P with shift = depth.
-		cfg := core.Config{Width: int(k/3) + 1, Depth: 1, Shift: 1, RandomHops: 2}
-		if cfg.Width > 4*p {
-			cfg.Width = 4 * p
-			cfg.Depth = max(k/(3*int64(cfg.Width-1)), 1)
-			cfg.Shift = cfg.Depth
-		}
+		cfg := relax.TwoDConfigForK(k, p)
 		st, err := stackSegment(machine, cfg, p, horizon, seed, nil, false,
 			start{prefillSim, prefillSim + cfg.Depth/2 + 1})
 		return float64(st.Ops()) * 1000 / float64(horizon), err
@@ -127,20 +122,13 @@ func Figure1Throughput(machine Machine, alg AlgoName, k int64, p int, horizon in
 	var body func(*T)
 	switch alg {
 	case SimKRobin:
-		width := int(k/(2*int64(p))) + 1
-		if width < 1 {
-			width = 1
-		}
-		subs := make([]*Word, width)
+		subs := make([]*Word, relax.KRobinConfigForK(k, p).Width)
 		for i := range subs {
 			subs[i] = s.NewWord(prefillSim)
 		}
 		body = RobinMultiBody(subs, seed)
 	case SimKSegment:
-		size := int(k) + 1
-		if size > 1<<14 {
-			size = 1 << 14 // cap simulated slot arrays
-		}
+		size := min(relax.KSegmentConfigForK(k).SegmentSize, 1<<14) // cap simulated slot arrays
 		slots := make([]*Word, size)
 		// Half-occupied segment: both pushes and pops find targets.
 		for i := range slots {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stack2d/internal/core"
+	"stack2d/internal/relax"
 )
 
 // AlgoName selects a simulated algorithm in Figure2Sim.
@@ -50,7 +51,9 @@ func Throughput(machine Machine, alg AlgoName, p int, horizon int64) (float64, e
 		top := s.NewWord(prefillSim)
 		body = TreiberBody(top, seed)
 	case SimRandom:
-		subs := make([]*Word, 4*p)
+		// Figure 2's random stack: relax.Figure2FixedWidth sub-stacks at
+		// every P, as the wall-clock sweep builds it.
+		subs := make([]*Word, relax.Figure2FixedWidth)
 		for i := range subs {
 			subs[i] = s.NewWord(prefillSim)
 		}

@@ -14,35 +14,44 @@ import (
 	"stack2d/internal/core"
 	"stack2d/internal/elimination"
 	"stack2d/internal/eltree"
-	"stack2d/internal/harness"
 	"stack2d/internal/ksegment"
 	"stack2d/internal/multistack"
 	"stack2d/internal/relax"
 )
 
-// factories under stress: one of each family, moderately sized.
-func stressFactories() []harness.Factory {
+// worker is one goroutine's handle on a structure under stress: the
+// uncounted handle a benchmark drives (relax.NewUncountedHandle).
+type worker = relax.Ops[uint64]
+
+// stressBackends builds one fresh structure of each family, moderately
+// sized.
+func stressBackends(t *testing.T) []relax.Backend[uint64] {
 	const p = 4
-	return []harness.Factory{
-		harness.NewTreiberFactory(),
-		harness.NewTwoDFactory(core.Config{Width: 8, Depth: 8, Shift: 4, RandomHops: 2}),
-		harness.NewEliminationFactory(elimination.Config{Slots: 2, Spins: 4, Symmetric: true}),
-		harness.NewKSegmentFactory(ksegment.Config{SegmentSize: 4}),
-		harness.NewMultiFactory(multistack.Config{Width: 8, Policy: multistack.Random}, p),
-		harness.NewMultiFactory(multistack.Config{Width: 8, Policy: multistack.RandomC2}, p),
-		harness.NewMultiFactory(multistack.Config{Width: 8, Policy: multistack.RoundRobin}, p),
-		harness.NewFlatCombiningFactory(),
-		harness.NewElimTreeFactory(eltree.Config{Depth: 2, PrismSlots: 2, Spins: 2}),
+	must := func(b relax.Backend[uint64], err error) relax.Backend[uint64] {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	return []relax.Backend[uint64]{
+		relax.NewTreiberBackend[uint64](),
+		must(relax.NewTwoDBackend[uint64](core.Config{Width: 8, Depth: 8, Shift: 4, RandomHops: 2})),
+		must(relax.NewEliminationBackend[uint64](elimination.Config{Slots: 2, Spins: 4, Symmetric: true})),
+		must(relax.NewKSegmentBackend[uint64](ksegment.Config{SegmentSize: 4})),
+		must(relax.NewMultiBackend[uint64](multistack.Config{Width: 8, Policy: multistack.Random}, p)),
+		must(relax.NewMultiBackend[uint64](multistack.Config{Width: 8, Policy: multistack.RandomC2}, p)),
+		must(relax.NewMultiBackend[uint64](multistack.Config{Width: 8, Policy: multistack.RoundRobin}, p)),
+		relax.NewFlatCombiningBackend[uint64](),
+		must(relax.NewElTreeBackend[uint64](eltree.Config{Depth: 2, PrismSlots: 2, Spins: 2})),
 	}
 }
 
 // checkConserved drives workers with the given per-worker body and then
 // verifies the recovered multiset: every worker reports (pushed, popped
 // values); the drain must account for the rest exactly once.
-func checkConserved(t *testing.T, f harness.Factory, workers int,
-	body func(w harness.Worker, id int, report func(pushed uint64, popped []uint64))) {
+func checkConserved(t *testing.T, b relax.Backend[uint64], workers int,
+	body func(w worker, id int, report func(pushed uint64, popped []uint64))) {
 	t.Helper()
-	inst := f.New()
 	var mu sync.Mutex
 	var totalPushed uint64
 	seen := make(map[uint64]int)
@@ -51,7 +60,7 @@ func checkConserved(t *testing.T, f harness.Factory, workers int,
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			body(inst.NewWorker(), id, func(pushed uint64, popped []uint64) {
+			body(relax.NewUncountedHandle(b), id, func(pushed uint64, popped []uint64) {
 				mu.Lock()
 				defer mu.Unlock()
 				totalPushed += pushed
@@ -62,7 +71,7 @@ func checkConserved(t *testing.T, f harness.Factory, workers int,
 		}(i)
 	}
 	wg.Wait()
-	drainer := inst.NewWorker()
+	drainer := relax.NewUncountedHandle(b)
 	for {
 		v, ok := drainer.Pop()
 		if !ok {
@@ -71,11 +80,11 @@ func checkConserved(t *testing.T, f harness.Factory, workers int,
 		seen[v]++
 	}
 	if uint64(len(seen)) != totalPushed {
-		t.Fatalf("%s: recovered %d distinct values, pushed %d", f.Name, len(seen), totalPushed)
+		t.Fatalf("%v: recovered %d distinct values, pushed %d", b.Algorithm(), len(seen), totalPushed)
 	}
 	for v, n := range seen {
 		if n != 1 {
-			t.Fatalf("%s: value %#x recovered %d times", f.Name, v, n)
+			t.Fatalf("%v: value %#x recovered %d times", b.Algorithm(), v, n)
 		}
 	}
 }
@@ -84,10 +93,9 @@ func checkConserved(t *testing.T, f harness.Factory, workers int,
 // window has to move constantly, segments grow and shrink, elimination
 // phases flip between push- and pop-dominated.
 func TestBurstOscillation(t *testing.T) {
-	for _, f := range stressFactories() {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			checkConserved(t, f, 4, func(w harness.Worker, id int, report func(uint64, []uint64)) {
+	for _, b := range stressBackends(t) {
+		t.Run(b.Algorithm().String(), func(t *testing.T) {
+			checkConserved(t, b, 4, func(w worker, id int, report func(uint64, []uint64)) {
 				base := uint64(id+1) << 40
 				var pushed uint64
 				var popped []uint64
@@ -112,10 +120,9 @@ func TestBurstOscillation(t *testing.T) {
 // pushes 3:1, hammering the empty-detection paths (window floor scans,
 // segment unlinking, collision timeouts).
 func TestEmptyHeavyChurn(t *testing.T) {
-	for _, f := range stressFactories() {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			checkConserved(t, f, 4, func(w harness.Worker, id int, report func(uint64, []uint64)) {
+	for _, b := range stressBackends(t) {
+		t.Run(b.Algorithm().String(), func(t *testing.T) {
+			checkConserved(t, b, 4, func(w worker, id int, report func(uint64, []uint64)) {
 				base := uint64(id+1) << 40
 				var pushed uint64
 				var popped []uint64
@@ -137,10 +144,8 @@ func TestEmptyHeavyChurn(t *testing.T) {
 // handle for a few operations — stressing handle registration (flat
 // combining's publication list, anchor initialisation).
 func TestHandleChurn(t *testing.T) {
-	for _, f := range stressFactories() {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			inst := f.New()
+	for _, b := range stressBackends(t) {
+		t.Run(b.Algorithm().String(), func(t *testing.T) {
 			var label atomic.Uint64
 			var mu sync.Mutex
 			seen := make(map[uint64]int)
@@ -150,7 +155,7 @@ func TestHandleChurn(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					w := inst.NewWorker()
+					w := relax.NewUncountedHandle(b)
 					var popped []uint64
 					for i := 0; i < 40; i++ {
 						w.Push(label.Add(1))
@@ -166,7 +171,7 @@ func TestHandleChurn(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			drainer := inst.NewWorker()
+			drainer := relax.NewUncountedHandle(b)
 			for {
 				v, ok := drainer.Pop()
 				if !ok {
@@ -196,11 +201,9 @@ func TestSoakStandingPopulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	for _, f := range stressFactories() {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			inst := f.New()
-			pre := inst.NewWorker()
+	for _, b := range stressBackends(t) {
+		t.Run(b.Algorithm().String(), func(t *testing.T) {
+			pre := relax.NewUncountedHandle(b)
 			const standing = 10000
 			for i := 1; i <= standing; i++ {
 				pre.Push(uint64(i))
@@ -211,7 +214,7 @@ func TestSoakStandingPopulation(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					w := inst.NewWorker()
+					w := relax.NewUncountedHandle(b)
 					base := uint64(g+1) << 40
 					n := uint64(0)
 					for i := 0; i < 5000; i++ {
@@ -227,7 +230,7 @@ func TestSoakStandingPopulation(t *testing.T) {
 			}
 			wg.Wait()
 			want := standing + int(imbalance.Load())
-			if got := inst.Len(); got != want {
+			if got := b.Len(); got != want {
 				t.Fatalf("population = %d after soak, want %d", got, want)
 			}
 		})
@@ -235,12 +238,16 @@ func TestSoakStandingPopulation(t *testing.T) {
 }
 
 // TestFigureFactoriesUnderStress runs the burst scenario against the exact
-// factories the figures use, catching configuration-specific issues.
+// structures Figure 2 builds (relax.NewDefaultBackend), catching
+// configuration-specific issues.
 func TestFigureFactoriesUnderStress(t *testing.T) {
 	for _, alg := range relax.Figure2Algorithms() {
-		f := harness.Figure2Factory(alg, 4)
-		t.Run(fmt.Sprintf("fig2-%s", f.Name), func(t *testing.T) {
-			checkConserved(t, f, 4, func(w harness.Worker, id int, report func(uint64, []uint64)) {
+		t.Run(fmt.Sprintf("fig2-%s", alg), func(t *testing.T) {
+			b, err := relax.NewDefaultBackend[uint64](alg, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkConserved(t, b, 4, func(w worker, id int, report func(uint64, []uint64)) {
 				base := uint64(id+1) << 40
 				var pushed uint64
 				var popped []uint64

@@ -82,6 +82,16 @@ func TestQueueBatchOps(t *testing.T) {
 	if st.EmptyPops != 1 {
 		t.Fatalf("EmptyPops = %d after one empty DequeueBatch, want 1", st.EmptyPops)
 	}
+	// A buffered dequeue whose refill comes back empty is one empty pop
+	// too (core's TestEmptyBatchPopCountsOneEmptyPop is the stack side).
+	b := q.NewHandle()
+	b.SetOpBuffer(4)
+	if v, ok := b.BufferedDequeue(); ok {
+		t.Fatalf("BufferedDequeue on an empty queue returned %d", v)
+	}
+	if st := b.Stats(); st.EmptyPops != 1 || st.Ops() != 1 {
+		t.Fatalf("after one empty BufferedDequeue: EmptyPops %d, Ops %d; want 1, 1", st.EmptyPops, st.Ops())
+	}
 }
 
 // TestQueueOpBufferSemantics covers the FIFO buffer contract: pending
