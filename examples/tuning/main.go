@@ -126,7 +126,7 @@ func main() {
 	fmt.Printf("relaxation dial: %d workers, %v per point, oracle attached to every op\n", workers, d)
 	fmt.Println("(oracle serialisation caps throughput; run cmd/stackbench for unobserved numbers)")
 	fmt.Println()
-	fmt.Printf("%-10s %-12s %-14s %-12s %s\n", "k budget", "realised k", "ops/s", "mean error", "max error")
+	fmt.Printf("%-10s %-12s %-14s %-12s %s\n", "k budget", "k bound", "ops/s", "mean error", "max error")
 	for _, k := range []int64{0, 16, 64, 256, 1024, 4096, 16384} {
 		ops, mean, max, bound := sweep(k, workers, d)
 		fmt.Printf("%-10d %-12d %-14.0f %-12.3f %d\n", k, bound, ops, mean, max)

@@ -32,7 +32,7 @@ func TestPushBatchEquivalentToLoop(t *testing.T) {
 			break
 		}
 	}
-	if _, err := seqspec.CheckKOutOfOrder(ops, int(cfg.K())); err != nil {
+	if _, err := (seqspec.KStackChecker{K: cfg.K()}).Check(seqspec.SequentialIntervals(ops)); err != nil {
 		t.Fatalf("batched pushes broke the k bound: %v", err)
 	}
 }
@@ -195,7 +195,7 @@ func TestPropertyBatchKBound(t *testing.T) {
 				break
 			}
 		}
-		_, err := seqspec.CheckKOutOfOrder(ops, int(cfg.K()))
+		_, err := (seqspec.KStackChecker{K: cfg.K()}).Check(seqspec.SequentialIntervals(ops))
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

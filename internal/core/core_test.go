@@ -171,12 +171,12 @@ func TestSingleThreadedKBound(t *testing.T) {
 				break
 			}
 		}
-		maxDist, err := seqspec.CheckKOutOfOrder(ops, int(cfg.K()))
+		rep, err := (seqspec.KStackChecker{K: cfg.K()}).Check(seqspec.SequentialIntervals(ops))
 		if err != nil {
 			t.Errorf("cfg %+v: %v", cfg, err)
 			continue
 		}
-		t.Logf("cfg %+v: k=%d maxObservedDist=%d", cfg, cfg.K(), maxDist)
+		t.Logf("cfg %+v: k=%d maxObservedDist=%d", cfg, cfg.K(), rep.MaxDistance)
 	}
 }
 
@@ -332,7 +332,7 @@ func TestPropertySequentialKOutOfOrder(t *testing.T) {
 				break
 			}
 		}
-		_, err := seqspec.CheckKOutOfOrder(ops, int(bound))
+		_, err := (seqspec.KStackChecker{K: bound}).Check(seqspec.SequentialIntervals(ops))
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -370,12 +370,12 @@ func TestPropertySequentialKOutOfOrderPinnedCounterexample(t *testing.T) {
 			break
 		}
 	}
-	maxDist, err := seqspec.CheckKOutOfOrder(ops, int(cfg.K()))
+	rep, err := (seqspec.KStackChecker{K: cfg.K()}).Check(seqspec.SequentialIntervals(ops))
 	if err != nil {
 		t.Fatalf("corrected bound violated: %v", err)
 	}
-	if maxDist != 7 {
-		t.Fatalf("pinned script realised max distance %d, want 7 (> retired k=%d)", maxDist, retiredK)
+	if rep.MaxDistance != 7 {
+		t.Fatalf("pinned script realised max distance %d, want 7 (> retired k=%d)", rep.MaxDistance, retiredK)
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 
 // FuzzSequentialKOutOfOrder feeds arbitrary op scripts and configurations
 // to a 2D-Stack and checks the resulting history against Theorem 1's exact
-// (corrected) bound — through both the sequential replay checker and, with
-// synthesized non-overlapping intervals, the concurrent-history
-// KStackChecker, which must agree with zero slack. Each script runs twice,
+// (corrected) bound through KStackChecker over synthesized non-overlapping
+// intervals, which leave no measurement slack. Each script runs twice,
 // each time on a fresh stack: through Push and Pop, then through
 // single-item PushBatch and PopBatch, whose batch paths must keep the same
 // bound. Run the seed corpus with `go test` (testdata/fuzz holds the
@@ -70,18 +69,11 @@ func FuzzSequentialKOutOfOrder(f *testing.F) {
 					break
 				}
 			}
-			maxDist, err := seqspec.CheckKOutOfOrder(ops, int(cfg.K()))
-			if err != nil {
+			if _, err := (seqspec.KStackChecker{K: cfg.K()}).Check(seqspec.SequentialIntervals(ops)); err != nil {
 				t.Fatalf("cfg %+v, batched %v: %v", cfg, batched, err)
 			}
 			if !s.Empty() {
 				t.Fatalf("cfg %+v, batched %v: stack not empty after full drain", cfg, batched)
-			}
-			// The concurrent-history checker over the same history with
-			// synthesized sequential intervals must agree exactly: same
-			// maximum distance, no measurement slack.
-			if err := seqspec.CrossCheckKDistance(ops, cfg.K(), maxDist); err != nil {
-				t.Fatalf("cfg %+v, batched %v: %v", cfg, batched, err)
 			}
 		}
 	})

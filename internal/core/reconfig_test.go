@@ -384,7 +384,7 @@ func TestReconfigureGrowthJoinsAtFloor(t *testing.T) {
 				break
 			}
 		}
-		if _, err := seqspec.CheckKOutOfOrder(ops, int(s.Config().K())); err != nil {
+		if _, err := (seqspec.KStackChecker{K: s.Config().K()}).Check(seqspec.SequentialIntervals(ops)); err != nil {
 			t.Fatalf("hops %d: %v", hops, err)
 		}
 	}
@@ -450,7 +450,7 @@ func TestPropertyReconfigureGrowthKBound(t *testing.T) {
 				}
 			}
 		}
-		if _, err := seqspec.CheckKOutOfOrder(ops, int(maxK)); err != nil {
+		if _, err := (seqspec.KStackChecker{K: maxK}).Check(seqspec.SequentialIntervals(ops)); err != nil {
 			t.Fatalf("seed %d (final %+v, k %d): %v", seed, cfg, maxK, err)
 		}
 	}

@@ -170,29 +170,26 @@ func FormatErrorTable(outs []*Outcome) string {
 // sequentialQuality replays a zero-slack sequential history through the
 // rank-error oracle of the right ordering.
 func sequentialQuality(hist []seqspec.IntervalOp, fifo bool) (quality.Stats, error) {
-	var lifo quality.Oracle
-	var fq quality.FIFOOracle
+	var o interface {
+		Insert(label uint64)
+		RemoveWithin(label uint64, patience time.Duration) (int, error)
+		Snapshot() quality.Stats
+	} = &quality.Oracle{}
+	if fifo {
+		o = &quality.FIFOOracle{}
+	}
 	for _, op := range hist {
 		switch {
-		case op.Kind == seqspec.OpPush && fifo:
-			fq.Insert(op.Value)
 		case op.Kind == seqspec.OpPush:
-			lifo.Insert(op.Value)
+			o.Insert(op.Value)
 		case op.Empty:
-		case fifo:
-			if _, err := fq.RemoveWithin(op.Value, oraclePatience); err != nil {
-				return quality.Stats{}, err
-			}
 		default:
-			if _, err := lifo.RemoveWithin(op.Value, oraclePatience); err != nil {
+			if _, err := o.RemoveWithin(op.Value, oraclePatience); err != nil {
 				return quality.Stats{}, err
 			}
 		}
 	}
-	if fifo {
-		return fq.Snapshot(), nil
-	}
-	return lifo.Snapshot(), nil
+	return o.Snapshot(), nil
 }
 
 func runTheoremOneReplay(seed uint64) (*Outcome, error) {

@@ -7,10 +7,9 @@ import (
 )
 
 // FuzzSequentialKBound feeds arbitrary scripts and segment sizes to a
-// k-segment stack and checks conservation plus the s−1 sequential bound —
-// through the sequential replay checker and, with synthesized sequential
-// intervals, the concurrent-history KStackChecker (which must agree with
-// zero slack). testdata/fuzz holds the checked-in seed corpus.
+// k-segment stack and checks conservation plus the s−1 sequential bound
+// through KStackChecker over synthesized sequential intervals, which leave
+// no measurement slack. testdata/fuzz holds the checked-in seed corpus.
 func FuzzSequentialKBound(f *testing.F) {
 	f.Add(uint8(1), []byte{0xff, 0x00})
 	f.Add(uint8(4), []byte{0xaa, 0x55})
@@ -41,11 +40,7 @@ func FuzzSequentialKBound(f *testing.F) {
 				break
 			}
 		}
-		maxDist, err := seqspec.CheckKOutOfOrder(ops, int(cfg.K()))
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-		if err := seqspec.CrossCheckKDistance(ops, cfg.K(), maxDist); err != nil {
+		if _, err := (seqspec.KStackChecker{K: cfg.K()}).Check(seqspec.SequentialIntervals(ops)); err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
 	})

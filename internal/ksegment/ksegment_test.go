@@ -104,12 +104,12 @@ func TestSequentialKBound(t *testing.T) {
 				break
 			}
 		}
-		maxDist, err := seqspec.CheckKOutOfOrder(ops, int(cfg.K()))
+		rep, err := (seqspec.KStackChecker{K: cfg.K()}).Check(seqspec.SequentialIntervals(ops))
 		if err != nil {
 			t.Errorf("size %d: %v", size, err)
 			continue
 		}
-		t.Logf("size %d: k=%d maxObservedDist=%d", size, cfg.K(), maxDist)
+		t.Logf("size %d: k=%d maxObservedDist=%d", size, cfg.K(), rep.MaxDistance)
 	}
 }
 

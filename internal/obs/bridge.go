@@ -188,7 +188,7 @@ func RegisterStructure(reg *Registry, structure string, src Source, now func() t
 		func() float64 { return float64(src.Config().Depth) })
 	reg.Gauge(name(MGeometryShift), "Active geometry: window step.",
 		func() float64 { return float64(src.Config().Shift) })
-	reg.Gauge(name(MRealisedK), "Theorem-1 relaxation bound of the active geometry.",
+	reg.Gauge(name(MKBound), "Theorem-1 relaxation bound of the active geometry.",
 		func() float64 { return float64(src.Config().K()) })
 	if sr, ok := src.(ShrinkReporter); ok {
 		reg.Gauge(name(MShrinkDispBound), "Cumulative displacement bound of shrink migrations.",

@@ -185,8 +185,8 @@ func TestRegisterStructureLive(t *testing.T) {
 		t.Fatalf("queue enqueues exported %v, want 1000", v)
 	}
 	wantK := float64(s.Config().K())
-	if v := snap["stack2d_stack_realised_k"]; v != wantK {
-		t.Fatalf("stack realised_k exported %v, want %v", v, wantK)
+	if v := snap["stack2d_stack_k_bound"]; v != wantK {
+		t.Fatalf("stack k_bound exported %v, want %v", v, wantK)
 	}
 	if v := snap["stack2d_queue_shrink_displacement_bound"]; v != float64(0) {
 		t.Fatalf("queue shrink bound exported %v before any shrink", v)

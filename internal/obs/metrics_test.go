@@ -116,8 +116,8 @@ func TestPromRenderingProperties(t *testing.T) {
 	if !strings.Contains(out, "stack2d_stack_cas_per_op 0.2") {
 		t.Fatal("cas_per_op gauge missing or wrong")
 	}
-	if !strings.Contains(out, "stack2d_stack_realised_k 1344") {
-		t.Fatal("realised_k gauge missing or wrong (want (2*64+64)*(8-1))")
+	if !strings.Contains(out, "stack2d_stack_k_bound 1344") {
+		t.Fatal("k_bound gauge missing or wrong (want (2*64+64)*(8-1))")
 	}
 	if !strings.Contains(out, "stack2d_stack_shrink_displacement_bound 17") {
 		t.Fatal("shrink displacement gauge missing")

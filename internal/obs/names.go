@@ -2,7 +2,7 @@ package obs
 
 // MetricPrefix namespaces every exported metric; a per-structure metric's
 // full name is MetricPrefix + "_" + structure + "_" + suffix (for example
-// stack2d_stack_pushes_total, stack2d_queue_realised_k), the tracer's own
+// stack2d_stack_pushes_total, stack2d_queue_k_bound), the tracer's own
 // meta-metrics use the fixed "obs" structure. CI greps the suffix
 // constants below against DESIGN.md §8, so every exported name stays
 // documented: add a metric here and the build fails until the section's
@@ -41,7 +41,7 @@ const (
 	MGeometryWidth   = "geometry_width"
 	MGeometryDepth   = "geometry_depth"
 	MGeometryShift   = "geometry_shift"
-	MRealisedK       = "realised_k"
+	MKBound          = "k_bound"
 	MShrinkDispBound = "shrink_displacement_bound"
 	MSwapDispBound   = "swap_displacement_bound"
 	MBufferedItems   = "buffered_items" // see BufferReporter

@@ -294,6 +294,19 @@ func (h *zooCountedHandle[T]) Pop() (v T, ok bool) {
 
 func (h *zooCountedHandle[T]) Flush() { h.FlushStats() }
 
+// zooHandles builds zooBackend.mkH from a zoo structure's NewHandle: each
+// handle gets the stats pointer (nil for an uncounted handle).
+func zooHandles[T any, H interface {
+	Ops[T]
+	SetStats(*core.OpStats)
+}](newHandle func() H) func(*core.OpStats) Ops[T] {
+	return func(st *core.OpStats) Ops[T] {
+		h := newHandle()
+		h.SetStats(st)
+		return h
+	}
+}
+
 // NewEliminationBackend wraps the elimination back-off stack (strict
 // LIFO, k = 0).
 func NewEliminationBackend[T any](cfg elimination.Config) (Backend[T], error) {
@@ -303,12 +316,7 @@ func NewEliminationBackend[T any](cfg elimination.Config) (Backend[T], error) {
 	}
 	return &zooBackend[T]{
 		alg: EliminationStack, k: 0,
-		mkH: func(st *core.OpStats) Ops[T] {
-			h := s.NewHandle()
-			h.SetStats(st)
-			return h
-		},
-		lenF: s.Len, drainF: s.Drain,
+		mkH: zooHandles[T](s.NewHandle), lenF: s.Len, drainF: s.Drain,
 	}, nil
 }
 
@@ -320,12 +328,7 @@ func NewKSegmentBackend[T any](cfg ksegment.Config) (Backend[T], error) {
 	}
 	return &zooBackend[T]{
 		alg: KSegment, k: cfg.K(),
-		mkH: func(st *core.OpStats) Ops[T] {
-			h := s.NewHandle()
-			h.SetStats(st)
-			return h
-		},
-		lenF: s.Len, drainF: s.Drain,
+		mkH: zooHandles[T](s.NewHandle), lenF: s.Len, drainF: s.Drain,
 	}, nil
 }
 
@@ -346,12 +349,7 @@ func NewMultiBackend[T any](cfg multistack.Config, p int) (Backend[T], error) {
 	}
 	return &zooBackend[T]{
 		alg: alg, k: k,
-		mkH: func(st *core.OpStats) Ops[T] {
-			h := s.NewHandle()
-			h.SetStats(st)
-			return h
-		},
-		lenF: s.Len, drainF: s.Drain,
+		mkH: zooHandles[T](s.NewHandle), lenF: s.Len, drainF: s.Drain,
 	}, nil
 }
 
@@ -364,12 +362,7 @@ func NewElTreeBackend[T any](cfg eltree.Config) (Backend[T], error) {
 	}
 	return &zooBackend[T]{
 		alg: ElTreePool, k: -1,
-		mkH: func(st *core.OpStats) Ops[T] {
-			h := p.NewHandle()
-			h.SetStats(st)
-			return h
-		},
-		lenF: p.Len, drainF: p.Drain,
+		mkH: zooHandles[T](p.NewHandle), lenF: p.Len, drainF: p.Drain,
 	}, nil
 }
 
@@ -379,12 +372,7 @@ func NewFlatCombiningBackend[T any]() Backend[T] {
 	s := flatcombining.New[T]()
 	return &zooBackend[T]{
 		alg: FlatCombiningStack, k: 0,
-		mkH: func(st *core.OpStats) Ops[T] {
-			h := s.NewHandle()
-			h.SetStats(st)
-			return h
-		},
-		lenF: s.Len, drainF: s.Drain,
+		mkH: zooHandles[T](s.NewHandle), lenF: s.Len, drainF: s.Drain,
 	}
 }
 

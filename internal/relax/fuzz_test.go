@@ -7,20 +7,20 @@ import (
 )
 
 // maxFuzzScript caps a fuzzed script at 250 bytes, 2 000 operations: the
-// replay checkers are quadratic in the history's length.
+// distance checks are quadratic in the history's length.
 const maxFuzzScript = 250
 
 // FuzzBackendCatalogue drives one handle of a catalogue backend
 // (NewDefaultBackend at a fuzzed algorithm and P) through a fuzzed op
 // script, one bit per operation (1 = push), drains it through the same
-// handle, and judges the history by what the catalogue promises: strict
-// LIFO for the stacks whose KBound is 0, k-out-of-order FIFO at KBound for
-// the queues (strict for Michael–Scott, the 2D-Queue's bound for the
-// 2D-Queue), k-out-of-order at KBound for the 2D-Stack and k-segment (with
-// KStackChecker agreeing exactly), and conservation only for the
-// unordered pools and k-robin, whose KRobinBound is an estimate that
-// single-threaded scripts exceed. Every run must also conserve items: each
-// pushed item popped exactly once, none left behind. Explore with
+// handle, and judges the history by what the catalogue promises, checked
+// over sequential intervals at KBound: k-out-of-order LIFO for the stacks
+// (strict where KBound is 0), k-out-of-order FIFO for the queues (strict
+// for Michael–Scott, the 2D-Queue's bound for the 2D-Queue), and
+// conservation only for the unordered pools and k-robin, whose KRobinBound
+// is an estimate that single-threaded scripts exceed. Every run must also
+// conserve items: each pushed item popped exactly once, none left behind.
+// Explore with
 // `go test -run '^$' -fuzz FuzzBackendCatalogue ./internal/relax/`.
 func FuzzBackendCatalogue(f *testing.F) {
 	for _, a := range AllAlgorithms() {
@@ -58,26 +58,22 @@ func FuzzBackendCatalogue(f *testing.F) {
 		}
 		for pop() {
 		}
-		dists, err := seqspec.MeasureDistances(ops)
+		hist := seqspec.SequentialIntervals(ops)
+		rep, err := (seqspec.KStackChecker{K: int64(len(ops))}).Check(hist)
 		if err != nil {
 			t.Fatalf("%v, P=%d: %v", a, p, err)
 		}
-		if pushed := int(next - 1); len(dists) != pushed || b.Len() != 0 {
-			t.Fatalf("%v, P=%d: %d of %d pushed items popped, Len %d after the drain", a, p, len(dists), pushed, b.Len())
+		if pushed := int(next - 1); rep.Pops != pushed || b.Len() != 0 {
+			t.Fatalf("%v, P=%d: %d of %d pushed items popped, Len %d after the drain", a, p, rep.Pops, pushed, b.Len())
 		}
 		k := b.KBound()
 		switch {
 		case a.Ordering() == OrderNone || a == KRobin:
 			// Conservation, checked above, is the whole promise.
 		case a.Ordering() == OrderFIFO:
-			_, err = seqspec.CheckKOutOfOrderFIFO(ops, int(k))
-		case k == 0:
-			err = seqspec.CheckLIFO(ops)
+			_, err = (seqspec.KFIFOChecker{K: k}).Check(hist)
 		default:
-			var maxDist int
-			if maxDist, err = seqspec.CheckKOutOfOrder(ops, int(k)); err == nil {
-				err = seqspec.CrossCheckKDistance(ops, k, maxDist)
-			}
+			_, err = (seqspec.KStackChecker{K: k}).Check(hist)
 		}
 		if err != nil {
 			t.Fatalf("%v, P=%d, k=%d: %v", a, p, k, err)

@@ -26,7 +26,7 @@ import "fmt"
 // what keeps the reachable state space independent of how far the
 // monotone ceilings have travelled. The distance of a dequeue is the
 // number of strictly older items still resident anywhere — the
-// k-out-of-order FIFO measure mirrored by KFIFOModel.
+// k-out-of-order FIFO measure KFIFOChecker takes with the rank list.
 
 // exploreQState is one canonical 2D-Queue state: per sub-queue the gap to
 // each ceiling plus the resident items as dense age ranks (front first).

@@ -6,7 +6,7 @@ import (
 )
 
 // stepsToOps converts an explorer trace to a completion-order history, the
-// currency of the sequential checkers, so traces can be cross-validated by
+// input of SequentialIntervals, so traces can be cross-validated by
 // machinery entirely independent of the explorer's own distance
 // accounting. Trace Values are already push labels (relabelSteps), so the
 // mapping is direct.
@@ -69,7 +69,7 @@ func TestExploreWidthOneIsStrict(t *testing.T) {
 // is violated: the explorer produces a minimal history realising distance
 // 7 — while the corrected constant (2·depth + shift)(width − 1) = 9 is
 // certified over the same horizon. The counterexample trace is additionally
-// replayed through the independent sequential checkers.
+// replayed through the independent distance check.
 func TestExploreStackFindsTheoremOneCounterexample(t *testing.T) {
 	const retiredK = 6 // (2·1 + 4)·(2−1), the paper constant as transcribed
 	const correctedK = 9
@@ -89,13 +89,13 @@ func TestExploreStackFindsTheoremOneCounterexample(t *testing.T) {
 	if len(r.Counterexample) != 16 {
 		t.Errorf("minimal counterexample has %d ops, want 16:\n%v", len(r.Counterexample), r.Counterexample)
 	}
-	// Cross-validate with the independent history checkers: the replayed
+	// Cross-validate with the independent distance check: the replayed
 	// trace must exceed the retired bound and respect the corrected one.
 	ops := stepsToOps(r.Counterexample)
-	if _, err := CheckKOutOfOrder(ops, retiredK); err == nil {
+	if _, err := checkStack(ops, retiredK); err == nil {
 		t.Errorf("replayed counterexample passes the retired bound %d", retiredK)
 	}
-	if _, err := CheckKOutOfOrder(ops, correctedK); err != nil {
+	if _, err := checkStack(ops, correctedK); err != nil {
 		t.Errorf("replayed counterexample violates the corrected bound %d: %v", correctedK, err)
 	}
 
@@ -172,7 +172,7 @@ func TestExploreRealizedMaximaPinned(t *testing.T) {
 // depth·(width − 1) observed regime (monotone ceilings, see the pinned
 // maxima table) — are refutable at these horizons for most geometries and
 // are asserted on every run. Each certified run's witness trace is
-// re-validated through the independent sequential checkers.
+// re-validated through the independent distance check.
 func TestConformanceExhaustiveExplorer(t *testing.T) {
 	explorers := []struct {
 		name    string
@@ -204,15 +204,15 @@ func TestConformanceExhaustiveExplorer(t *testing.T) {
 						}
 						if len(r.Witness) > 0 {
 							ops := stepsToOps(r.Witness)
-							max, err := CheckKOutOfOrder(ops, k)
+							rep, err := checkStack(ops, int64(k))
 							if ex.name == "queue" {
-								max, err = CheckKOutOfOrderFIFO(ops, k)
+								rep, err = checkFIFO(ops, int64(k))
 							}
 							if err != nil {
 								t.Fatalf("witness replay: %v", err)
 							}
-							if max != r.MaxDistance {
-								t.Fatalf("witness replay realises %d, explorer reported %d", max, r.MaxDistance)
+							if rep.MaxDistance != r.MaxDistance {
+								t.Fatalf("witness replay realises %d, explorer reported %d", rep.MaxDistance, r.MaxDistance)
 							}
 						}
 					})

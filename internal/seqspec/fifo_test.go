@@ -46,36 +46,6 @@ func TestFIFOModelCompaction(t *testing.T) {
 	}
 }
 
-func TestKFIFOWindow(t *testing.T) {
-	m := KFIFOModel{K: 2}
-	for v := uint64(1); v <= 5; v++ {
-		m.Enqueue(v)
-	}
-	// Front is 1; window allows dequeuing 1, 2 or 3.
-	if d, found := m.DequeueObserved(3); !found || d != 2 {
-		t.Fatalf("DequeueObserved(3) = (%d,%v), want (2,true)", d, found)
-	}
-	if _, found := m.DequeueObserved(5); found {
-		t.Fatal("DequeueObserved(5) found item outside window")
-	}
-	if d, found := m.DequeueObserved(1); !found || d != 0 {
-		t.Fatalf("DequeueObserved(1) = (%d,%v), want (0,true)", d, found)
-	}
-}
-
-func TestKFIFODequeueAnywhere(t *testing.T) {
-	m := KFIFOModel{K: 0}
-	for v := uint64(1); v <= 4; v++ {
-		m.Enqueue(v)
-	}
-	if d, found := m.DequeueAnywhere(4); !found || d != 3 {
-		t.Fatalf("DequeueAnywhere(4) = (%d,%v), want (3,true)", d, found)
-	}
-	if _, found := m.DequeueAnywhere(99); found {
-		t.Fatal("found a value never enqueued")
-	}
-}
-
 func TestCheckKOutOfOrderFIFO(t *testing.T) {
 	ops := []Op{
 		{Kind: OpPush, Value: 1},
@@ -83,11 +53,11 @@ func TestCheckKOutOfOrderFIFO(t *testing.T) {
 		{Kind: OpPush, Value: 3},
 		{Kind: OpPop, Value: 3}, // distance 2
 	}
-	maxDist, err := CheckKOutOfOrderFIFO(ops, 2)
-	if err != nil || maxDist != 2 {
-		t.Fatalf("CheckKOutOfOrderFIFO = (%d, %v), want (2, nil)", maxDist, err)
+	rep, err := checkFIFO(ops, 2)
+	if err != nil || rep.MaxDistance != 2 {
+		t.Fatalf("check at k=2 = (%+v, %v), want MaxDistance 2 and no error", rep, err)
 	}
-	if _, err := CheckKOutOfOrderFIFO(ops, 1); err == nil {
+	if _, err := checkFIFO(ops, 1); err == nil {
 		t.Fatal("distance-2 dequeue accepted with k=1")
 	}
 }
@@ -97,7 +67,7 @@ func TestCheckKFIFOEmptyRules(t *testing.T) {
 		{Kind: OpPush, Value: 1},
 		{Kind: OpPop, Empty: true},
 	}
-	if _, err := CheckKOutOfOrderFIFO(ops, 1); err != nil {
+	if _, err := checkFIFO(ops, 1); err != nil {
 		t.Fatalf("legal relaxed empty rejected: %v", err)
 	}
 	ops = []Op{
@@ -105,14 +75,14 @@ func TestCheckKFIFOEmptyRules(t *testing.T) {
 		{Kind: OpPush, Value: 2},
 		{Kind: OpPop, Empty: true},
 	}
-	if _, err := CheckKOutOfOrderFIFO(ops, 1); err == nil {
+	if _, err := checkFIFO(ops, 1); err == nil {
 		t.Fatal("empty with k+1 items accepted")
 	}
 }
 
 func TestCheckKFIFOPhantom(t *testing.T) {
 	ops := []Op{{Kind: OpPop, Value: 9}}
-	if _, err := CheckKOutOfOrderFIFO(ops, 4); err == nil {
+	if _, err := checkFIFO(ops, 4); err == nil {
 		t.Fatal("phantom dequeue accepted")
 	}
 }
@@ -127,18 +97,15 @@ func TestMeasureDistancesFIFO(t *testing.T) {
 		{Kind: OpPop, Empty: true}, // ignored
 		{Kind: OpPop, Value: 3},    // distance 0
 	}
-	dists, err := MeasureDistancesFIFO(ops)
+	rep, err := checkFIFO(ops, int64(len(ops)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 0, 0}
-	for i := range want {
-		if dists[i] != want[i] {
-			t.Fatalf("dists = %v, want %v", dists, want)
-		}
+	if rep.Pops != 3 || rep.MaxDistance != 1 {
+		t.Fatalf("report %+v, want 3 dequeues at distances 1, 0, 0", rep)
 	}
 	bad := []Op{{Kind: OpPop, Value: 7}}
-	if _, err := MeasureDistancesFIFO(bad); err == nil {
+	if _, err := checkFIFO(bad, int64(len(bad))); err == nil {
 		t.Fatal("phantom dequeue not detected")
 	}
 }
@@ -147,7 +114,7 @@ func TestMeasureDistancesFIFO(t *testing.T) {
 // distance.
 func TestStrictFIFOHistoriesAreKLegal(t *testing.T) {
 	f := func(vals []uint64, kRaw uint8) bool {
-		k := int(kRaw % 8)
+		k := int64(kRaw % 8)
 		ops := make([]Op, 0, 2*len(vals))
 		for _, v := range vals {
 			ops = append(ops, Op{Kind: OpPush, Value: v})
@@ -155,10 +122,15 @@ func TestStrictFIFOHistoriesAreKLegal(t *testing.T) {
 		for _, v := range vals {
 			ops = append(ops, Op{Kind: OpPop, Value: v})
 		}
-		maxDist, err := CheckKOutOfOrderFIFO(ops, k)
-		return err == nil && maxDist == 0
+		rep, err := checkFIFO(ops, k)
+		return err == nil && rep.MaxDistance == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkFIFO checks a sequential queue history at bound k.
+func checkFIFO(ops []Op, k int64) (KDistanceReport, error) {
+	return (KFIFOChecker{K: k}).Check(SequentialIntervals(ops))
 }

@@ -2,7 +2,8 @@ package seqspec
 
 import "fmt"
 
-// OpKind discriminates the two stack operations in a recorded history.
+// OpKind discriminates the two operations in a recorded history: OpPush is
+// a push or an enqueue, OpPop a pop or a dequeue.
 type OpKind uint8
 
 // Operation kinds.
@@ -22,101 +23,11 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one completed stack operation in linearization order. For OpPop,
-// Empty records a Pop that returned no value.
+// Op is one completed operation of a sequential history, in linearization
+// order. For OpPop, Empty records a Pop that returned no value.
+// SequentialIntervals turns such a history into the checkers' input.
 type Op struct {
 	Kind  OpKind
 	Value uint64
 	Empty bool
-}
-
-// CheckLIFO replays ops against the strict sequential Model and returns an
-// error describing the first divergence, or nil if the history is a legal
-// strict-LIFO history.
-func CheckLIFO(ops []Op) error {
-	var m Model
-	for i, op := range ops {
-		switch op.Kind {
-		case OpPush:
-			m.Push(op.Value)
-		case OpPop:
-			want, ok := m.Pop()
-			if op.Empty {
-				if ok {
-					return fmt.Errorf("op %d: pop reported empty but model holds %d items (top %d)", i, m.Len()+1, want)
-				}
-				continue
-			}
-			if !ok {
-				return fmt.Errorf("op %d: pop returned %d but model is empty", i, op.Value)
-			}
-			if want != op.Value {
-				return fmt.Errorf("op %d: pop returned %d, strict LIFO requires %d", i, op.Value, want)
-			}
-		default:
-			return fmt.Errorf("op %d: unknown kind %v", i, op.Kind)
-		}
-	}
-	return nil
-}
-
-// CheckKOutOfOrder replays ops against KModel with bound k. It returns the
-// maximum observed pop distance and an error if any pop exceeded the bound
-// or returned a value not present in the model.
-//
-// Empty pops are accepted whenever the model holds at most k items: a k-out-
-// of-order stack may miss up to k reachable items (they can be "below the
-// window"), so an empty return is only illegal when more than k items are
-// present.
-func CheckKOutOfOrder(ops []Op, k int) (maxDist int, err error) {
-	m := KModel{K: k}
-	for i, op := range ops {
-		switch op.Kind {
-		case OpPush:
-			m.Push(op.Value)
-		case OpPop:
-			if op.Empty {
-				if m.Len() > k {
-					return maxDist, fmt.Errorf("op %d: pop reported empty with %d items present (bound %d)", i, m.Len(), k)
-				}
-				continue
-			}
-			dist, found := m.PopObserved(op.Value)
-			if !found {
-				// Retry without the window to give a better diagnostic.
-				if d, anywhere := m.PopAnywhere(op.Value); anywhere {
-					return maxDist, fmt.Errorf("op %d: pop of %d at distance %d exceeds k=%d", i, op.Value, d, k)
-				}
-				return maxDist, fmt.Errorf("op %d: pop returned %d which is not in the stack", i, op.Value)
-			}
-			if dist > maxDist {
-				maxDist = dist
-			}
-		}
-	}
-	return maxDist, nil
-}
-
-// MeasureDistances replays ops, removing popped values wherever they are,
-// and returns every observed pop distance in order. It fails only when a
-// popped value does not exist, i.e. on a correctness (not quality) bug.
-func MeasureDistances(ops []Op) ([]int, error) {
-	m := KModel{K: -1} // K unused by PopAnywhere
-	dists := make([]int, 0, len(ops)/2)
-	for i, op := range ops {
-		switch op.Kind {
-		case OpPush:
-			m.Push(op.Value)
-		case OpPop:
-			if op.Empty {
-				continue
-			}
-			d, found := m.PopAnywhere(op.Value)
-			if !found {
-				return nil, fmt.Errorf("op %d: pop returned %d which was never pushed or already popped", i, op.Value)
-			}
-			dists = append(dists, d)
-		}
-	}
-	return dists, nil
 }

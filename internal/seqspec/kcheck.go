@@ -3,16 +3,21 @@ package seqspec
 import (
 	"fmt"
 	"sort"
+
+	"stack2d/internal/quality"
 )
 
-// This file provides the relaxation-distance checkers for *concurrent*
-// histories: KStackChecker and KFIFOChecker take a recorded interval
-// history and verify every pop/dequeue against a claimed k-out-of-order
-// bound. They complement the two existing levels of checking — the
-// sequential replay checkers (CheckKOutOfOrder and friends, exact but
-// single-threaded) and the exhaustive linearizability search
-// (CheckLinearizable*, complete but limited to micro-histories) — with a
-// distance check that scales to millions of concurrent operations.
+// This file provides the repository's one k-out-of-order distance check:
+// KStackChecker and KFIFOChecker take a recorded interval history and
+// verify every pop/dequeue against a claimed k-out-of-order bound. They
+// measure each distance with internal/quality's rank list (quality.Ranks),
+// the instrument the quality oracles measure with too. A sequential
+// history is checked as the interval history SequentialIntervals builds:
+// no two of its intervals overlap, so every slack below is zero and the
+// check is exact. Beside it stand the exhaustive linearizability search
+// (CheckLinearizable*, complete but limited to micro-histories) and the
+// explorers, which restate the specification independently; this check
+// scales to millions of concurrent operations.
 //
 // A concurrent history does not determine a unique linearization, so the
 // realised distance of one pop is not a single number: it depends on where
@@ -125,10 +130,10 @@ func BufferAllowance(handles, cap int) int64 {
 
 // SequentialIntervals converts a completion-order history into an
 // interval history with pairwise non-overlapping intervals (op i occupies
-// [2i, 2i+1]) — the zero-slack input form under which the concurrent
-// checkers must agree exactly with the sequential replay checkers. The
-// fuzz targets use it to cross-assert both checker families over every
-// generated history.
+// [2i, 2i+1]), the form in which the checkers check a sequential history.
+// No operation overlaps another, so the measurement slack is zero: every
+// pop's distance must stay within K + allowance exactly, and an empty
+// report is legal only while at most K + allowance items are resident.
 func SequentialIntervals(ops []Op) []IntervalOp {
 	out := make([]IntervalOp, len(ops))
 	for i, op := range ops {
@@ -138,23 +143,6 @@ func SequentialIntervals(ops []Op) []IntervalOp {
 		}
 	}
 	return out
-}
-
-// CrossCheckKDistance replays a sequential stack history through
-// KStackChecker with synthesized non-overlapping intervals and requires
-// exact agreement with the sequential replay checker: a pass, the same
-// maximum distance (wantMax, as returned by CheckKOutOfOrder), and zero
-// measurement slack. A disagreement is a checker bug, not a structure
-// bug.
-func CrossCheckKDistance(ops []Op, k int64, wantMax int) error {
-	rep, err := (KStackChecker{K: k}).Check(SequentialIntervals(ops))
-	if err != nil {
-		return fmt.Errorf("seqspec: KStackChecker disagrees with CheckKOutOfOrder: %w", err)
-	}
-	if rep.MaxDistance != wantMax || rep.MaxSlack != 0 {
-		return fmt.Errorf("seqspec: KStackChecker report %+v, sequential checker max %d", rep, wantMax)
-	}
-	return nil
 }
 
 // overlapCounter answers "how many other operations' intervals intersect
@@ -188,7 +176,8 @@ func (oc *overlapCounter) overlapping(b, e int64) int {
 	return len(oc.begins) - endedBefore - beganAfter - 1
 }
 
-// checkKDistance is the shared engine of both checkers.
+// checkKDistance is the shared engine of both checkers; fifo orders the
+// rank list for a queue.
 func checkKDistance(ops []IntervalOp, k, allowance int64, fifo bool) (KDistanceReport, error) {
 	var rep KDistanceReport
 	if k < 0 {
@@ -228,28 +217,9 @@ func checkKDistance(ops []IntervalOp, k, allowance int64, fifo bool) (KDistanceR
 		return oc.overlapping(p.Begin, p.End)
 	}
 
-	stack := KModel{K: -1}
-	queue := KFIFOModel{K: -1}
-	size := func() int {
-		if fifo {
-			return queue.Len()
-		}
-		return stack.Len()
-	}
-	insert := func(v uint64) {
-		if fifo {
-			queue.Enqueue(v)
-		} else {
-			stack.Push(v)
-		}
-	}
-	remove := func(v uint64) (int, bool) {
-		if fifo {
-			return queue.DequeueAnywhere(v)
-		}
-		return stack.PopAnywhere(v)
-	}
-
+	// ranks holds the resident values in strict order: newest first for a
+	// stack, oldest first for a queue.
+	var ranks quality.Ranks
 	consumed := make(map[int]bool)
 	popped := make(map[uint64]int, len(ops)/2)
 	for _, i := range order {
@@ -257,7 +227,7 @@ func checkKDistance(ops []IntervalOp, k, allowance int64, fifo bool) (KDistanceR
 		switch {
 		case op.Kind == OpPush:
 			if !consumed[i] {
-				insert(op.Value)
+				ranks.Insert(op.Value, fifo)
 			}
 		case op.Empty:
 			rep.EmptyPops++
@@ -265,9 +235,9 @@ func checkKDistance(ops []IntervalOp, k, allowance int64, fifo bool) (KDistanceR
 			if slack > rep.MaxSlack {
 				rep.MaxSlack = slack
 			}
-			if present := int64(size()) - int64(slack); present > k+allowance {
+			if present := int64(ranks.Len()) - int64(slack); present > k+allowance {
 				return rep, fmt.Errorf("seqspec: op %d: pop reported empty with %d items present (k=%d allowance=%d slack=%d)",
-					i, size(), k, allowance, slack)
+					i, ranks.Len(), k, allowance, slack)
 			}
 		default:
 			if prev, dup := popped[op.Value]; dup {
@@ -278,7 +248,7 @@ func checkKDistance(ops []IntervalOp, k, allowance int64, fifo bool) (KDistanceR
 			if !pushed {
 				return rep, fmt.Errorf("seqspec: op %d: pop returned %d which was never pushed", i, op.Value)
 			}
-			dist, found := remove(op.Value)
+			dist, found := ranks.Remove(op.Value)
 			if !found {
 				// The value's push has a later Begin: legal only if the two
 				// operations overlap in real time, in which case the pair

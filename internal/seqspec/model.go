@@ -1,13 +1,22 @@
-// Package seqspec provides the sequential specification of a stack and
-// helpers for checking concurrent implementations against it.
+// Package seqspec provides the specifications of a stack and a queue, and
+// checks of implementations against them:
 //
-// Two levels of specification are used by the test suite:
-//
-//   - Model: strict LIFO. Every implementation in this repository, relaxed
-//     or not, must behave exactly like Model when driven by one goroutine.
-//   - KModel: k-out-of-order LIFO (Henzinger et al., POPL'13). A Pop may
-//     return any of the k+1 topmost items. The relaxed stacks are checked
-//     against KModel with the bound from relax.Bound.
+//   - Strict references: Model (LIFO) and FIFOModel. Every implementation
+//     in this repository, relaxed or not, is compared value by value
+//     against one of them where its contract is strict.
+//   - One distance check: KStackChecker and KFIFOChecker verify a recorded
+//     history against a claimed k-out-of-order bound (Henzinger et al.,
+//     POPL'13). They measure each pop's distance with internal/quality's
+//     rank list, the same instrument as the quality oracles; a sequential
+//     history is checked as the interval history SequentialIntervals
+//     builds, with zero slack.
+//   - Explorers: ExploreStack and ExploreQueue enumerate every history of
+//     the window discipline at a small geometry, restating it
+//     independently of the implementation, and certify the Theorem-1
+//     constant (DESIGN.md §2).
+//   - Linearizability checkers: CheckLinearizable* search every
+//     linearization of a micro-history, and CheckIntervalSanity checks the
+//     necessary conditions at any size.
 package seqspec
 
 // Model is a plain sequential stack over uint64 labels. The zero value is an
@@ -29,68 +38,37 @@ func (m *Model) Pop() (v uint64, ok bool) {
 	return v, true
 }
 
-// Peek returns the top item without removing it.
-func (m *Model) Peek() (v uint64, ok bool) {
-	if len(m.items) == 0 {
-		return 0, false
-	}
-	return m.items[len(m.items)-1], true
-}
-
 // Len reports the number of stored items.
 func (m *Model) Len() int { return len(m.items) }
 
-// Snapshot returns a copy of the contents, bottom first.
-func (m *Model) Snapshot() []uint64 {
-	out := make([]uint64, len(m.items))
-	copy(out, m.items)
-	return out
-}
-
-// KModel is a sequential k-out-of-order stack specification: Pop removes
-// one of the k+1 topmost items (the checker chooses whichever the
-// implementation returned, and reports the observed distance). It is used to
-// validate traces of relaxed executions.
-type KModel struct {
-	K     int
+// FIFOModel is a plain sequential queue over uint64 labels, the strict
+// specification of the 2D-Queue extension (see internal/twodqueue). The
+// zero value is an empty queue.
+type FIFOModel struct {
 	items []uint64
+	front int // index of the logical front within items
 }
 
-// Push appends v to the top.
-func (m *KModel) Push(v uint64) { m.items = append(m.items, v) }
+// Enqueue appends v at the back.
+func (m *FIFOModel) Enqueue(v uint64) { m.items = append(m.items, v) }
 
-// PopObserved removes v from the stack, requiring it to be within K of the
-// top. It returns the error distance from the top (0 = strict LIFO) and
-// whether v was found within the allowed window. If v is not present within
-// the window at all, found is false and the model is unchanged.
-func (m *KModel) PopObserved(v uint64) (dist int, found bool) {
-	n := len(m.items)
-	lo := 0
-	if m.K >= 0 && n-1-m.K > 0 {
-		lo = n - 1 - m.K
+// Dequeue removes and returns the front item; ok is false on empty.
+func (m *FIFOModel) Dequeue() (v uint64, ok bool) {
+	if m.front == len(m.items) {
+		return 0, false
 	}
-	for i := n - 1; i >= lo; i-- {
-		if m.items[i] == v {
-			dist = n - 1 - i
-			m.items = append(m.items[:i], m.items[i+1:]...)
-			return dist, true
-		}
-	}
-	return 0, false
-}
-
-// PopAnywhere removes v from the stack wherever it is, returning the error
-// distance from the top; used to *measure* rather than *enforce* relaxation.
-func (m *KModel) PopAnywhere(v uint64) (dist int, found bool) {
-	for i := len(m.items) - 1; i >= 0; i-- {
-		if m.items[i] == v {
-			dist = len(m.items) - 1 - i
-			m.items = append(m.items[:i], m.items[i+1:]...)
-			return dist, true
-		}
-	}
-	return 0, false
+	v = m.items[m.front]
+	m.front++
+	m.compact()
+	return v, true
 }
 
 // Len reports the number of stored items.
-func (m *KModel) Len() int { return len(m.items) }
+func (m *FIFOModel) Len() int { return len(m.items) - m.front }
+
+func (m *FIFOModel) compact() {
+	if m.front > 1024 && m.front*2 > len(m.items) {
+		m.items = append(m.items[:0], m.items[m.front:]...)
+		m.front = 0
+	}
+}

@@ -16,9 +16,6 @@ func TestModelBasicLIFO(t *testing.T) {
 	if got := m.Len(); got != 3 {
 		t.Fatalf("Len = %d, want 3", got)
 	}
-	if v, ok := m.Peek(); !ok || v != 3 {
-		t.Fatalf("Peek = %d,%v want 3,true", v, ok)
-	}
 	for _, want := range []uint64{3, 2, 1} {
 		v, ok := m.Pop()
 		if !ok || v != want {
@@ -30,54 +27,6 @@ func TestModelBasicLIFO(t *testing.T) {
 	}
 }
 
-func TestModelSnapshotIsCopy(t *testing.T) {
-	var m Model
-	m.Push(10)
-	m.Push(20)
-	snap := m.Snapshot()
-	snap[0] = 999
-	if v, _ := m.Pop(); v != 20 {
-		t.Fatalf("mutating snapshot affected model: got %d", v)
-	}
-	if v, _ := m.Pop(); v != 10 {
-		t.Fatalf("mutating snapshot affected model bottom: got %d", v)
-	}
-}
-
-func TestKModelWindow(t *testing.T) {
-	m := KModel{K: 2}
-	for v := uint64(1); v <= 5; v++ {
-		m.Push(v)
-	}
-	// Top is 5; window of k=2 allows popping 5, 4, or 3.
-	if d, found := m.PopObserved(3); !found || d != 2 {
-		t.Fatalf("PopObserved(3) = %d,%v want 2,true", d, found)
-	}
-	// 2 is now at distance 3 from top (stack: 1 2 4 5) -> outside window.
-	if _, found := m.PopObserved(1); found {
-		t.Fatal("PopObserved(1) found item outside the k-window")
-	}
-	if d, found := m.PopObserved(5); !found || d != 0 {
-		t.Fatalf("PopObserved(5) = %d,%v want 0,true", d, found)
-	}
-}
-
-func TestKModelPopAnywhere(t *testing.T) {
-	m := KModel{K: 0}
-	for v := uint64(1); v <= 4; v++ {
-		m.Push(v)
-	}
-	if d, found := m.PopAnywhere(1); !found || d != 3 {
-		t.Fatalf("PopAnywhere(1) = %d,%v want 3,true", d, found)
-	}
-	if _, found := m.PopAnywhere(99); found {
-		t.Fatal("PopAnywhere found a value never pushed")
-	}
-	if m.Len() != 3 {
-		t.Fatalf("Len = %d after one removal from 4, want 3", m.Len())
-	}
-}
-
 func TestCheckLIFOAcceptsLegal(t *testing.T) {
 	ops := []Op{
 		{Kind: OpPush, Value: 1},
@@ -86,7 +35,7 @@ func TestCheckLIFOAcceptsLegal(t *testing.T) {
 		{Kind: OpPop, Value: 1},
 		{Kind: OpPop, Empty: true},
 	}
-	if err := CheckLIFO(ops); err != nil {
+	if _, err := checkStack(ops, 0); err != nil {
 		t.Fatalf("legal history rejected: %v", err)
 	}
 }
@@ -97,8 +46,8 @@ func TestCheckLIFORejectsOutOfOrder(t *testing.T) {
 		{Kind: OpPush, Value: 2},
 		{Kind: OpPop, Value: 1}, // violates LIFO
 	}
-	if err := CheckLIFO(ops); err == nil {
-		t.Fatal("out-of-order pop accepted by CheckLIFO")
+	if _, err := checkStack(ops, 0); err == nil {
+		t.Fatal("out-of-order pop accepted at k=0")
 	}
 }
 
@@ -107,14 +56,14 @@ func TestCheckLIFORejectsBogusEmpty(t *testing.T) {
 		{Kind: OpPush, Value: 1},
 		{Kind: OpPop, Empty: true},
 	}
-	if err := CheckLIFO(ops); err == nil {
+	if _, err := checkStack(ops, 0); err == nil {
 		t.Fatal("empty pop with non-empty model accepted")
 	}
 }
 
 func TestCheckLIFORejectsPopFromEmpty(t *testing.T) {
 	ops := []Op{{Kind: OpPop, Value: 7}}
-	if err := CheckLIFO(ops); err == nil {
+	if _, err := checkStack(ops, 0); err == nil {
 		t.Fatal("pop of a value from empty model accepted")
 	}
 }
@@ -126,12 +75,12 @@ func TestCheckKOutOfOrderAcceptsWithinBound(t *testing.T) {
 		{Kind: OpPush, Value: 3},
 		{Kind: OpPop, Value: 1}, // distance 2
 	}
-	maxDist, err := CheckKOutOfOrder(ops, 2)
+	rep, err := checkStack(ops, 2)
 	if err != nil {
 		t.Fatalf("within-bound history rejected: %v", err)
 	}
-	if maxDist != 2 {
-		t.Fatalf("maxDist = %d, want 2", maxDist)
+	if rep.MaxDistance != 2 {
+		t.Fatalf("MaxDistance = %d, want 2", rep.MaxDistance)
 	}
 }
 
@@ -142,7 +91,7 @@ func TestCheckKOutOfOrderRejectsBeyondBound(t *testing.T) {
 		{Kind: OpPush, Value: 3},
 		{Kind: OpPop, Value: 1}, // distance 2 > k=1
 	}
-	if _, err := CheckKOutOfOrder(ops, 1); err == nil {
+	if _, err := checkStack(ops, 1); err == nil {
 		t.Fatal("beyond-bound pop accepted")
 	}
 }
@@ -153,7 +102,7 @@ func TestCheckKOutOfOrderEmptyRules(t *testing.T) {
 		{Kind: OpPush, Value: 1},
 		{Kind: OpPop, Empty: true},
 	}
-	if _, err := CheckKOutOfOrder(ops, 2); err != nil {
+	if _, err := checkStack(ops, 2); err != nil {
 		t.Fatalf("legal relaxed empty rejected: %v", err)
 	}
 	// but illegal with 3 items present.
@@ -163,7 +112,7 @@ func TestCheckKOutOfOrderEmptyRules(t *testing.T) {
 		{Kind: OpPush, Value: 3},
 		{Kind: OpPop, Empty: true},
 	}
-	if _, err := CheckKOutOfOrder(ops, 2); err == nil {
+	if _, err := checkStack(ops, 2); err == nil {
 		t.Fatal("empty pop with k+1 items accepted")
 	}
 }
@@ -178,18 +127,12 @@ func TestMeasureDistances(t *testing.T) {
 		{Kind: OpPop, Empty: true}, // ignored
 		{Kind: OpPop, Value: 1},    // distance 0
 	}
-	dists, err := MeasureDistances(ops)
+	rep, err := checkStack(ops, int64(len(ops)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 0, 0}
-	if len(dists) != len(want) {
-		t.Fatalf("got %v, want %v", dists, want)
-	}
-	for i := range want {
-		if dists[i] != want[i] {
-			t.Fatalf("got %v, want %v", dists, want)
-		}
+	if rep.Pops != 3 || rep.MaxDistance != 1 {
+		t.Fatalf("report %+v, want 3 pops at distances 1, 0, 0", rep)
 	}
 }
 
@@ -198,13 +141,13 @@ func TestMeasureDistancesDetectsPhantomPop(t *testing.T) {
 		{Kind: OpPush, Value: 1},
 		{Kind: OpPop, Value: 2},
 	}
-	if _, err := MeasureDistances(ops); err == nil {
+	if _, err := checkStack(ops, int64(len(ops))); err == nil {
 		t.Fatal("phantom pop not detected")
 	}
 }
 
-// Property: for any push sequence followed by pops in reverse order,
-// CheckLIFO accepts.
+// Property: for any push sequence followed by pops in reverse order, the
+// check at k = 0 accepts.
 func TestCheckLIFOPropertyReversedPops(t *testing.T) {
 	f := func(vals []uint64) bool {
 		ops := make([]Op, 0, 2*len(vals))
@@ -214,18 +157,19 @@ func TestCheckLIFOPropertyReversedPops(t *testing.T) {
 		for i := len(vals) - 1; i >= 0; i-- {
 			ops = append(ops, Op{Kind: OpPop, Value: vals[i]})
 		}
-		return CheckLIFO(ops) == nil
+		_, err := checkStack(ops, 0)
+		return err == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: strict LIFO histories are k-out-of-order legal for every k>=0
-// and MeasureDistances reports all-zero distances.
+// Property: strict LIFO histories are k-out-of-order legal for every k>=0,
+// and a check at a k no history reaches measures all-zero distances.
 func TestStrictHistoriesAreKLegal(t *testing.T) {
 	f := func(vals []uint64, kRaw uint8) bool {
-		k := int(kRaw % 8)
+		k := int64(kRaw % 8)
 		ops := make([]Op, 0, 2*len(vals))
 		for _, v := range vals {
 			ops = append(ops, Op{Kind: OpPush, Value: v})
@@ -233,24 +177,21 @@ func TestStrictHistoriesAreKLegal(t *testing.T) {
 		for i := len(vals) - 1; i >= 0; i-- {
 			ops = append(ops, Op{Kind: OpPop, Value: vals[i]})
 		}
-		maxDist, err := CheckKOutOfOrder(ops, k)
-		if err != nil || maxDist != 0 {
+		rep, err := checkStack(ops, k)
+		if err != nil || rep.MaxDistance != 0 {
 			return false
 		}
-		dists, err := MeasureDistances(ops)
-		if err != nil {
-			return false
-		}
-		for _, d := range dists {
-			if d != 0 {
-				return false
-			}
-		}
-		return true
+		rep, err = checkStack(ops, int64(len(ops)))
+		return err == nil && rep.Pops == len(vals) && rep.MaxDistance == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkStack checks a sequential stack history at bound k.
+func checkStack(ops []Op, k int64) (KDistanceReport, error) {
+	return (KStackChecker{K: k}).Check(SequentialIntervals(ops))
 }
 
 func TestOpKindString(t *testing.T) {

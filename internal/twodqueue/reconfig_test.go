@@ -278,11 +278,11 @@ func TestFIFOBoundAcrossReconfig(t *testing.T) {
 		}
 	}
 
-	maxDist, err := seqspec.CheckKOutOfOrderFIFO(ops, int(maxK))
+	rep, err := (seqspec.KFIFOChecker{K: maxK}).Check(seqspec.SequentialIntervals(ops))
 	if err != nil {
 		t.Fatalf("FIFO bound violated across reconfigurations: %v", err)
 	}
-	t.Logf("maxK=%d maxObservedDist=%d", maxK, maxDist)
+	t.Logf("maxK=%d maxObservedDist=%d", maxK, rep.MaxDistance)
 }
 
 // TestShrinkMigrationBound covers the one reconfiguration that legitimately
@@ -319,16 +319,13 @@ func TestShrinkMigrationBound(t *testing.T) {
 		}
 	}
 
-	dists, err := seqspec.MeasureDistancesFIFO(ops)
+	rep, err := (seqspec.KFIFOChecker{K: int64(len(ops))}).Check(seqspec.SequentialIntervals(ops))
 	if err != nil {
 		t.Fatalf("trace invalid (item lost or duplicated): %v", err)
 	}
-	bound := int(maxK) + popAtShrink
-	for _, d := range dists {
-		if d > bound {
-			t.Fatalf("dequeue distance %d exceeds shrink bound %d (maxK %d + population %d)",
-				d, bound, maxK, popAtShrink)
-		}
+	if bound := int(maxK) + popAtShrink; rep.MaxDistance > bound {
+		t.Fatalf("dequeue distance %d exceeds shrink bound %d (maxK %d + population %d)",
+			rep.MaxDistance, bound, maxK, popAtShrink)
 	}
 }
 
@@ -391,16 +388,11 @@ func TestShrinkWarmHandoffKillsSpike(t *testing.T) {
 			break
 		}
 	}
-	dists, err := seqspec.MeasureDistancesFIFO(ops)
+	rep, err := (seqspec.KFIFOChecker{K: int64(len(ops))}).Check(seqspec.SequentialIntervals(ops))
 	if err != nil {
 		t.Fatalf("trace invalid (item lost or duplicated): %v", err)
 	}
-	maxDist := 0
-	for _, d := range dists {
-		if d > maxDist {
-			maxDist = d
-		}
-	}
+	maxDist := rep.MaxDistance
 	// Invariant 2's tolerance before the handoff: maxK + the whole resident
 	// population. The handoff must realise well under it — the remaining
 	// displacement is the unavoidable one-time cost of appending the

@@ -128,12 +128,12 @@ func TestSequentialKBound(t *testing.T) {
 				break
 			}
 		}
-		maxDist, err := seqspec.CheckKOutOfOrderFIFO(ops, int(cfg.K()))
+		rep, err := (seqspec.KFIFOChecker{K: cfg.K()}).Check(seqspec.SequentialIntervals(ops))
 		if err != nil {
 			t.Errorf("cfg %+v: %v", cfg, err)
 			continue
 		}
-		t.Logf("cfg %+v: k=%d maxObservedDist=%d", cfg, cfg.K(), maxDist)
+		t.Logf("cfg %+v: k=%d maxObservedDist=%d", cfg, cfg.K(), rep.MaxDistance)
 	}
 }
 
@@ -280,8 +280,8 @@ func TestConcurrentKWithSlack(t *testing.T) {
 			break
 		}
 	}
-	slack := int(cfg.K()) + 3*workers
-	if _, err := seqspec.CheckKOutOfOrderFIFO(ops, slack); err != nil {
+	slack := cfg.K() + 3*workers
+	if _, err := (seqspec.KFIFOChecker{K: slack}).Check(seqspec.SequentialIntervals(ops)); err != nil {
 		t.Fatalf("trace exceeds slackened bound %d: %v", slack, err)
 	}
 }
