@@ -194,23 +194,6 @@ func driveThinking(b *testing.B, f harness.Factory, par, spin int) {
 	})
 }
 
-// BenchmarkRelatedWork places the 2D-Stack in the wider contention-
-// management design space the paper's Section 2 surveys: software
-// combining (flat combining) and elimination-diffraction trees, alongside
-// the strict and relaxed designs of the evaluation proper.
-func BenchmarkRelatedWork(b *testing.B) {
-	for _, p := range []int{1, 8, 16} {
-		for _, alg := range []relax.Algorithm{
-			relax.TwoDStack, relax.TreiberStack, relax.EliminationStack,
-			relax.FlatCombiningStack, relax.ElTreePool,
-		} {
-			b.Run(fmt.Sprintf("P=%d/%s", p, alg), func(b *testing.B) {
-				driveFactory(b, catalogue(alg, p), p, 0.5)
-			})
-		}
-	}
-}
-
 // BenchmarkBatchOps measures the batched API against singleton operations
 // at matched item volume (batch size 16).
 func BenchmarkBatchOps(b *testing.B) {

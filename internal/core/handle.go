@@ -126,9 +126,9 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 	}
 }
 
-// TryPop performs a single search pass without moving the window. It exists
-// for latency-sensitive callers (examples/taskpool) that prefer an immediate
-// miss over window maintenance; ok=false means "nothing in the current
+// TryPop performs a single search pass without moving the window, for
+// callers that prefer an immediate miss over window maintenance (the
+// public stack2d Handle.TryPop); ok=false means "nothing in the current
 // window", not necessarily that the stack is empty.
 func (h *Handle[T]) TryPop() (v T, ok bool) {
 	geo := h.PinOp()

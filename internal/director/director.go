@@ -1,8 +1,8 @@
 // Package director is a deterministic cooperative scheduler for the real
 // concurrent structures (core.Stack, twodqueue.Queue, engine.Switcher). It
 // drives chosen interleavings through the data-path yield gates
-// (internal/yield, DESIGN.md §10): tasks run one at a time on their own
-// goroutines, every gate hit hands control back to the director, and a
+// (internal/yield, DESIGN.md §10): tasks run one at a time as coroutines,
+// every gate hit hands control back to the director, and a
 // pluggable Strategy picks which task runs next. The schedule is a pure
 // function of (tasks, strategy, seed), so any run — including one that
 // realises a worst-case relaxation distance — replays bit-for-bit.
@@ -16,17 +16,20 @@
 // closes the loop by driving explorer counterexamples through the real
 // structure.
 //
-// Concurrency model: exactly one task goroutine is unblocked at any
-// instant. The director grants the chosen task a step by sending on its
-// private resume channel and then blocks until the task reports back — by
-// hitting a gate (suspend) or by finishing. Those channel handshakes carry
-// all the happens-before edges, so tasks may freely read the director's
-// clock and the director may read task shards without atomics, and the
-// whole arrangement is clean under -race.
+// Concurrency model: each task is an iter.Pull coroutine, so exactly one
+// of the director and its tasks runs at any instant. The director grants
+// the chosen task a step by calling the coroutine's next function, which
+// returns when the task reports back — by hitting a gate (one call of the
+// coroutine's yield function, carrying the gate's point) or by finishing
+// (ok false). The coroutine switches carry all the happens-before edges,
+// so tasks may freely read the director's clock and the director may read
+// task shards without atomics, and the whole arrangement is clean under
+// -race.
 package director
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"strings"
 
@@ -47,21 +50,19 @@ type Choice struct {
 // diagnosable error instead of a hung test.
 const DefaultMaxSteps = 1 << 20
 
-// abortSentinel unwinds a task goroutine when the director aborts the run;
+// abortSentinel unwinds a task coroutine when the director aborts the run;
 // the task wrapper recovers it and reports a clean completion.
 type abortSentinel struct{}
 
-type event struct {
-	task  int
-	point yield.Point
-	done  bool
-}
-
 type task struct {
-	id         int
-	name       string
-	body       func(*Task)
-	resume     chan struct{}
+	id   int
+	name string
+	body func(*Task)
+	// grant runs the task's coroutine to its next gate, returning the
+	// gate's point (ok false once the body has returned); suspend, the
+	// coroutine's yield, reports a gate back to the director.
+	grant      func() (yield.Point, bool)
+	suspend    func(yield.Point) bool
 	done       bool
 	parked     bool
 	last       yield.Point
@@ -81,7 +82,6 @@ type Director struct {
 	label    uint64
 	tasks    []*task
 	current  *task
-	events   chan event
 	schedule []Choice
 	aborted  bool
 	ran      bool
@@ -93,7 +93,7 @@ type Director struct {
 
 // New builds a director that schedules with the given strategy.
 func New(s Strategy) *Director {
-	return &Director{strategy: s, maxSteps: DefaultMaxSteps, events: make(chan event)}
+	return &Director{strategy: s, maxSteps: DefaultMaxSteps}
 }
 
 // SetMaxSteps overrides DefaultMaxSteps (testing the abort path, or very
@@ -117,12 +117,12 @@ func (d *Director) SetStateProbe(f func() uint64) { d.probe = f }
 // Go registers a task. Tasks are identified by registration order (the id
 // strategies see); name is for diagnostics only. Must be called before Run.
 func (d *Director) Go(name string, body func(*Task)) {
-	t := &task{id: len(d.tasks), name: name, body: body, resume: make(chan struct{}), last: yield.PointSpawn}
+	t := &task{id: len(d.tasks), name: name, body: body, last: yield.PointSpawn}
 	d.tasks = append(d.tasks, t)
 }
 
 // Task is the in-task view of the director, passed to each task body. All
-// methods must be called from the task's own goroutine while it holds the
+// methods must be called from the task's own coroutine while it holds the
 // grant (which it always does while its body runs outside a gate).
 type Task struct {
 	d *Director
@@ -159,15 +159,14 @@ func (tc *Task) Op(kind seqspec.OpKind, do func() (uint64, bool)) {
 }
 
 // gateYield is installed into the data-path gates for the duration of Run.
-// It runs on the granted task's goroutine: report the suspension, wait for
+// It runs on the granted task's coroutine: report the suspension, wait for
 // the next grant.
 func (d *Director) gateYield(p yield.Point) {
 	t := d.current
 	if t == nil {
 		return
 	}
-	d.events <- event{task: t.id, point: p}
-	<-t.resume
+	t.suspend(p)
 	if d.aborted {
 		panic(abortSentinel{})
 	}
@@ -195,7 +194,7 @@ func (d *Director) Run() error {
 		d.coverage.Begin()
 	}
 	for _, t := range d.tasks {
-		go func(t *task) {
+		t.grant, _ = iter.Pull(func(suspend func(yield.Point) bool) {
 			defer func() {
 				// A panic out of the task body (typically escaping Task.Op's
 				// closure, i.e. the structure under test) is captured and
@@ -209,14 +208,13 @@ func (d *Director) Run() error {
 						t.panicStack = debug.Stack()
 					}
 				}
-				d.events <- event{task: t.id, done: true}
 			}()
-			<-t.resume
+			t.suspend = suspend
 			if d.aborted {
 				panic(abortSentinel{})
 			}
 			t.body(&Task{d: d, t: t})
-		}(t)
+		})
 	}
 
 	live := len(d.tasks)
@@ -224,8 +222,8 @@ func (d *Director) Run() error {
 	for live > 0 {
 		var state uint64
 		if d.coverage != nil && d.probe != nil {
-			// Safe: every task is suspended on its resume channel right now,
-			// so the probe is the only code touching the structures.
+			// Safe: every task is suspended in its coroutine right now, so
+			// the probe is the only code touching the structures.
 			state = d.probe()
 		}
 		t := d.tasks[d.pick(lastChoice, state)]
@@ -244,10 +242,9 @@ func (d *Director) Run() error {
 			d.coverage.Note(t.id, t.last, state)
 		}
 		d.current = t
-		t.resume <- struct{}{}
-		ev := <-d.events
+		point, ok := t.grant()
 		d.current = nil
-		if ev.done {
+		if !ok {
 			t.done = true
 			live--
 			if t.panicVal != nil && d.panicked == nil {
@@ -257,8 +254,8 @@ func (d *Director) Run() error {
 			d.unparkAll()
 			continue
 		}
-		t.last = ev.point
-		if ev.point == yield.PointWait {
+		t.last = point
+		if point == yield.PointWait {
 			// A wait-loop iteration is not progress; park the task so the
 			// strategy prefers tasks that can move the run forward.
 			t.parked = true

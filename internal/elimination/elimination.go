@@ -30,21 +30,13 @@ import (
 
 // Offer lifecycle states.
 const (
-	offerWaiting   int32 = iota // parked, available to partners
-	offerTaken                  // consumed/fulfilled by a partner
+	offerWaiting   int32 = iota // parked, available to poppers
+	offerTaken                  // consumed by a popper
 	offerWithdrawn              // owner timed out and reclaimed it
-	offerClaimed                // pop offer claimed by a pusher, value in flight
 )
 
-// offer kinds.
-const (
-	kindPush int8 = iota // a parked push carrying a value
-	kindPop              // a parked pop waiting to be handed a value
-)
-
-// offer is a parked operation advertisement in the collision array.
+// offer is a parked push advertised in the collision array.
 type offer[T any] struct {
-	kind  int8
 	value T
 	state atomic.Int32
 }
@@ -54,14 +46,9 @@ type Config struct {
 	// Slots is the size of the collision array. The original scales it
 	// with the number of threads; a handful per thread works well.
 	Slots int
-	// Spins is how many yield-loop iterations a parked operation waits
-	// for a partner before withdrawing to retry centrally.
+	// Spins is how many yield-loop iterations a parked push waits for a
+	// popper before withdrawing to retry centrally.
 	Spins int
-	// Symmetric enables the full HSY protocol in which pops also park and
-	// pushers fulfil them. The asymmetric default (pushers advertise,
-	// poppers consume) is cheaper per miss; the symmetric variant
-	// eliminates more pairs under pop-heavy phases.
-	Symmetric bool
 }
 
 // DefaultConfig sizes the collision layer for p expected threads.
@@ -188,25 +175,14 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 }
 
 // tryEliminatePush parks v in a random collision slot and waits briefly
-// for a popper; in symmetric mode it first tries to fulfil a parked pop.
-// It reports whether the value was handed off.
+// for a popper. It reports whether the value was handed off.
 func (h *Handle[T]) tryEliminatePush(v T) bool {
 	s := h.s
 	i := h.rng.Intn(len(s.slots))
 	if h.stats != nil {
 		h.stats.Probes++
 	}
-	if s.cfg.Symmetric {
-		if of := s.slots[i].P.Load(); of != nil && of.kind == kindPop {
-			if of.state.CompareAndSwap(offerWaiting, offerClaimed) {
-				of.value = v
-				of.state.Store(offerTaken)
-				s.slots[i].P.CompareAndSwap(of, nil)
-				return true
-			}
-		}
-	}
-	of := &offer[T]{kind: kindPush, value: v}
+	of := &offer[T]{value: v}
 	if !s.slots[i].P.CompareAndSwap(nil, of) {
 		return false // slot busy; caller retries centrally
 	}
@@ -228,51 +204,17 @@ func (h *Handle[T]) tryEliminatePush(v T) bool {
 }
 
 // tryEliminatePop scans one random collision slot for a waiting pusher and
-// claims its value if possible; in symmetric mode an empty slot is used to
-// park a pop request a pusher can fulfil.
+// claims its value if possible.
 func (h *Handle[T]) tryEliminatePop() (v T, ok bool) {
 	s := h.s
 	i := h.rng.Intn(len(s.slots))
 	if h.stats != nil {
 		h.stats.Probes++
 	}
-	of := s.slots[i].P.Load()
-	if of != nil {
-		if of.kind == kindPush && of.state.CompareAndSwap(offerWaiting, offerTaken) {
-			s.slots[i].P.CompareAndSwap(of, nil)
-			return of.value, true
-		}
-		var zero T
-		return zero, false
+	if of := s.slots[i].P.Load(); of != nil && of.state.CompareAndSwap(offerWaiting, offerTaken) {
+		s.slots[i].P.CompareAndSwap(of, nil)
+		return of.value, true
 	}
-	if !s.cfg.Symmetric {
-		var zero T
-		return zero, false
-	}
-	// Park a pop request.
-	req := &offer[T]{kind: kindPop}
-	if !s.slots[i].P.CompareAndSwap(nil, req) {
-		var zero T
-		return zero, false
-	}
-	for spin := 0; spin < s.cfg.Spins; spin++ {
-		if req.state.Load() == offerTaken {
-			s.slots[i].P.CompareAndSwap(req, nil)
-			return req.value, true
-		}
-		runtime.Gosched()
-	}
-	if req.state.CompareAndSwap(offerWaiting, offerWithdrawn) {
-		s.slots[i].P.CompareAndSwap(req, nil)
-		var zero T
-		return zero, false
-	}
-	// A pusher claimed the request; its value is (or is about to be)
-	// published. Wait for the handoff to complete — the fulfiller finishes
-	// in a bounded number of its own steps.
-	for req.state.Load() != offerTaken {
-		runtime.Gosched()
-	}
-	s.slots[i].P.CompareAndSwap(req, nil)
-	return req.value, true
+	var zero T
+	return zero, false
 }

@@ -44,7 +44,7 @@ func newSwitcher(t *testing.T, algs ...relax.Algorithm) *Switcher[uint64] {
 }
 
 func TestSwitcherRejectsUncheckableBackends(t *testing.T) {
-	if _, err := New(mustBackend(t, relax.ElTreePool)); err == nil {
+	if _, err := New(mustBackend(t, relax.RandomStack)); err == nil {
 		t.Error("accepted a pool-semantics initial backend")
 	}
 	sw := newSwitcher(t, relax.TreiberStack)
@@ -66,22 +66,22 @@ func TestSwitcherRejectsUncheckableBackends(t *testing.T) {
 // LIFO history must survive a swap exactly — drain order re-pushed so the
 // former top pops first on the new backend.
 func TestSwapMigratesInOrder(t *testing.T) {
-	sw := newSwitcher(t, relax.TreiberStack, relax.FlatCombiningStack)
+	sw := newSwitcher(t, relax.TreiberStack, relax.EliminationStack)
 	h := sw.NewHandle()
 	for i := uint64(1); i <= 100; i++ {
 		h.Push(i)
 	}
-	rec, err := sw.Swap("flat-combining", "test")
+	rec, err := sw.Swap("elimination", "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Migrated != 100 || rec.From != "treiber" || rec.To != "flat-combining" {
+	if rec.Migrated != 100 || rec.From != "treiber" || rec.To != "elimination" {
 		t.Fatalf("swap record %+v", rec)
 	}
 	if rec.Displacement != 0 {
 		t.Fatalf("strict backend migration claimed displacement %d", rec.Displacement)
 	}
-	if got := sw.ActiveBackend(); got != "flat-combining" {
+	if got := sw.ActiveBackend(); got != "elimination" {
 		t.Fatalf("active = %q", got)
 	}
 	for want := uint64(100); want >= 1; want-- {

@@ -92,7 +92,7 @@ func TestStrictDesignsScoreZeroQuality(t *testing.T) {
 		Prefill:   4096,
 		Seed:      5,
 	}
-	for _, alg := range []relax.Algorithm{relax.TreiberStack, relax.EliminationStack, relax.FlatCombiningStack} {
+	for _, alg := range []relax.Algorithm{relax.TreiberStack, relax.EliminationStack} {
 		res, err := RunQuality(defaultAt(alg, 1), w)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)

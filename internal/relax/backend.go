@@ -3,8 +3,6 @@ package relax
 import (
 	"stack2d/internal/core"
 	"stack2d/internal/elimination"
-	"stack2d/internal/eltree"
-	"stack2d/internal/flatcombining"
 	"stack2d/internal/ksegment"
 	"stack2d/internal/msqueue"
 	"stack2d/internal/multistack"
@@ -56,10 +54,9 @@ func NewUncountedHandle[T any](b Backend[T]) Ops[T] {
 // KBound is the backend's semantics budget: the k-out-of-order bound its
 // discipline guarantees (0 for the strict structures, the configured
 // bound for the relaxed ones, the k-robin estimate for round-robin), or
-// -1 when no deterministic bound exists (random policies, the
-// elimination-diffraction pool). The budget is what the adapt layer
-// compares against the caller's k ceiling and what folds into checker
-// budgets across a swap.
+// -1 when no deterministic bound exists (the random policies). The
+// budget is what the adapt layer compares against the caller's k ceiling
+// and what folds into checker budgets across a swap.
 //
 // Backends whose geometry is tunable additionally implement
 // adapt.Reconfigurable (the 2D backend does); callers discover that with
@@ -244,11 +241,11 @@ func (o msqueueOps[T]) Pop() (v T, ok bool) { return o.q.Dequeue() }
 // --- handle-based zoo structures --------------------------------------------
 
 // zooBackend adapts any handle-based zoo structure (elimination, ksegment,
-// multistack, eltree, flatcombining): the inner handle is built with its
-// SetStats pointed at the adapter's counters (so internal signals —
-// probes, CAS failures — land there), and the adapter counts the
-// operation outcomes itself. Its uncounted handle is an inner handle with
-// no stats pointer. One type, five structures.
+// multistack): the inner handle is built with its SetStats pointed at the
+// adapter's counters (so internal signals — probes, CAS failures — land
+// there), and the adapter counts the operation outcomes itself. Its
+// uncounted handle is an inner handle with no stats pointer. One type,
+// three structures.
 type zooBackend[T any] struct {
 	core.Registry[zooCountedHandle[T]]
 	alg    Algorithm
@@ -353,29 +350,6 @@ func NewMultiBackend[T any](cfg multistack.Config, p int) (Backend[T], error) {
 	}, nil
 }
 
-// NewElTreeBackend wraps the elimination-diffraction tree pool (no
-// deterministic bound: KBound -1).
-func NewElTreeBackend[T any](cfg eltree.Config) (Backend[T], error) {
-	p, err := eltree.New[T](cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &zooBackend[T]{
-		alg: ElTreePool, k: -1,
-		mkH: zooHandles[T](p.NewHandle), lenF: p.Len, drainF: p.Drain,
-	}, nil
-}
-
-// NewFlatCombiningBackend wraps the flat-combining stack (strict LIFO,
-// k = 0).
-func NewFlatCombiningBackend[T any]() Backend[T] {
-	s := flatcombining.New[T]()
-	return &zooBackend[T]{
-		alg: FlatCombiningStack, k: 0,
-		mkH: zooHandles[T](s.NewHandle), lenF: s.Len, drainF: s.Drain,
-	}
-}
-
 // NewDefaultBackend builds the algorithm's default configuration for p
 // expected threads — the Figure 2 setups for the figure algorithms,
 // DefaultConfig-style sizing for the rest. It is the constructor the
@@ -401,10 +375,6 @@ func NewDefaultBackend[T any](a Algorithm, p int) (Backend[T], error) {
 		return NewEliminationBackend[T](elimination.DefaultConfig(p))
 	case TreiberStack:
 		return NewTreiberBackend[T](), nil
-	case ElTreePool:
-		return NewElTreeBackend[T](eltree.DefaultConfig(p))
-	case FlatCombiningStack:
-		return NewFlatCombiningBackend[T](), nil
 	case MSQueue:
 		return NewMSQueueBackend[T](), nil
 	case TwoDQueue:

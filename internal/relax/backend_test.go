@@ -16,8 +16,8 @@ import (
 // spelling round-trips through ParseAlgorithm. Adding an Algorithm
 // constant without wiring a backend (or vice versa) fails here.
 func TestCatalogueAudit(t *testing.T) {
-	if len(AllAlgorithms()) != 11 {
-		t.Fatalf("catalogue has %d entries, want 11", len(AllAlgorithms()))
+	if len(AllAlgorithms()) != 9 {
+		t.Fatalf("catalogue has %d entries, want 9", len(AllAlgorithms()))
 	}
 	for _, a := range AllAlgorithms() {
 		a := a

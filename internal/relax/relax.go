@@ -44,10 +44,8 @@ import (
 type Algorithm int
 
 // The algorithms of the paper's Figures 1 and 2, by their paper names,
-// followed by the related-work structures the repository carries beyond
-// the figures (elimination-diffraction tree, flat combining, the
-// Michael–Scott queue baseline) and the 2D-Queue, the paper's announced
-// generalisation. New entries append — the numeric values are stable.
+// followed by the Michael–Scott queue baseline and the 2D-Queue, the
+// paper's announced generalisation.
 const (
 	TwoDStack Algorithm = iota
 	KSegment
@@ -56,8 +54,6 @@ const (
 	RandomC2Stack
 	EliminationStack
 	TreiberStack
-	ElTreePool
-	FlatCombiningStack
 	MSQueue
 	TwoDQueue
 )
@@ -78,10 +74,6 @@ func (a Algorithm) String() string {
 		return "elimination"
 	case TreiberStack:
 		return "treiber"
-	case ElTreePool:
-		return "eltree"
-	case FlatCombiningStack:
-		return "flat-combining"
 	case MSQueue:
 		return "ms-queue"
 	case TwoDQueue:
@@ -118,19 +110,17 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 func AllAlgorithms() []Algorithm {
 	return []Algorithm{
 		TwoDStack, KSegment, KRobin, RandomStack, RandomC2Stack,
-		EliminationStack, TreiberStack, ElTreePool, FlatCombiningStack,
-		MSQueue, TwoDQueue,
+		EliminationStack, TreiberStack, MSQueue, TwoDQueue,
 	}
 }
 
 // KBounded reports whether the algorithm has a deterministic k-out-of-order
-// bound. The strict structures (treiber, elimination, flat-combining,
-// ms-queue) are bounded with k = 0; the random policies and the
-// elimination-diffraction pool have no deterministic bound.
+// bound. The strict structures (treiber, elimination, ms-queue) are
+// bounded with k = 0; the random policies have no deterministic bound.
 func (a Algorithm) KBounded() bool {
 	switch a {
 	case TwoDStack, KSegment, KRobin, TreiberStack,
-		EliminationStack, FlatCombiningStack, MSQueue, TwoDQueue:
+		EliminationStack, MSQueue, TwoDQueue:
 		return true
 	default:
 		return false
@@ -139,8 +129,8 @@ func (a Algorithm) KBounded() bool {
 
 // Ordering is the sequential discipline an algorithm relaxes: most of the
 // catalogue is stack-shaped (k-out-of-order against LIFO), the
-// Michael–Scott baseline and the 2D-Queue are queue-shaped, and the elimination-diffraction
-// tree and the random policies promise no deterministic order at all.
+// Michael–Scott baseline and the 2D-Queue are queue-shaped, and the
+// random policies promise no deterministic order at all.
 // engine.Switcher only swaps between backends of the same ordering — a
 // swap must preserve which checker (seqspec.KStackChecker vs KFIFOChecker)
 // the run's history is replayed through.
@@ -173,7 +163,7 @@ func (a Algorithm) Ordering() Ordering {
 	switch a {
 	case MSQueue, TwoDQueue:
 		return OrderFIFO
-	case RandomStack, RandomC2Stack, ElTreePool:
+	case RandomStack, RandomC2Stack:
 		return OrderNone
 	default:
 		return OrderLIFO

@@ -49,8 +49,6 @@ func TestParseAlgorithm(t *testing.T) {
 		{"random-c2", RandomC2Stack, true},
 		{"elimination", EliminationStack, true},
 		{"treiber", TreiberStack, true},
-		{"eltree", ElTreePool, true},
-		{"flat-combining", FlatCombiningStack, true},
 		{"2d-queue", TwoDQueue, true},
 		{"2DQueue", TwoDQueue, true},
 		{"ms-queue", MSQueue, true},
@@ -93,14 +91,14 @@ func TestParseAlgorithmCoversFigure2Set(t *testing.T) {
 func TestKBounded(t *testing.T) {
 	bounded := []Algorithm{
 		TwoDStack, KSegment, KRobin, TreiberStack,
-		EliminationStack, FlatCombiningStack, MSQueue, TwoDQueue,
+		EliminationStack, MSQueue, TwoDQueue,
 	}
 	for _, a := range bounded {
 		if !a.KBounded() {
 			t.Errorf("%v should be k-bounded", a)
 		}
 	}
-	for _, a := range []Algorithm{RandomStack, RandomC2Stack, ElTreePool} {
+	for _, a := range []Algorithm{RandomStack, RandomC2Stack} {
 		if a.KBounded() {
 			t.Errorf("%v should not be k-bounded", a)
 		}

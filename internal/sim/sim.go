@@ -28,14 +28,18 @@
 // version), invalidating every other thread's cached copy — exactly the
 // MESI behaviour that serialises hot-spot data structures.
 //
-// Threads are goroutines executing real algorithm code against sim.Word
-// values; a lockstep scheduler always runs the thread with the smallest
-// local clock, so executions are deterministic, interleaved at memory-
-// access granularity, and CAS failures arise organically from the
-// interleaving rather than from a probabilistic model.
+// Threads are coroutines (iter.Pull) executing real algorithm code against
+// sim.Word values: every memory access suspends the thread, and a
+// lockstep scheduler always resumes the thread with the smallest local
+// clock, so executions are deterministic, interleaved at memory-access
+// granularity, and CAS failures arise organically from the interleaving
+// rather than from a probabilistic model.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Machine describes the simulated topology and cost model (cycles).
 type Machine struct {
@@ -142,10 +146,12 @@ type thread struct {
 	socket int
 	clock  int64
 	cached map[int]uint64 // word id -> version last observed
-	resume chan struct{}
-	parked chan struct{} // signalled when the thread yields back
-	done   bool          // thread function returned
-	ops    int64         // completed operations (via T.OpDone)
+	// grant runs the thread's coroutine until its next memory access (or
+	// its end: ok false); suspend, the coroutine's yield, returns control.
+	grant   func() (struct{}, bool)
+	suspend func(struct{}) bool
+	done    bool  // thread function returned
+	ops     int64 // completed operations (via T.OpDone)
 }
 
 // T is the handle a simulated thread's body uses to access memory. All
@@ -165,16 +171,12 @@ func (s *Sim) Go(core int, body func(t *T)) {
 		core:   core,
 		socket: core / s.machine.CoresPerSocket,
 		cached: make(map[int]uint64),
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
 	}
 	s.threads = append(s.threads, th)
-	go func() {
-		<-th.resume // wait for first scheduling
+	th.grant, _ = iter.Pull(func(suspend func(struct{}) bool) {
+		th.suspend = suspend
 		body(&T{s: s, th: th})
-		th.done = true
-		th.parked <- struct{}{}
-	}()
+	})
 }
 
 // Run executes the simulation until every thread's clock reaches horizon
@@ -198,9 +200,8 @@ func (s *Sim) Run(horizon int64) []int64 {
 		if next == nil {
 			break
 		}
-		next.resume <- struct{}{}
-		<-next.parked
-		if next.done {
+		if _, ok := next.grant(); !ok {
+			next.done = true
 			live--
 		}
 	}
@@ -214,8 +215,7 @@ func (s *Sim) Run(horizon int64) []int64 {
 // yield hands control back to the scheduler after charging cost.
 func (t *T) yield(cost int64) {
 	t.th.clock += cost
-	t.th.parked <- struct{}{}
-	<-t.th.resume
+	t.th.suspend(struct{}{})
 }
 
 // transferCost is the coherence cost of fetching w's line from its last

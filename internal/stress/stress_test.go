@@ -13,7 +13,6 @@ import (
 
 	"stack2d/internal/core"
 	"stack2d/internal/elimination"
-	"stack2d/internal/eltree"
 	"stack2d/internal/ksegment"
 	"stack2d/internal/multistack"
 	"stack2d/internal/relax"
@@ -36,13 +35,11 @@ func stressBackends(t *testing.T) []relax.Backend[uint64] {
 	return []relax.Backend[uint64]{
 		relax.NewTreiberBackend[uint64](),
 		must(relax.NewTwoDBackend[uint64](core.Config{Width: 8, Depth: 8, Shift: 4, RandomHops: 2})),
-		must(relax.NewEliminationBackend[uint64](elimination.Config{Slots: 2, Spins: 4, Symmetric: true})),
+		must(relax.NewEliminationBackend[uint64](elimination.Config{Slots: 2, Spins: 4})),
 		must(relax.NewKSegmentBackend[uint64](ksegment.Config{SegmentSize: 4})),
 		must(relax.NewMultiBackend[uint64](multistack.Config{Width: 8, Policy: multistack.Random}, p)),
 		must(relax.NewMultiBackend[uint64](multistack.Config{Width: 8, Policy: multistack.RandomC2}, p)),
 		must(relax.NewMultiBackend[uint64](multistack.Config{Width: 8, Policy: multistack.RoundRobin}, p)),
-		relax.NewFlatCombiningBackend[uint64](),
-		must(relax.NewElTreeBackend[uint64](eltree.Config{Depth: 2, PrismSlots: 2, Spins: 2})),
 	}
 }
 

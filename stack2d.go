@@ -109,8 +109,17 @@ func (h *Handle[T]) Flush() {
 
 // TryPop attempts a single search pass without moving the window; ok=false
 // means "nothing found in the current window", which is cheaper but weaker
-// than Pop's empty guarantee.
-func (h *Handle[T]) TryPop() (v T, ok bool) { return h.h.TryPop() }
+// than Pop's empty guarantee. A buffered handle first serves its own items
+// as Pop does — the newest pending push, then the undelivered prefetch —
+// and searches only when it holds none; TryPop never refills the prefetch.
+func (h *Handle[T]) TryPop() (v T, ok bool) {
+	if h.buffered && h.h.Buffering() {
+		if pending, undelivered := h.h.BufferedCounts(); pending+undelivered > 0 {
+			return h.h.BufferedPop()
+		}
+	}
+	return h.h.TryPop()
+}
 
 // PushBatch pushes all values with as few descriptor CASes as the window
 // allows (vs[len-1] ends up topmost, as a loop of Push calls would leave

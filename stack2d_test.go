@@ -151,6 +151,60 @@ func TestHandleTryPop(t *testing.T) {
 	}
 }
 
+// TestBufferedHandleTryPop: on a WithOpBuffer handle, TryPop serves the
+// handle's own items the way Pop does — the newest pending push, then the
+// undelivered prefetch — and makes its single window pass only when the
+// handle holds none, without refilling the prefetch.
+func TestBufferedHandleTryPop(t *testing.T) {
+	s := stack2d.New[int](stack2d.WithExpectedThreads(1), stack2d.WithOpBuffer(16))
+	h := s.NewHandle()
+	h.Push(5)
+	h.Push(6)
+	for _, want := range []int{6, 5} {
+		if v, ok := h.TryPop(); !ok || v != want {
+			t.Fatalf("TryPop = (%d,%t) with Len %d, want (%d,true): the handle's newest pending push",
+				v, ok, s.Len(), want)
+		}
+	}
+	if v, ok := h.TryPop(); ok {
+		t.Fatalf("TryPop on an empty stack = (%d,true)", v)
+	}
+
+	// Pop refills the prefetch; draining the published rest leaves only
+	// the handle's undelivered prefetch, which TryPop must serve.
+	for i := 1; i <= 40; i++ {
+		s.Push(i) // pooled handles publish at once
+	}
+	if _, ok := h.Pop(); !ok {
+		t.Fatal("Pop on a 40-item stack missed")
+	}
+	published := len(s.Drain())
+	held := s.Len()
+	if held < 1 || published+held != 39 {
+		t.Fatalf("after one Pop: %d published and %d held, want 39 in all with some held", published, held)
+	}
+	for i := 0; i < held; i++ {
+		if _, ok := h.TryPop(); !ok {
+			t.Fatalf("TryPop %d of %d missed the handle's undelivered prefetch", i+1, held)
+		}
+	}
+	if v, ok := h.TryPop(); ok || s.Len() != 0 {
+		t.Fatalf("TryPop after the prefetch ran out = (%d,%t), Len %d; want a miss on an empty stack", v, ok, s.Len())
+	}
+
+	// Holding nothing, TryPop takes one item in a single pass and leaves
+	// the rest published: no refill.
+	for i := 1; i <= 40; i++ {
+		s.Push(i)
+	}
+	if _, ok := h.TryPop(); !ok {
+		t.Fatal("TryPop missed a 40-item window")
+	}
+	if got := len(s.Drain()); got != 39 {
+		t.Fatalf("Drain after one TryPop returned %d values, want 39: TryPop refilled the prefetch", got)
+	}
+}
+
 func TestPooledConvenienceAPI(t *testing.T) {
 	s := stack2d.New[int](stack2d.WithExpectedThreads(2))
 	const n = 1000
