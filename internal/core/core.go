@@ -244,21 +244,15 @@ func (s *Stack[T]) SubCounts() []int64 {
 	return out
 }
 
-// Drain removes all items (via a private handle) and returns them; intended
-// for teardown and tests, not for concurrent use. Handles with an armed op
-// buffer must FlushOps (and deliver or disarm their prefetch) before the
-// drain — only the owning goroutine may touch a handle's private buffers,
-// so Drain cannot reach values still held in them.
+// Drain removes all items (via a private handle's batch pop, into a slice
+// of Len's capacity) and returns them in pop order; intended for teardown,
+// swap migration and tests, not for concurrent use. Handles with an armed
+// op buffer must FlushOps (and deliver or disarm their prefetch) before
+// the drain — only the owning goroutine may touch a handle's private
+// buffers, so Drain cannot reach values still held in them.
 func (s *Stack[T]) Drain() []T {
-	h := s.NewHandle()
-	var out []T
-	for {
-		v, ok := h.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, v)
-	}
+	n := s.Len()
+	return s.NewHandle().popBatchInto(make([]T, 0, n), n)
 }
 
 // CheckInvariants walks every sub-stack and verifies the structural

@@ -110,7 +110,8 @@ func MustNew[T any](cfg Config) *Stack[T] {
 // logically in-flight pushes, not stack contents).
 func (s *Stack[T]) Len() int { return s.central.Len() }
 
-// Drain empties the central stack; teardown/testing helper.
+// Drain empties the central stack (one detaching swap, top-first);
+// teardown and migration helper.
 func (s *Stack[T]) Drain() []T { return s.central.Drain() }
 
 // Handle is the per-goroutine operation context (RNG for slot selection).
@@ -147,6 +148,18 @@ func (h *Handle[T]) Push(v T) {
 		if h.tryEliminatePush(v) {
 			return
 		}
+	}
+}
+
+// PushBatch pushes every value of vs onto the central stack as one run
+// (treiber.Stack.PushBatch: one allocation, vs[len-1] on top), which is
+// what a loop of Push over vs means. A batch does not divert to the
+// collision array, whose exchanges carry one value each: it retries the
+// central CAS, and each failure counts as a CASFailure, as Push's do.
+func (h *Handle[T]) PushBatch(vs []T) {
+	f := h.s.central.PushBatch(vs)
+	if h.stats != nil {
+		h.stats.CASFailures += f
 	}
 }
 

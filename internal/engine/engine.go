@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -203,12 +204,12 @@ func (s *Switcher[T]) SwapBackend(name, reason string) error {
 }
 
 // Swap makes the named registered backend active: quiesce the outgoing
-// backend (pinned operations finish; new ones stall briefly), drain it,
-// migrate the residual items into the incoming backend preserving pop
-// order, publish, and record the swap. Swapping to the already-active
-// backend is a no-op that emits no record. reason is carried verbatim
-// into the SwapRecord (and the observability event stream) so a trace
-// explains why the engine moved.
+// backend (pinned operations finish; new ones stall briefly), drain it
+// with one Drain, migrate the residual items into the incoming backend
+// with one PushBatch preserving pop order, publish, and record the swap.
+// Swapping to the already-active backend is a no-op that emits no record.
+// reason is carried verbatim into the SwapRecord (and the observability
+// event stream) so a trace explains why the engine moved.
 func (s *Switcher[T]) Swap(name, reason string) (SwapRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,19 +240,14 @@ func (s *Switcher[T]) Swap(name, reason string) (SwapRecord, error) {
 	items := from.b.Drain()
 	migrated := len(items)
 	if migrated > 0 {
-		mh := to.b.NewHandle()
 		if s.ordering == relax.OrderLIFO {
-			// Drain order is pop order (top first); re-push bottom-up so the
-			// former top is on top again.
-			for i := migrated - 1; i >= 0; i-- {
-				mh.Push(items[i])
-			}
-		} else {
-			// FIFO: re-enqueue in dequeue order; the former front stays front.
-			for _, v := range items {
-				mh.Push(v)
-			}
+			// Drain order is pop order (top first); the batch goes in
+			// bottom-up so the former top is on top again. FIFO keeps
+			// dequeue order: the former front stays front.
+			slices.Reverse(items)
 		}
+		mh := to.b.NewHandle()
+		mh.PushBatch(items)
 		mh.Flush()
 	}
 
@@ -403,6 +399,15 @@ func (h *Handle[T]) use(s *slot[T]) relax.Handle[T] {
 func (h *Handle[T]) Push(v T) {
 	s := h.pin()
 	h.use(s).Push(v)
+	h.unpin(s)
+}
+
+// PushBatch adds the values of vs to the active backend under one slot
+// pin, through the backend handle's PushBatch: what a loop of Push over vs
+// means, with one pin instead of len(vs).
+func (h *Handle[T]) PushBatch(vs []T) {
+	s := h.pin()
+	h.use(s).PushBatch(vs)
 	h.unpin(s)
 }
 

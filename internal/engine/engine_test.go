@@ -96,7 +96,9 @@ func TestSwapMigratesInOrder(t *testing.T) {
 }
 
 // TestSwapFIFOOrdering is the queue counterpart: a switcher seeded with
-// the MS-queue keeps FIFO order across a self-swap chain.
+// the MS-queue keeps FIFO order across a no-op swap and across real
+// migrations, whose drained slice goes in front first as one batch. The
+// 2D-Queue at k = 0 is width 1, strict, so the order must survive exactly.
 func TestSwapFIFOOrdering(t *testing.T) {
 	sw, err := New(mustBackend(t, relax.MSQueue))
 	if err != nil {
@@ -112,17 +114,32 @@ func TestSwapFIFOOrdering(t *testing.T) {
 	for i := uint64(1); i <= 50; i++ {
 		h.Push(i)
 	}
-	// Only one FIFO backend exists in the catalogue; a no-op swap must not
-	// disturb anything.
+	// A no-op swap must not disturb anything.
 	if _, err := sw.Swap("ms-queue", "noop"); err != nil {
 		t.Fatal(err)
 	}
 	if len(sw.Swaps()) != 0 {
 		t.Fatalf("no-op swap recorded: %+v", sw.Swaps())
 	}
-	for want := uint64(1); want <= 50; want++ {
-		if v, ok := h.Pop(); !ok || v != want {
-			t.Fatalf("pop = (%d,%v), want %d", v, ok, want)
+	strict, err := relax.NewBackendForK[uint64](relax.TwoDQueue, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Register(strict); err != nil {
+		t.Fatal(err)
+	}
+	for i, to := range []string{"2D-queue", "ms-queue"} {
+		rec, err := sw.Swap(to, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 50 - 25*i; rec.Migrated != want {
+			t.Fatalf("swap to %s migrated %d items, want %d", to, rec.Migrated, want)
+		}
+		for want := uint64(25*i + 1); want <= uint64(25*i+25); want++ {
+			if v, ok := h.Pop(); !ok || v != want {
+				t.Fatalf("on %s: pop = (%d,%v), want %d", to, v, ok, want)
+			}
 		}
 	}
 }

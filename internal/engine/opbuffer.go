@@ -2,9 +2,10 @@ package engine
 
 // Engine-level operation buffering: the switcher's slice of the combined-
 // publication fast path (DESIGN.md §11). An armed handle retains its pushes
-// locally and publishes the whole batch under ONE slot pin — one active-
-// pointer load, one draining check and one inner-handle lookup amortised
-// over bufCap operations — instead of paying the swap-safety protocol per
+// locally and publishes the whole batch as one PushBatch under ONE slot
+// pin — one active-pointer load, one draining check and one inner-handle
+// lookup amortised over bufCap operations, and the backend's own batch
+// push where it has one — instead of paying the swap-safety protocol per
 // push.
 //
 // The buffer is swap-safe by construction: pending values live with the
@@ -48,18 +49,13 @@ func (h *Handle[T]) OpBuffer() int { return h.bufCap }
 // buffer holds no undelivered pops). Owner-goroutine only.
 func (h *Handle[T]) BufferedCounts() (pending int) { return len(h.pending) }
 
-// FlushOps publishes all pending buffered pushes immediately, under one
-// slot pin. No-op when nothing is pending.
+// FlushOps publishes all pending buffered pushes immediately, as one
+// PushBatch under one slot pin. No-op when nothing is pending.
 func (h *Handle[T]) FlushOps() {
 	if len(h.pending) == 0 {
 		return
 	}
-	s := h.pin()
-	inner := h.use(s)
-	for _, v := range h.pending {
-		inner.Push(v)
-	}
-	h.unpin(s)
+	h.PushBatch(h.pending)
 	clear(h.pending)
 	h.pending = h.pending[:0]
 }

@@ -120,10 +120,11 @@ func (s *Stack[T]) Segments() int {
 	return n
 }
 
-// Drain removes all items; teardown/testing helper (single-threaded).
+// Drain removes all items through one handle's pops, into a slice of
+// Len's capacity; teardown/testing helper (single-threaded).
 func (s *Stack[T]) Drain() []T {
 	h := s.NewHandle()
-	var out []T
+	out := make([]T, 0, s.Len())
 	for {
 		v, ok := h.Pop()
 		if !ok {

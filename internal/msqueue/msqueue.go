@@ -171,9 +171,10 @@ func (q *Queue[T]) Len() int {
 	return int(max(q.enqueued.Load()-d, 0))
 }
 
-// Drain removes all items front-first; teardown/testing helper.
+// Drain removes all items front-first, into a slice of Len's capacity;
+// teardown/testing helper.
 func (q *Queue[T]) Drain() []T {
-	var out []T
+	out := make([]T, 0, q.Len())
 	for {
 		v, ok := q.Dequeue()
 		if !ok {

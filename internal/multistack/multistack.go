@@ -126,13 +126,21 @@ func (s *Stack[T]) SubCounts() []int {
 	return out
 }
 
-// Drain empties all sub-stacks; teardown/testing helper.
+// Drain removes all items through one handle's Pop loop, into a slice of
+// Len's capacity, so they come out in an order the policy's Pop realises:
+// the pop order relax.Backend.Drain promises (for k-robin, concatenating
+// the sub-stacks instead would sink each sub-stack's items below the next
+// one's). Teardown and migration helper (single-threaded).
 func (s *Stack[T]) Drain() []T {
-	var out []T
-	for i := range s.subs {
-		out = append(out, s.subs[i].st.Drain()...)
+	h := s.NewHandle()
+	out := make([]T, 0, s.Len())
+	for {
+		v, ok := h.Pop()
+		if !ok {
+			return out
+		}
+		out = append(out, v)
 	}
-	return out
 }
 
 // Handle is the per-goroutine operation context: RNG for the random

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"stack2d/internal/seqspec"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -305,5 +307,33 @@ func TestPropertyConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRoundRobinDrainIsPopOrder pins that Drain returns k-robin's items in
+// an order its Pop realises, the pop order relax.Backend.Drain promises
+// and an engine swap charges only min(KBound, migrated − 1) for: after 400
+// sequential pushes through one handle at width 4, every drained item is
+// within the round-robin estimate 2·P·(w−1) = 6 (relax.KRobinBound(4, 1))
+// of its LIFO position. Concatenating the sub-stacks, as Drain once did,
+// displaced an item by 298.
+func TestRoundRobinDrainIsPopOrder(t *testing.T) {
+	const n = 400
+	s := MustNew[uint64](Config{Width: 4, Policy: RoundRobin})
+	h := s.NewHandle()
+	var ops []seqspec.Op
+	for v := uint64(1); v <= n; v++ {
+		h.Push(v)
+		ops = append(ops, seqspec.Op{Kind: seqspec.OpPush, Value: v})
+	}
+	for _, v := range s.Drain() {
+		ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: v})
+	}
+	rep, err := (seqspec.KStackChecker{K: int64(len(ops))}).Check(seqspec.SequentialIntervals(ops))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pops != n || rep.MaxDistance > 6 {
+		t.Fatalf("Drain returned %d of %d items, maximum distance %d from LIFO, want every item within 6", rep.Pops, n, rep.MaxDistance)
 	}
 }

@@ -25,12 +25,18 @@ type Ops[T any] interface {
 }
 
 // Handle is the per-goroutine operation context of a Backend. Handles are
-// not safe for concurrent use; the Backend is, across handles. Flush
-// publishes the handle's pending counters to the backend's registry (a
-// core.Registry, flushed every 64 operations like core's own handles):
-// call it when a worker quiesces so a sampler sees final totals.
+// not safe for concurrent use; the Backend is, across handles. PushBatch
+// means exactly what a loop of Push over vs in index order means (for
+// LIFO, vs[len-1] ends on top; for FIFO, vs[0] is the batch's front), and
+// counts len(vs) Pushes; a structure with a batch path (the 2D-Stack's
+// PushBatch, the 2D-Queue's EnqueueBatch, the Treiber slab, elimination's
+// central stack) takes it, the others loop. Flush publishes the handle's
+// pending counters to the backend's registry (a core.Registry, flushed
+// every 64 operations like core's own handles): call it when a worker
+// quiesces so a sampler sees final totals.
 type Handle[T any] interface {
 	Ops[T]
+	PushBatch(vs []T)
 	Flush()
 }
 
@@ -63,8 +69,9 @@ func NewUncountedHandle[T any](b Backend[T]) Ops[T] {
 // a type assertion, exactly as adapt.Controller discovers SocketAware.
 //
 // Drain empties the backend and returns the items in pop order (for
-// OrderLIFO: top-first). It is quiescent-only — engine.Switcher calls it
-// after pinned operations have drained.
+// OrderLIFO: top-first), in a slice sized once from Len. It is
+// quiescent-only — engine.Switcher calls it after pinned operations have
+// drained.
 type Backend[T any] interface {
 	Algorithm() Algorithm
 	KBound() int64
@@ -112,6 +119,7 @@ func (b *twoDBackend[T]) NewHandle() Handle[T] { return twoDHandle[T]{h: b.s.New
 func (b *twoDBackend[T]) uncounted() Ops[T]    { return b.s.NewHandle() }
 
 func (h twoDHandle[T]) Push(v T)            { h.h.Push(v) }
+func (h twoDHandle[T]) PushBatch(vs []T)    { h.h.PushBatch(vs) }
 func (h twoDHandle[T]) Pop() (v T, ok bool) { return h.h.Pop() }
 func (h twoDHandle[T]) Flush()              { h.h.FlushStats() }
 
@@ -142,6 +150,7 @@ func (b *twoDQueueBackend[T]) uncounted() Ops[T]           { return b.NewHandle(
 type twoDQueueHandle[T any] struct{ h *twodqueue.Handle[T] }
 
 func (h twoDQueueHandle[T]) Push(v T)            { h.h.Enqueue(v) }
+func (h twoDQueueHandle[T]) PushBatch(vs []T)    { h.h.EnqueueBatch(vs) }
 func (h twoDQueueHandle[T]) Pop() (v T, ok bool) { return h.h.Dequeue() }
 func (h twoDQueueHandle[T]) Flush()              { h.h.FlushStats() }
 
@@ -184,6 +193,12 @@ func (h *treiberHandle[T]) Push(v T) {
 	h.MaybeFlush()
 }
 
+func (h *treiberHandle[T]) PushBatch(vs []T) {
+	h.Count.CASFailures += h.s.PushBatch(vs)
+	h.Count.Pushes += uint64(len(vs))
+	h.MaybeFlush()
+}
+
 func (h *treiberHandle[T]) Pop() (v T, ok bool) {
 	v, ok = h.s.PopStats(&h.Count)
 	h.MaybeFlush()
@@ -222,6 +237,12 @@ type msqueueHandle[T any] struct {
 func (h *msqueueHandle[T]) Push(v T) {
 	h.q.EnqueueStats(v, &h.Count)
 	h.MaybeFlush()
+}
+
+func (h *msqueueHandle[T]) PushBatch(vs []T) {
+	for _, v := range vs {
+		h.Push(v)
+	}
 }
 
 func (h *msqueueHandle[T]) Pop() (v T, ok bool) {
@@ -275,6 +296,21 @@ type zooCountedHandle[T any] struct {
 func (h *zooCountedHandle[T]) Push(v T) {
 	h.inner.Push(v)
 	h.Count.Pushes++
+	h.MaybeFlush()
+}
+
+// PushBatch takes the structure's own batch push when it has one
+// (elimination's, onto its central stack) and loops Push otherwise
+// (k-segment, the multistacks).
+func (h *zooCountedHandle[T]) PushBatch(vs []T) {
+	if b, ok := h.inner.(interface{ PushBatch([]T) }); ok {
+		b.PushBatch(vs)
+	} else {
+		for _, v := range vs {
+			h.inner.Push(v)
+		}
+	}
+	h.Count.Pushes += uint64(len(vs))
 	h.MaybeFlush()
 }
 

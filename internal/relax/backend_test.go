@@ -166,6 +166,39 @@ func TestBackendRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDrainAllocsDoNotGrow pins that every catalogue backend's Drain
+// sizes its result once, from Len: draining 8 000 items makes exactly as
+// many allocations as draining 1 000, where a result that append regrows
+// makes several more.
+func TestDrainAllocsDoNotGrow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	drainAllocs := func(a Algorithm, n int) uint64 {
+		b, err := NewDefaultBackend[int](a, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := b.NewHandle()
+		for i := 0; i < n; i++ {
+			h.Push(i)
+		}
+		var before, after runtime.MemStats
+		runtime.GC() // no collection starts, and allocates, mid-drain
+		runtime.ReadMemStats(&before)
+		out := b.Drain()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(h)
+		if len(out) != n {
+			t.Fatalf("%v: Drain returned %d of %d items", a, len(out), n)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	for _, a := range AllAlgorithms() {
+		if small, large := drainAllocs(a, 1000), drainAllocs(a, 8000); small != large {
+			t.Errorf("%v: Drain allocates %d objects for 1 000 items and %d for 8 000", a, small, large)
+		}
+	}
+}
+
 // TestBackendStatsSnapshot checks the adapter counter plumbing: outcomes
 // (pushes, pops, empty pops) land in StatsSnapshot for every backend, both
 // mid-stream via the periodic flush and exactly after an explicit Flush.

@@ -2,6 +2,7 @@ package treiber
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -134,6 +135,87 @@ func TestDrain(t *testing.T) {
 	}
 	if !s.Empty() {
 		t.Fatal("stack not empty after Drain")
+	}
+}
+
+// TestPushBatchOrder pins PushBatch's meaning, a loop of Push over vs:
+// vs[len-1] ends on top, the run lies contiguous over what was there, an
+// uncontended batch takes one CAS, and Drain returns top first.
+func TestPushBatchOrder(t *testing.T) {
+	s := New[int]()
+	s.Push(0)
+	if f := s.PushBatch([]int{1, 2, 3}); f != 0 {
+		t.Fatalf("uncontended PushBatch failed %d CASes", f)
+	}
+	s.PushBatch(nil)
+	s.Push(4)
+	if s.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", s.Len())
+	}
+	if v, ok := s.Peek(); !ok || v != 4 {
+		t.Fatalf("Peek = (%d,%v), want 4", v, ok)
+	}
+	if got, want := s.Drain(), []int{4, 3, 2, 1, 0}; !slices.Equal(got, want) {
+		t.Fatalf("Drain = %v, want %v", got, want)
+	}
+	if !s.Empty() || s.Len() != 0 {
+		t.Fatalf("Empty = %v, Len = %d after Drain", s.Empty(), s.Len())
+	}
+}
+
+// TestConcurrentPushBatchConservation hammers PushBatch, Push, Pop and
+// Drain from several goroutines (run with -race for full effect): every
+// item comes out exactly once, popped or drained during the run or
+// drained after it, and Len is exact once the run is over.
+func TestConcurrentPushBatchConservation(t *testing.T) {
+	const (
+		workers = 4
+		rounds  = 1000
+		batch   = 8
+	)
+	s := New[uint64]()
+	var wg sync.WaitGroup
+	out := make([][]uint64, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			next := uint64(w) << 32
+			vs := make([]uint64, batch)
+			for r := 0; r < rounds; r++ {
+				for i := range vs {
+					vs[i] = next
+					next++
+				}
+				s.PushBatch(vs)
+				s.Push(next)
+				next++
+				for i := 0; i < batch; i++ {
+					if v, ok := s.Pop(); ok {
+						out[w] = append(out[w], v)
+					}
+				}
+				if w == 0 && r%100 == 99 {
+					out[w] = append(out[w], s.Drain()...)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool, workers*rounds*(batch+1))
+	for _, vs := range append(out, s.Drain()) {
+		for _, v := range vs {
+			if seen[v] {
+				t.Fatalf("value %#x came out twice", v)
+			}
+			seen[v] = true
+		}
+	}
+	if want := workers * rounds * (batch + 1); len(seen) != want {
+		t.Fatalf("%d distinct values came out, want %d", len(seen), want)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after the final Drain", s.Len())
 	}
 }
 

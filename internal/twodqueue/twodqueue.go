@@ -170,19 +170,14 @@ func (q *Queue[T]) SubLens() []int {
 	return out
 }
 
-// Drain removes all items; teardown/testing helper. Handles with armed op
-// buffers must FlushOps first — Drain only sees published items (buffered
-// residents belong to their owning goroutines).
+// Drain removes all items (via a private handle's batch dequeue, into a
+// slice of Len's capacity) and returns them front-first; teardown, swap
+// migration and testing helper. Handles with armed op buffers must
+// FlushOps first — Drain only sees published items (buffered residents
+// belong to their owning goroutines).
 func (q *Queue[T]) Drain() []T {
-	h := q.NewHandle()
-	var out []T
-	for {
-		v, ok := h.Dequeue()
-		if !ok {
-			return out
-		}
-		out = append(out, v)
-	}
+	n := q.Len()
+	return q.NewHandle().dequeueBatchInto(make([]T, 0, n), n)
 }
 
 // The two ends of the queue, as indices into a handle's locality anchors
