@@ -211,19 +211,25 @@ func (s *Stack[T]) Global() int64 { return s.global.V.Load() }
 // undelivered pops (BufferedItems) — so combined publication never makes
 // items phantom-invisible to sizing. It is exact when quiescent and
 // approximate under concurrency (each addend is an atomic snapshot, but
-// the sum is not).
+// the sum is not). Like every reader of descriptors outside an operation,
+// it reads them under the stack's reader pin (Window.pinRead), so none is
+// reused while it reads.
 func (s *Stack[T]) Len() int {
+	n := int64(s.BufferedItems())
+	s.pinRead()
 	g := s.geo.Load()
-	var n int64
 	for i := range g.Subs {
 		n += g.Subs[i].load().count
 	}
-	return int(n) + s.BufferedItems()
+	s.unpinRead()
+	return int(n)
 }
 
 // Empty reports whether every sub-stack was observed empty. Like Len, the
 // answer is exact only in quiescent states.
 func (s *Stack[T]) Empty() bool {
+	s.pinRead()
+	defer s.unpinRead()
 	g := s.geo.Load()
 	for i := range g.Subs {
 		if g.Subs[i].load().count != 0 {
@@ -236,6 +242,8 @@ func (s *Stack[T]) Empty() bool {
 // SubCounts returns a snapshot of each sub-stack's item count, used by
 // diagnostics, tests and the relaxtune CLI.
 func (s *Stack[T]) SubCounts() []int64 {
+	s.pinRead()
+	defer s.unpinRead()
 	g := s.geo.Load()
 	out := make([]int64, len(g.Subs))
 	for i := range g.Subs {
@@ -269,6 +277,8 @@ func (s *Stack[T]) CheckInvariants() error {
 	if g := s.global.V.Load(); g < 1 {
 		return fmt.Errorf("core: Global %d must be positive", g)
 	}
+	s.pinRead()
+	defer s.unpinRead()
 	geo := s.geo.Load()
 	if len(geo.Subs) != geo.Width {
 		return fmt.Errorf("core: geometry width %d but %d sub-stacks", geo.Width, len(geo.Subs))
@@ -329,12 +339,16 @@ func (s *Stack[T]) CheckInvariants() error {
 // exclusively ours — no slot can reach their descriptors any more — so
 // writing the chain bottom's next pointer is race-free until the CAS
 // publishes it; a CAS loss to a concurrent operation on the target just
-// re-picks the least-loaded target and retries.
+// re-picks the least-loaded target and retries. The survivors' descriptors
+// are read under the reader pin, so none is reused between the read and
+// the CAS that expects it.
 //
 // The returned value is this migration's addition to the displacement
 // bound, which the shell accumulates into ShrinkDisplacementBound and
 // forwards to the shrink-handoff observer event.
 func (s *Stack[T]) spliceStranded(next *Geometry[subStack[T]], dropped []*subStack[T]) int64 {
+	s.pinRead()
+	defer s.unpinRead()
 	var disp int64
 	for _, ss := range dropped {
 		d := ss.load()

@@ -250,7 +250,7 @@ func (w *Window[T, S]) reconfigureLocked(cfg Config, requester int) error {
 		// Wait until no operation can touch them through the old one, then
 		// move them into the live window. After quiescence the slots are
 		// exclusively ours (new-geometry searches never index past width).
-		w.waitQuiesce(old.Epoch)
+		w.waitQuiesce()
 		disp := w.hooks.Handoff(next, dropped)
 		w.shrinkDisp.Add(disp)
 		w.emitStruct(StructEvent{

@@ -12,6 +12,13 @@ import "stack2d/internal/yield"
 type Handle[T any] struct {
 	WindowHandle[T, subStack[T]]
 	s *Stack[T]
+	// ring holds the descriptors this handle's pops removed (retiredN of
+	// them from ringHead, oldest first), each with the era read after its
+	// removing CAS; the oldest are reusable once their grace period has
+	// passed (reclaim.go).
+	ring     *[recycleCap]retired[T]
+	ringHead int
+	retiredN int
 }
 
 // NewHandle returns an operation handle anchored at a random sub-stack and
@@ -47,11 +54,14 @@ func (h *Handle[T]) SetAnchor(idx int) {
 // when a full coverage pass finds every sub-stack at the ceiling, Push
 // raises the window and searches again.
 func (h *Handle[T]) Push(v T) {
+	// The new state is taken once, before the pin — a descriptor this
+	// handle retired whose grace period has passed, or a fresh one — and
+	// holds v; each attempt lays it over the state it expects to replace
+	// (DESIGN.md §3).
+	c := h.reuse(true)
+	c.top.value = v
 	geo := h.PinOp()
 	s := h.s
-	// The new state is allocated once, holding v; each attempt lays it
-	// over the state it expects to replace (DESIGN.md §3).
-	c := &descriptor[T]{top: node[T]{value: v}}
 	visit := func(ss *subStack[T], global int64) Visit {
 		d := ss.load()
 		if ss.base+d.count >= global {
@@ -96,11 +106,15 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 		if d.count == 0 || ss.base+d.count <= max(global-depth, 0) {
 			return Skip
 		}
-		// Valid for pop: re-install the state beneath d's top item.
-		if !ss.cas(d, d.without(1)) {
+		// Valid for pop: re-install the state beneath d's top item, and
+		// retire d once it is out.
+		next := h.beneath(d)
+		if !ss.cas(d, next) {
+			h.lost(d, next)
 			return Lost
 		}
 		v = d.top.value
+		h.retire(d)
 		h.Count.Pops++
 		return Done
 	}
@@ -146,12 +160,16 @@ func (h *Handle[T]) TryPop() (v T, ok bool) {
 		d := ss.load()
 		h.Count.Probes++
 		if d.count > 0 && ss.base+d.count > floor {
-			if ss.cas(d, d.without(1)) {
+			next := h.beneath(d)
+			if ss.cas(d, next) {
+				v := d.top.value
+				h.retire(d)
 				h.Last[0] = idx
 				h.Count.Pops++
 				h.Unpin()
-				return d.top.value, true
+				return v, true
 			}
+			h.lost(d, next)
 			h.Count.CASFailures++
 			h.Count.SocketCAS[h.sockIdx(geo)]++
 			yield.Fire(yield.PointCASFail)

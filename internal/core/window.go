@@ -15,12 +15,14 @@ import (
 // technique that does not depend on what the window's slots hold. S is the
 // sub-structure type — the descriptor sub-stack here, the Michael–Scott
 // sub-queue there. The shell owns the published geometry and its epochs,
-// the weak-handle Registry (quiescence detection, stats aggregation, the
-// buffered-resident and abandoned-item totals), socket placement,
-// reconfiguration and the structural observer. A structure embeds a Window
-// by value, next to its own window ceilings, and supplies its Hooks for the
-// three reconfiguration steps that do depend on S; its handles embed a
-// WindowHandle the same way. DESIGN.md §4 gives the invariants.
+// the era clock every operation pins (shrink quiescence, and descriptor
+// reclamation on the stack), the weak-handle Registry (quiescence
+// detection, stats aggregation, the buffered-resident and abandoned-item
+// totals), socket placement, reconfiguration and the structural observer.
+// A structure embeds a Window by value, next to its own window ceilings,
+// and supplies its Hooks for the three reconfiguration steps that do
+// depend on S; its handles embed a WindowHandle the same way. DESIGN.md §4
+// gives the invariants.
 //
 // A Window must not be copied.
 type Window[T, S any] struct {
@@ -33,6 +35,20 @@ type Window[T, S any] struct {
 	// seed feeds handle RNGs; purely to give each handle an independent
 	// deterministic stream.
 	seed pad.Uint64Line
+	// era is the clock handles pin (WindowHandle.pinGeo): a pin stores the
+	// era, then loads the geometry. It starts at 1 and moves from g to
+	// g + 1 only while no handle and no reader is pinned below g
+	// (advanceLocked), under the registry lock: on a width shrink
+	// (waitQuiesce) and, on the stack, when a push finds nothing to reuse
+	// (DESIGN.md §3–4).
+	era pad.Uint64Line
+	// readMu serialises the readers that pin outside any operation (the
+	// stack's Len, Empty, SubCounts, CheckInvariants and its shrink
+	// splice); readPin is their one pin word, 0 when no reader is in.
+	// A reader is not a registered handle: it takes no handle seed and no
+	// registry entry, and no operation ever waits on it.
+	readMu  sync.Mutex
+	readPin atomic.Uint64
 
 	// reMu serialises reconfigurations. It also guards the placement
 	// settings below, which every geometry build reads, and the structural
@@ -58,9 +74,10 @@ type Window[T, S any] struct {
 	// ShrinkDisplacementBound).
 	shrinkDisp atomic.Int64
 
-	// Registry is the handle registry, which powers epoch quiescence
-	// detection (waitQuiesce walks its entries) and provides
-	// StatsSnapshot, BufferedItems, AbandonedItems and RegisteredHandles.
+	// Registry is the handle registry, which powers shrink quiescence
+	// and era advances (pinnedBelow walks its entries under its lock) and
+	// provides StatsSnapshot, BufferedItems, AbandonedItems and
+	// RegisteredHandles.
 	Registry[WindowHandle[T, S]]
 }
 
@@ -90,6 +107,7 @@ func (w *Window[T, S]) Init(cfg Config, hooks Hooks[S]) error {
 		return err
 	}
 	w.hooks, w.placeSockets = hooks, 1
+	w.era.V.Store(1)
 	w.geo.Store(&Geometry[S]{
 		Epoch: 1, Width: cfg.Width, Depth: cfg.Depth, Shift: cfg.Shift, Hops: cfg.RandomHops,
 		Subs:  hooks.Grow(make([]*S, 0, cfg.Width), cfg),
@@ -140,25 +158,72 @@ func (w *Window[T, S]) Register(h *WindowHandle[T, S], anchors int, buf BufferHo
 	w.Registry.Register(h, &h.Counters)
 }
 
-// waitQuiesce blocks until no handle is pinned to an epoch <= oldEpoch.
-// Operations are lock-free and finite, so this terminates; new operations
-// pin the already-published new geometry and do not delay it. A collected
-// handle (weak pointer gone nil) is idle by definition: a goroutine still
-// running an operation keeps its handle reachable.
-func (w *Window[T, S]) waitQuiesce(oldEpoch uint64) {
-	for {
-		busy := false
-		w.hMu.Lock()
-		for _, entry := range w.handles {
-			h := entry.wp.Value()
-			if h == nil {
-				continue
-			}
-			if e := h.epoch.Load(); e != 0 && e <= oldEpoch {
-				busy = true
-				break
+// pinRead pins the era for a reader outside any operation, so the
+// descriptors it loads are not reused under it; readers serialise on
+// readMu. Pair with unpinRead.
+func (w *Window[T, S]) pinRead() {
+	w.readMu.Lock()
+	w.readPin.Store(w.era.V.Load())
+}
+
+// unpinRead ends a reader's pin.
+func (w *Window[T, S]) unpinRead() {
+	w.readPin.Store(0)
+	w.readMu.Unlock()
+}
+
+// tryAdvance moves the era one step if no pin lags it (advanceLocked). It
+// never waits: when the registry lock is taken it gives up, and the caller
+// carries on without the step.
+func (w *Window[T, S]) tryAdvance() {
+	if w.hMu.TryLock() {
+		w.advanceLocked()
+		w.hMu.Unlock()
+	}
+}
+
+// advanceLocked moves the era from g to g + 1 unless a handle or the
+// reader is pinned below g. Each step scans the pins after the previous
+// step's store, so a pin taken at g − 1 that an earlier scan missed
+// blocks this one. Caller holds hMu.
+func (w *Window[T, S]) advanceLocked() {
+	g := w.era.V.Load()
+	if p := w.readPin.Load(); (p != 0 && p < g) || w.pinnedBelow(g) {
+		return
+	}
+	w.era.V.Store(g + 1)
+}
+
+// pinnedBelow reports whether a registered handle is pinned at an era
+// below e. A collected handle (weak pointer gone nil) is idle by
+// definition: a goroutine still running an operation keeps its handle
+// reachable. Caller holds hMu.
+func (w *Window[T, S]) pinnedBelow(e uint64) bool {
+	for _, entry := range w.handles {
+		if h := entry.wp.Value(); h != nil {
+			if p := h.pin.Load(); p != 0 && p < e {
+				return true
 			}
 		}
+	}
+	return false
+}
+
+// waitQuiesce blocks until no operation can still be running on a
+// geometry published before the call. It moves the era past its value at
+// the call, to E, and waits until no handle is pinned in [1, E). A handle
+// whose pin store the last scan missed stored it after that scan, and
+// loads the geometry after its store: it runs on the new one. Operations
+// are lock-free and finite, so this terminates; new operations pin the
+// already-published geometry and do not delay it.
+func (w *Window[T, S]) waitQuiesce() {
+	e := w.era.V.Load() + 1
+	for {
+		w.hMu.Lock()
+		if w.era.V.Load() < e {
+			w.advanceLocked()
+		}
+		busy := w.era.V.Load() < e || w.pinnedBelow(e)
 		w.hMu.Unlock()
 		if !busy {
 			return

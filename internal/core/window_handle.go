@@ -9,14 +9,14 @@ import (
 
 // WindowHandle is the per-handle half of the window shell: the window
 // search (Search) and the state it runs on (locality anchors, RNG, socket
-// hint and probe-plan cache, work counters), the epoch pin that
-// reconfiguration waits on, the 1-in-N latency sampler, the periodic stats
-// flush, and the op-buffer state (buffer.go). A structure's handle embeds
-// one by value and writes each operation as a Search visitor — its
-// validity test and atomic step — plus the window move or empty verdict
-// after a failed pass; Register initialises it. Like the handle embedding
-// it, a WindowHandle is NOT safe for concurrent use: every method is
-// owner-goroutine only.
+// hint and probe-plan cache, work counters), the era pin that
+// reconfiguration and descriptor reuse wait on, the 1-in-N latency
+// sampler, the periodic stats flush, and the op-buffer state (buffer.go).
+// A structure's handle embeds one by value and writes each operation as a
+// Search visitor — its validity test and atomic step — plus the window
+// move or empty verdict after a failed pass; Register initialises it.
+// Like the handle embedding it, a WindowHandle is NOT safe for concurrent
+// use: every method is owner-goroutine only.
 type WindowHandle[T, S any] struct {
 	w *Window[T, S]
 	// rng is the handle's private stream for hop selection.
@@ -72,10 +72,10 @@ type WindowHandle[T, S any] struct {
 	bufEpoch  uint64
 	buf       BufferHooks[T]
 
-	// epoch is the geometry epoch the handle is currently operating under,
-	// or 0 when idle. Written only by the owner, read by reconfigurers to
-	// detect quiescence of a superseded geometry.
-	epoch atomic.Uint64
+	// pin is the era (Window.era) the handle loaded when its current
+	// operation pinned, or 0 when idle. Written only by the owner, read
+	// under the registry lock by era advances and shrink quiescence.
+	pin atomic.Uint64
 }
 
 // Pin declares the socket the owning goroutine runs on, overriding the
@@ -155,27 +155,23 @@ func (h *WindowHandle[T, S]) closeLatSample() {
 	h.Count.Latency[LatencyBucket(time.Since(h.latStart))]++
 }
 
-// pinGeo publishes the handle as active on the current geometry and
-// returns it. The re-check after the epoch store closes the race with a
-// concurrent geometry swap: once pinGeo returns, any reconfigurer that
-// superseded geo will wait for this handle's Unpin before touching
-// stranded slots.
+// pinGeo publishes the handle as active at the current era, then loads
+// the geometry and returns it. No re-check is needed: a width shrink
+// publishes its geometry before it moves the era past every pin it waits
+// for (Window.waitQuiesce), so a pin its scan saw keeps it waiting, and a
+// pin stored after its scan is followed by a load of the new geometry.
 func (h *WindowHandle[T, S]) pinGeo() *Geometry[S] {
-	for {
-		geo := h.w.geo.Load()
-		h.epoch.Store(geo.Epoch)
-		if h.w.geo.Load() == geo {
-			// An anchor can dangle after a width shrink; re-anchor. (The
-			// stack's unused Last[1] stays 0, always in range.)
-			if h.Last[0] >= geo.Width {
-				h.Last[0] = h.rng.Intn(geo.Width)
-			}
-			if h.Last[1] >= geo.Width {
-				h.Last[1] = h.rng.Intn(geo.Width)
-			}
-			return geo
-		}
+	h.pin.Store(h.w.era.V.Load())
+	geo := h.w.geo.Load()
+	// An anchor can dangle after a width shrink; re-anchor. (The stack's
+	// unused Last[1] stays 0, always in range.)
+	if h.Last[0] >= geo.Width {
+		h.Last[0] = h.rng.Intn(geo.Width)
 	}
+	if h.Last[1] >= geo.Width {
+		h.Last[1] = h.rng.Intn(geo.Width)
+	}
+	return geo
 }
 
 // PinOp pins the current geometry for one operation (pinGeo) and makes
@@ -205,7 +201,7 @@ func (h *WindowHandle[T, S]) PinBatch() *Geometry[S] {
 // Unpin marks the handle idle, closes an in-flight latency sample, and
 // periodically publishes its counters.
 func (h *WindowHandle[T, S]) Unpin() {
-	h.epoch.Store(0)
+	h.pin.Store(0)
 	if h.latSampling {
 		h.closeLatSample()
 	}

@@ -25,17 +25,23 @@ import (
 	"stack2d/internal/pad"
 )
 
-type node[T any] struct {
+// Node is one cell of the queue's list. Enqueue builds its own;
+// TryEnqueue links one its caller built with NewNode, so a caller that
+// retries elsewhere after a failed attempt allocates the node once.
+type Node[T any] struct {
 	value T
-	next  atomic.Pointer[node[T]]
+	next  atomic.Pointer[Node[T]]
 }
+
+// NewNode returns an unlinked node holding v, for TryEnqueue.
+func NewNode[T any](v T) *Node[T] { return &Node[T]{value: v} }
 
 // Queue is a lock-free FIFO queue. Create with New; it must not be copied.
 // Its size is one cache line, which the allocator's 64-byte size class
 // aligns, so queues allocated side by side never share a line.
 type Queue[T any] struct {
-	head     atomic.Pointer[node[T]] // points at the dummy; head.next is the front
-	tail     atomic.Pointer[node[T]]
+	head     atomic.Pointer[Node[T]] // points at the dummy; head.next is the front
+	tail     atomic.Pointer[Node[T]]
 	enqueued atomic.Int64                  // completed enqueues
 	dequeued atomic.Int64                  // completed dequeues
 	_        [pad.CacheLineSize - 4*8]byte // pads the four 8-byte words above to one line
@@ -44,7 +50,7 @@ type Queue[T any] struct {
 // New returns an empty queue.
 func New[T any]() *Queue[T] {
 	q := &Queue[T]{}
-	dummy := &node[T]{}
+	dummy := &Node[T]{}
 	q.head.Store(dummy)
 	q.tail.Store(dummy)
 	return q
@@ -52,7 +58,7 @@ func New[T any]() *Queue[T] {
 
 // Enqueue appends v at the back of the queue.
 func (q *Queue[T]) Enqueue(v T) {
-	n := &node[T]{value: v}
+	n := &Node[T]{value: v}
 	for {
 		tail := q.tail.Load()
 		next := tail.next.Load()
@@ -130,13 +136,14 @@ func (q *Queue[T]) TryDequeue() (v T, ok bool, contended bool) {
 	return zero, false, true
 }
 
-// TryEnqueue attempts a single CAS round to append v. It reports whether it
-// succeeded; a false return means another enqueuer interfered (or the tail
-// was lagging and was helped forward). It exists for the 2D-Queue's window
-// search, which treats a failed attempt as a contention signal and hops to
+// TryEnqueue attempts a single CAS round to link n — from NewNode, not yet
+// linked — at the back. It reports whether it succeeded; a false return
+// means another enqueuer interfered (or the tail was lagging and was
+// helped forward), and leaves n unlinked for the caller's next attempt,
+// here or on another queue. It exists for the 2D-Queue's window search,
+// which treats a failed attempt as a contention signal and hops to
 // another sub-queue instead of spinning here.
-func (q *Queue[T]) TryEnqueue(v T) bool {
-	n := &node[T]{value: v}
+func (q *Queue[T]) TryEnqueue(n *Node[T]) bool {
 	tail := q.tail.Load()
 	next := tail.next.Load()
 	if next != nil {

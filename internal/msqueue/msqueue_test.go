@@ -264,7 +264,8 @@ func TestTryDequeuedValueIsCollectable(t *testing.T) {
 func TestTryEnqueue(t *testing.T) {
 	q := New[int]()
 	for i := 0; i < 100; i++ {
-		for !q.TryEnqueue(i) {
+		n := NewNode(i)
+		for !q.TryEnqueue(n) {
 		}
 	}
 	for want := 0; want < 100; want++ {
@@ -278,6 +279,47 @@ func TestTryEnqueue(t *testing.T) {
 	}
 }
 
+// TestTryEnqueueKeepsItsNodeAcrossAttempts: an attempt that meets a
+// lagging tail helps it forward and leaves its node unlinked, so the retry
+// links the same node. The pair allocates one node, not one per attempt.
+func TestTryEnqueueKeepsItsNodeAcrossAttempts(t *testing.T) {
+	q := New[int]()
+	const runs = 100
+	lag := make([]*Node[int], runs+1) // AllocsPerRun adds a warm-up run
+	for i := range lag {
+		lag[i] = NewNode(-1)
+	}
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		// Link a node past the tail by hand, as a paused enqueuer's CAS
+		// would, and count it: the tail now lags one node behind.
+		if !q.tail.Load().next.CompareAndSwap(nil, lag[i]) {
+			t.Fatal("link CAS failed on a settled tail")
+		}
+		q.enqueued.Add(1)
+		i++
+		n := NewNode(i)
+		if q.TryEnqueue(n) {
+			t.Fatal("attempt over a lagging tail succeeded")
+		}
+		if !q.TryEnqueue(n) {
+			t.Fatal("attempt over a settled tail failed")
+		}
+	})
+	if got != 1 {
+		t.Fatalf("lagging-tail attempt plus retry allocates %v, want 1 (one node per value)", got)
+	}
+	out := q.Drain()
+	if len(out) != 2*(runs+1) {
+		t.Fatalf("drained %d values, want %d", len(out), 2*(runs+1))
+	}
+	for k := 0; k < len(out); k += 2 {
+		if out[k] != -1 || out[k+1] != k/2+1 {
+			t.Fatalf("drained %v at %d, want [-1 %d]", out[k:k+2], k, k/2+1)
+		}
+	}
+}
+
 // TestLenNotNegativeWhenDequeueOvertakesEnqueue reproduces the window in
 // which an enqueuer has linked its node but not yet counted it: the node is
 // linked after the tail by hand, as that enqueuer's CAS would, and a
@@ -285,7 +327,7 @@ func TestTryEnqueue(t *testing.T) {
 // the paused enqueuer counts its operation.
 func TestLenNotNegativeWhenDequeueOvertakesEnqueue(t *testing.T) {
 	q := New[int]()
-	if !q.tail.Load().next.CompareAndSwap(nil, &node[int]{value: 7}) {
+	if !q.tail.Load().next.CompareAndSwap(nil, NewNode(7)) {
 		t.Fatal("link CAS failed on an empty queue")
 	}
 	if v, ok := q.Dequeue(); !ok || v != 7 {

@@ -17,7 +17,7 @@ import "stack2d/internal/core"
 // EnqueueStats is Enqueue with operation accounting. st must not be shared
 // across goroutines.
 func (q *Queue[T]) EnqueueStats(v T, st *core.OpStats) {
-	n := &node[T]{value: v}
+	n := &Node[T]{value: v}
 	for {
 		tail := q.tail.Load()
 		next := tail.next.Load()

@@ -2,6 +2,7 @@ package twodqueue
 
 import (
 	"stack2d/internal/core"
+	"stack2d/internal/msqueue"
 	"stack2d/internal/yield"
 )
 
@@ -23,6 +24,9 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 	geo := h.PinBatch() // no sample, no countdown tick (see core.WindowHandle.PinBatch)
 	q := h.q
 	remaining := vs
+	// n holds remaining[0] once built: an attempt that fails leaves it
+	// unlinked, and the next attempt links the same node.
+	var n *msqueue.Node[T]
 	visit := func(sub *subQueue[T], global int64) core.Visit {
 		headroom := global - sub.enqs()
 		if headroom <= 0 {
@@ -30,7 +34,14 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 		}
 		m := min(int64(len(remaining)), headroom)
 		done := int64(0)
-		for done < m && sub.q.TryEnqueue(remaining[done]) {
+		for done < m {
+			if n == nil {
+				n = msqueue.NewNode(remaining[done])
+			}
+			if !sub.q.TryEnqueue(n) {
+				break
+			}
+			n = nil
 			done++
 		}
 		if done == 0 {

@@ -238,11 +238,12 @@ func (h *Handle[T]) SetAnchor(idx int) {
 func (h *Handle[T]) Enqueue(v T) {
 	geo := h.PinOp()
 	q := h.q
+	n := msqueue.NewNode(v) // once; a lost attempt leaves it for the next
 	visit := func(sub *subQueue[T], global int64) core.Visit {
 		if sub.enqs() >= global {
 			return core.Skip
 		}
-		if !sub.q.TryEnqueue(v) {
+		if !sub.q.TryEnqueue(n) {
 			return core.Lost
 		}
 		h.Count.Pushes++
