@@ -110,6 +110,63 @@ func TestExploreStackFindsTheoremOneCounterexample(t *testing.T) {
 	}
 }
 
+// TestExploreStatesPinned pins, exactly, how many canonical states each
+// explorer visits at the width-2 and width-3 conformance horizons, the
+// maximum it realises and the witness trace it returns, and the point at
+// which the stack's search stops on the retired Theorem-1 constant. The
+// counts follow from the order in which a state's successors are generated
+// (pushes before pops, by sub-structure index) and from the dedup, so a
+// change to the breadth-first driver that keeps its behaviour keeps every
+// value and every trace byte for byte.
+func TestExploreStatesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		explore func(ExploreConfig) (ExploreResult, error)
+		cfg     ExploreConfig
+		states  int
+		max     int
+		ops     int
+		witness string
+	}{
+		{"stack/w2d4s1", ExploreStack, ExploreConfig{Width: 2, Depth: 4, Shift: 1, MaxOps: 18, Bound: -1}, 30259, 7, 18,
+			"[push 1 -> sub 0 push 2 -> sub 0 push 3 -> sub 0 push 4 -> sub 0 push 5 -> sub 1 push 6 -> sub 1 push 7 -> sub 1 " +
+				"push 8 -> sub 1 push 9 -> sub 0 push 10 -> sub 1 push 11 -> sub 0 push 12 -> sub 1 push 13 -> sub 1 " +
+				"pop sub 0 = 11 (dist 2) pop sub 0 = 9 (dist 3) pop sub 0 = 4 (dist 7)]"},
+		{"queue/w2d4s1", ExploreQueue, ExploreConfig{Width: 2, Depth: 4, Shift: 1, MaxOps: 18, Bound: -1}, 21003, 4, 18,
+			"[push 1 -> sub 0 push 2 -> sub 0 push 3 -> sub 0 push 4 -> sub 0 push 5 -> sub 1 pop sub 1 = 5 (dist 4)]"},
+		{"stack/w3d2s1", ExploreStack, ExploreConfig{Width: 3, Depth: 2, Shift: 1, MaxOps: 13, Bound: -1}, 37087, 6, 13,
+			"[push 1 -> sub 0 push 2 -> sub 0 push 3 -> sub 1 push 4 -> sub 1 push 5 -> sub 2 push 6 -> sub 2 push 7 -> sub 1 " +
+				"push 8 -> sub 2 pop sub 0 = 2 (dist 6)]"},
+		{"queue/w3d2s1", ExploreQueue, ExploreConfig{Width: 3, Depth: 2, Shift: 1, MaxOps: 13, Bound: -1}, 34107, 4, 13,
+			"[push 1 -> sub 0 push 2 -> sub 0 push 3 -> sub 1 push 4 -> sub 1 push 5 -> sub 2 pop sub 2 = 5 (dist 4)]"},
+		// The retired constant: the search stops at its first violation,
+		// and the minimal counterexample is also the witness.
+		{"stack/w2d4s1/bound6", ExploreStack, ExploreConfig{Width: 2, Depth: 4, Shift: 1, MaxOps: 18, Bound: 6}, 7607, 7, 16,
+			"[push 1 -> sub 0 push 2 -> sub 0 push 3 -> sub 0 push 4 -> sub 0 push 5 -> sub 1 push 6 -> sub 1 push 7 -> sub 1 " +
+				"push 8 -> sub 1 push 9 -> sub 0 push 10 -> sub 1 push 11 -> sub 0 push 12 -> sub 1 push 13 -> sub 1 " +
+				"pop sub 0 = 11 (dist 2) pop sub 0 = 9 (dist 3) pop sub 0 = 4 (dist 7)]"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := c.explore(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.States != c.states || r.MaxDistance != c.max || r.Ops != c.ops {
+				t.Errorf("states %d, max %d, ops %d; want %d, %d, %d", r.States, r.MaxDistance, r.Ops, c.states, c.max, c.ops)
+			}
+			if got := fmt.Sprint(r.Witness); got != c.witness {
+				t.Errorf("witness changed:\n got %s\nwant %s", got, c.witness)
+			}
+			if cex := fmt.Sprint(r.Counterexample); c.cfg.Bound >= 0 && cex != c.witness {
+				t.Errorf("counterexample %s is not the witness", cex)
+			}
+			if c.cfg.Bound < 0 && r.Counterexample != nil {
+				t.Errorf("measure-only run returned a counterexample: %v", r.Counterexample)
+			}
+		})
+	}
+}
+
 // TestExploreRealizedMaximaPinned pins the exhaustive width-2 maxima at an
 // 18-op horizon. These are the numbers behind DESIGN.md §2's resolution
 // note: the stack's realised sequential maxima stay within

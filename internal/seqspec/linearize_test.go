@@ -7,6 +7,13 @@ func seqOp(kind OpKind, v uint64, empty bool, at *int64) IntervalOp {
 	return IntervalOp{Kind: kind, Value: v, Empty: empty, Begin: *at - 1, End: *at}
 }
 
+// forEachOrder runs f as one subtest per order: the stack's LIFO search and
+// the queue's FIFO search.
+func forEachOrder(t *testing.T, f func(t *testing.T, lifo bool, check func([]IntervalOp) error)) {
+	t.Run("lifo", func(t *testing.T) { f(t, true, CheckLinearizableLIFO) })
+	t.Run("fifo", func(t *testing.T) { f(t, false, CheckLinearizableFIFO) })
+}
+
 func TestLinearizableEmptyHistory(t *testing.T) {
 	if err := CheckLinearizableLIFO(nil); err != nil {
 		t.Fatal(err)
@@ -55,17 +62,24 @@ func TestAcceptsOverlapReordering(t *testing.T) {
 
 func TestRejectsRealTimeViolation(t *testing.T) {
 	// push(1) completes, THEN push(2) completes, THEN two pops in
-	// sequence return 1 then 2 — impossible for a stack in real time.
-	var clock int64
-	ops := []IntervalOp{
-		seqOp(OpPush, 1, false, &clock),
-		seqOp(OpPush, 2, false, &clock),
-		seqOp(OpPop, 1, false, &clock),
-		seqOp(OpPop, 2, false, &clock),
-	}
-	if err := CheckLinearizableLIFO(ops); err == nil {
-		t.Fatal("real-time LIFO violation accepted")
-	}
+	// sequence take them from the wrong end — 1 first for a stack, 2 first
+	// for a queue — impossible in real time.
+	forEachOrder(t, func(t *testing.T, lifo bool, check func([]IntervalOp) error) {
+		first := uint64(2)
+		if lifo {
+			first = 1
+		}
+		var clock int64
+		ops := []IntervalOp{
+			seqOp(OpPush, 1, false, &clock),
+			seqOp(OpPush, 2, false, &clock),
+			seqOp(OpPop, first, false, &clock),
+			seqOp(OpPop, 3-first, false, &clock),
+		}
+		if err := check(ops); err == nil {
+			t.Fatal("real-time violation accepted")
+		}
+	})
 }
 
 func TestAcceptsEliminationPair(t *testing.T) {
@@ -84,15 +98,17 @@ func TestAcceptsEliminationPair(t *testing.T) {
 }
 
 func TestRejectsFalseEmptyLinearization(t *testing.T) {
-	var clock int64
-	ops := []IntervalOp{
-		seqOp(OpPush, 1, false, &clock),
-		seqOp(OpPop, 0, true, &clock), // empty after a completed push: illegal
-		seqOp(OpPop, 1, false, &clock),
-	}
-	if err := CheckLinearizableLIFO(ops); err == nil {
-		t.Fatal("false empty accepted")
-	}
+	forEachOrder(t, func(t *testing.T, _ bool, check func([]IntervalOp) error) {
+		var clock int64
+		ops := []IntervalOp{
+			seqOp(OpPush, 1, false, &clock),
+			seqOp(OpPop, 0, true, &clock), // empty after a completed push: illegal
+			seqOp(OpPop, 1, false, &clock),
+		}
+		if err := check(ops); err == nil {
+			t.Fatal("false empty accepted")
+		}
+	})
 }
 
 func TestAcceptsEmptyConcurrentWithPush(t *testing.T) {
@@ -101,16 +117,20 @@ func TestAcceptsEmptyConcurrentWithPush(t *testing.T) {
 		{Kind: OpPop, Empty: true, Begin: 1, End: 5}, // may linearize first
 		{Kind: OpPop, Value: 1, Begin: 11, End: 12},
 	}
-	if err := CheckLinearizableLIFO(ops); err != nil {
-		t.Fatalf("legal concurrent empty rejected: %v", err)
-	}
+	forEachOrder(t, func(t *testing.T, _ bool, check func([]IntervalOp) error) {
+		if err := check(ops); err != nil {
+			t.Fatalf("legal concurrent empty rejected: %v", err)
+		}
+	})
 }
 
 func TestRejectsMalformedInterval(t *testing.T) {
 	ops := []IntervalOp{{Kind: OpPush, Value: 1, Begin: 5, End: 1}}
-	if err := CheckLinearizableLIFO(ops); err == nil {
-		t.Fatal("malformed interval accepted")
-	}
+	forEachOrder(t, func(t *testing.T, _ bool, check func([]IntervalOp) error) {
+		if err := check(ops); err == nil {
+			t.Fatal("malformed interval accepted")
+		}
+	})
 }
 
 func TestRejectsOversizeHistory(t *testing.T) {
@@ -125,7 +145,7 @@ func TestRejectsOversizeHistory(t *testing.T) {
 
 func TestDeepInterleavingSolvable(t *testing.T) {
 	// All ops mutually overlapping: any order is allowed by real time; the
-	// checker must find one of the many valid LIFO linearizations.
+	// checker must find one of the many valid linearizations.
 	ops := []IntervalOp{
 		{Kind: OpPush, Value: 1, Begin: 0, End: 100},
 		{Kind: OpPush, Value: 2, Begin: 0, End: 100},
@@ -135,9 +155,11 @@ func TestDeepInterleavingSolvable(t *testing.T) {
 		{Kind: OpPop, Value: 1, Begin: 0, End: 100},
 		{Kind: OpPop, Empty: true, Begin: 0, End: 100},
 	}
-	if err := CheckLinearizableLIFO(ops); err != nil {
-		t.Fatalf("solvable interleaving rejected: %v", err)
-	}
+	forEachOrder(t, func(t *testing.T, _ bool, check func([]IntervalOp) error) {
+		if err := check(ops); err != nil {
+			t.Fatalf("solvable interleaving rejected: %v", err)
+		}
+	})
 }
 
 func TestFIFOLinearizableSequential(t *testing.T) {
