@@ -88,6 +88,7 @@ import (
 	"stack2d/internal/adapt"
 	"stack2d/internal/core"
 	"stack2d/internal/harness"
+	"stack2d/internal/obs"
 	"stack2d/internal/sim"
 	"stack2d/internal/stats"
 	"stack2d/internal/twodqueue"
@@ -174,9 +175,18 @@ func main() {
 	if *runNative {
 		var ok bool
 		if *queueMode {
-			ok = nativeQueueDemo(spec, start, placement, *kceil, *threads, *phaseDur, *tick, *prefill, *seed, *quality, *maxDepth, sink, plane)
+			// Concurrent executions may exceed the sequential bound by one
+			// position per in-flight operation, and the invocation-order
+			// oracle recording adds the same again (see twodqueue.Config.K
+			// and harness.runPhased), so the realised FIFO distance is
+			// checked against ceiling + 2·threads.
+			queue := nativeStructure[*twodqueue.Queue[uint64]]{"queue", twodqueue.MustNew[uint64], harness.RunPhasedQueue, 2 * int64(*threads), checkConservation}
+			ok = nativeDemo(queue, spec, start, placement, *kceil, *threads, *phaseDur, *tick, *prefill, *seed, *quality, *maxDepth, sink, plane)
 		} else {
-			ok = nativeDemo(spec, start, placement, *kceil, *threads, *phaseDur, *tick, *prefill, *seed, *quality, *maxDepth, sink, plane)
+			// The LIFO oracle needs no in-flight slack: a late head-insert
+			// can only shrink a distance (DESIGN.md §5).
+			stack := nativeStructure[*core.Stack[uint64]]{"stack", core.MustNew[uint64], harness.RunPhased, 0, (*core.Stack[uint64]).CheckInvariants}
+			ok = nativeDemo(stack, spec, start, placement, *kceil, *threads, *phaseDur, *tick, *prefill, *seed, *quality, *maxDepth, sink, plane)
 		}
 		if !ok {
 			failed = true
@@ -705,89 +715,64 @@ func simDemo(spec goalSpec, structure string, start core.Config, placement core.
 	return ok
 }
 
-// nativeDemo runs the phased stack workload on this machine; returns true
-// on success (ceiling violations fail it; a missed goal metric only warns,
-// since native contention and latency depend on the hardware — the
-// deterministic pass/fail lives in the simulated section).
-func nativeDemo(spec goalSpec, start core.Config, placement core.PlacementPolicy, kceil int64, threads int, phaseDur, tick time.Duration,
-	prefill int, seed uint64, quality bool, maxDepth int64, sink *csvSink, plane *obsPlane) bool {
-
-	phases := harness.ContentionPhases(threads, phaseDur)
-	w := harness.PhasedWorkload{MaxWorkers: threads, Prefill: prefill, Seed: seed, Quality: quality}
-	sockets := sim.DefaultMachine().Sockets
-
-	fmt.Printf("\n## native stack run (P=%d, %v/phase, quality=%v, placement %s)\n", threads, phaseDur, quality, placement.Name())
-
-	staticStack := core.MustNew[uint64](start)
-	staticStack.SetPlacement(placement, sockets)
-	staticRes, err := harness.RunPhased(staticStack, phases, w)
-	if err != nil {
-		fatal("static run failed: %v", err)
-	}
-
-	adaptStack := core.MustNew[uint64](start)
-	plane.instrumentStack(adaptStack)
-	adaptStack.SetPlacement(placement, sockets)
-	ctrl, err := adapt.New(adaptStack, spec.policy(adapt.Policy{
-		KCeiling: kceil,
-		Tick:     tick,
-		MinWidth: start.Width,
-		MaxWidth: 4 * threads,
-		MinDepth: start.Depth,
-		MaxDepth: maxDepth,
-	}, false))
-	if err != nil {
-		fatal("controller: %v", err)
-	}
-	plane.instrumentController(ctrl, "stack")
-	ctrl.Start()
-	adaptRes, err := harness.RunPhased(adaptStack, phases, w)
-	ctrl.Stop()
-	if err != nil {
-		fatal("adaptive run failed: %v", err)
-	}
-
-	// The stack's realised distance is checked against the bare ceiling —
-	// the LIFO oracle needs no in-flight slack (a late head-insert can only
-	// shrink a distance; DESIGN.md §5) — plus the warm handoff's tracked
-	// splice displacement, which budgets any width-shrink migration the
-	// narrowing goals triggered.
-	migAllowance := adaptStack.ShrinkDisplacementBound()
-	ok := reportNative(spec, "native-stack", ctrl, staticRes, adaptRes, kceil, quality, 0, migAllowance, sink)
-
-	final := adaptStack.Config()
-	fmt.Printf("native final geometry: width %d, depth %d, shift %d (k=%d, started at k=%d)\n",
-		final.Width, final.Depth, final.Shift, final.K(), start.K())
-	if err := adaptStack.CheckInvariants(); err != nil {
-		fmt.Printf("FAIL: invariants after adaptive run: %v\n", err)
-		ok = false
-	}
-	return ok
+// nativeTarget is what the native run steers and observes; the 2D-Stack
+// and the 2D-Queue both provide it.
+type nativeTarget interface {
+	adapt.Reconfigurable
+	obs.Source
+	SetObserver(core.Observer)
+	SetPlacement(core.PlacementPolicy, int)
+	ShrinkDisplacementBound() int64
 }
 
-// nativeQueueDemo is nativeDemo for the 2D-Queue: the same phased workload
-// and controller, driving the queue directly (it speaks core.Config), with
-// the FIFO error-distance oracle instead of the LIFO one.
-func nativeQueueDemo(spec goalSpec, start core.Config, placement core.PlacementPolicy, kceil int64, threads int, phaseDur, tick time.Duration,
-	prefill int, seed uint64, quality bool, maxDepth int64, sink *csvSink, plane *obsPlane) bool {
+// nativeStructure is what differs between the stack's and the queue's
+// native runs: the harness runner, the concurrency slack the realised
+// distance is checked against, and the final consistency check.
+type nativeStructure[T nativeTarget] struct {
+	name  string
+	build func(core.Config) T
+	run   func(T, []harness.Phase, harness.PhasedWorkload) (harness.PhasedResult, error)
+	slack int64
+	check func(T) error
+}
+
+// checkConservation is the queue's final check: every enqueue must still be
+// accounted for. The workers flushed their counters at run end, so the
+// snapshot is exact.
+func checkConservation(q *twodqueue.Queue[uint64]) error {
+	snap := q.StatsSnapshot()
+	if got, want := q.Len(), int(snap.Pushes)-int(snap.Pops); got != want {
+		return fmt.Errorf("queue holds %d items but counters say %d (items lost or duplicated)", got, want)
+	}
+	return nil
+}
+
+// nativeDemo runs the phased workload on this machine, static and then
+// under the controller, against the structure st builds; returns true on
+// success (ceiling violations and a failed final check fail it; a missed
+// goal metric only warns, since native contention and latency depend on
+// the hardware — the deterministic pass/fail lives in the simulated
+// section).
+func nativeDemo[T nativeTarget](st nativeStructure[T], spec goalSpec, start core.Config, placement core.PlacementPolicy, kceil int64,
+	threads int, phaseDur, tick time.Duration, prefill int, seed uint64, quality bool, maxDepth int64, sink *csvSink, plane *obsPlane) bool {
 
 	phases := harness.ContentionPhases(threads, phaseDur)
 	w := harness.PhasedWorkload{MaxWorkers: threads, Prefill: prefill, Seed: seed, Quality: quality}
 	sockets := sim.DefaultMachine().Sockets
 
-	fmt.Printf("\n## native queue run (P=%d, %v/phase, quality=%v, placement %s)\n", threads, phaseDur, quality, placement.Name())
+	fmt.Printf("\n## native %s run (P=%d, %v/phase, quality=%v, placement %s)\n", st.name, threads, phaseDur, quality, placement.Name())
 
-	staticQueue := twodqueue.MustNew[uint64](start)
-	staticQueue.SetPlacement(placement, sockets)
-	staticRes, err := harness.RunPhasedQueue(staticQueue, phases, w)
+	static := st.build(start)
+	static.SetPlacement(placement, sockets)
+	staticRes, err := st.run(static, phases, w)
 	if err != nil {
 		fatal("static run failed: %v", err)
 	}
 
-	adaptQueue := twodqueue.MustNew[uint64](start)
-	plane.instrumentQueue(adaptQueue)
-	adaptQueue.SetPlacement(placement, sockets)
-	ctrl, err := adapt.New(adaptQueue, spec.policy(adapt.Policy{
+	adaptive := st.build(start)
+	plane.instrument(st.name, adaptive)
+	adaptive.SetPlacement(placement, sockets)
+	ctrl, err := adapt.New(adaptive, spec.policy(adapt.Policy{
 		KCeiling: kceil,
 		Tick:     tick,
 		MinWidth: start.Width,
@@ -798,33 +783,25 @@ func nativeQueueDemo(spec goalSpec, start core.Config, placement core.PlacementP
 	if err != nil {
 		fatal("controller: %v", err)
 	}
-	plane.instrumentController(ctrl, "queue")
+	plane.instrumentController(ctrl, st.name)
 	ctrl.Start()
-	adaptRes, err := harness.RunPhasedQueue(adaptQueue, phases, w)
+	adaptRes, err := st.run(adaptive, phases, w)
 	ctrl.Stop()
 	if err != nil {
 		fatal("adaptive run failed: %v", err)
 	}
 
-	// Concurrent executions may exceed the sequential bound by one position
-	// per in-flight operation, and the invocation-order oracle recording
-	// adds the same again (see twodqueue.Config.K and harness.runPhased),
-	// so the realised FIFO distance is checked against ceiling + 2·threads.
-	// Width-shrink migrations legitimately displace items further (DESIGN.md
-	// §5); the queue tracks that displacement exactly, so the check budgets
-	// it instead of being waived.
-	migAllowance := adaptQueue.ShrinkDisplacementBound()
-	ok := reportNative(spec, "native-queue", ctrl, staticRes, adaptRes, kceil, quality, 2*int64(threads), migAllowance, sink)
+	// Width-shrink migrations legitimately displace items beyond the
+	// ceiling (DESIGN.md §5); both structures track that displacement
+	// exactly, so the check budgets it instead of being waived.
+	migAllowance := adaptive.ShrinkDisplacementBound()
+	ok := reportNative(spec, "native-"+st.name, ctrl, staticRes, adaptRes, kceil, quality, st.slack, migAllowance, sink)
 
-	final := adaptQueue.Config()
+	final := adaptive.Config()
 	fmt.Printf("native final geometry: width %d, depth %d, shift %d (k=%d, started at k=%d)\n",
 		final.Width, final.Depth, final.Shift, final.K(), start.K())
-
-	// Conservation: every enqueue must still be accounted for. The workers
-	// flushed their counters at run end, so the snapshot is exact.
-	snap := adaptQueue.StatsSnapshot()
-	if got, want := adaptQueue.Len(), int(snap.Pushes)-int(snap.Pops); got != want {
-		fmt.Printf("FAIL: queue holds %d items but counters say %d (items lost or duplicated)\n", got, want)
+	if err := st.check(adaptive); err != nil {
+		fmt.Printf("FAIL: after adaptive run: %v\n", err)
 		ok = false
 	}
 	return ok

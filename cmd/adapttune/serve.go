@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"stack2d/internal/adapt"
-	"stack2d/internal/core"
 	"stack2d/internal/engine"
 	"stack2d/internal/obs"
-	"stack2d/internal/twodqueue"
 )
 
 // obsPlane wires the observability plane (DESIGN.md §8) into the native
@@ -54,25 +52,15 @@ func newObsPlane(addr, tracePath string, hold time.Duration) *obsPlane {
 	return p
 }
 
-// instrumentStack attaches the structural tracer and bridges the stack's
-// counters into the registry. Call before SetPlacement so the construction
-// placement event lands in the ring too.
-func (p *obsPlane) instrumentStack(s *core.Stack[uint64]) {
+// instrument attaches the structural tracer and bridges the structure's
+// counters into the registry under the given name. Call before
+// SetPlacement so the construction placement event lands in the ring too.
+func (p *obsPlane) instrument(structure string, t nativeTarget) {
 	if p == nil {
 		return
 	}
-	s.SetObserver(obs.StructTracer{Structure: "stack", Ring: p.ring})
-	obs.RegisterStructure(p.reg, "stack", s, nil)
-}
-
-// instrumentQueue is instrumentStack for the 2D-Queue, which carries
-// Config/StatsSnapshot and the shrink displacement bound itself.
-func (p *obsPlane) instrumentQueue(q *twodqueue.Queue[uint64]) {
-	if p == nil {
-		return
-	}
-	q.SetObserver(obs.StructTracer{Structure: "queue", Ring: p.ring})
-	obs.RegisterStructure(p.reg, "queue", q, nil)
+	t.SetObserver(obs.StructTracer{Structure: structure, Ring: p.ring})
+	obs.RegisterStructure(p.reg, structure, t, nil)
 }
 
 // instrumentSwitcher wires the hot-swap engine (-backend auto) into the

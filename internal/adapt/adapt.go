@@ -326,11 +326,9 @@ type Controller struct {
 	// obsv receives a callback per Step; nil — the default — costs one
 	// predicted branch per tick (not per operation). Guarded by mu, which
 	// Step holds at the emission point. See SetObserver and DESIGN.md §8.
-	obsv    Observer
-	hist    []TickRecord
-	started bool
-	stopCh  chan struct{}
-	doneCh  chan struct{}
+	obsv Observer
+	hist []TickRecord
+	loop
 }
 
 // New builds a controller for target; the policy is defaulted, then
@@ -346,6 +344,7 @@ func New(target Reconfigurable, pol Policy) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{target: target, pol: pol, pressure: -1}
+	c.loop = loop{tick: pol.Tick, step: func(d time.Duration) { c.Step(d) }}
 	for cur := target.Config(); !c.underCeiling(cur); cur = target.Config() {
 		cand, ok := c.shallowerDepth(cur)
 		if !ok {
@@ -373,53 +372,6 @@ func (c *Controller) SetObserver(o Observer) {
 	c.mu.Lock()
 	c.obsv = o
 	c.mu.Unlock()
-}
-
-// Start launches the background sampling loop. Repeated Starts are no-ops
-// until Stop is called.
-func (c *Controller) Start() {
-	c.mu.Lock()
-	if c.started {
-		c.mu.Unlock()
-		return
-	}
-	c.started = true
-	c.stopCh = make(chan struct{})
-	c.doneCh = make(chan struct{})
-	stop, done := c.stopCh, c.doneCh
-	c.mu.Unlock()
-	go c.run(stop, done)
-}
-
-// Stop halts the background loop and waits for it to exit. Safe to call
-// when not started; idempotent.
-func (c *Controller) Stop() {
-	c.mu.Lock()
-	if !c.started {
-		c.mu.Unlock()
-		return
-	}
-	c.started = false
-	stop, done := c.stopCh, c.doneCh
-	c.mu.Unlock()
-	close(stop)
-	<-done
-}
-
-func (c *Controller) run(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	tk := time.NewTicker(c.pol.Tick)
-	defer tk.Stop()
-	last := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-tk.C:
-			c.Step(now.Sub(last))
-			last = now
-		}
-	}
 }
 
 // Step performs one control decision over an interval of the given length:
@@ -678,4 +630,57 @@ func (c *Controller) History() []TickRecord {
 	out := make([]TickRecord, len(c.hist))
 	copy(out, c.hist)
 	return out
+}
+
+// loop is the background sampling loop Controller and Selector embed: Start
+// launches a goroutine that calls step once per tick with the time since
+// the previous one.
+type loop struct {
+	tick time.Duration
+	step func(elapsed time.Duration)
+
+	mu   sync.Mutex
+	stop chan struct{} // nil while stopped
+	done chan struct{}
+}
+
+// Start launches the background sampling loop. Repeated Starts are no-ops
+// until Stop is called.
+func (l *loop) Start() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stop != nil {
+		return
+	}
+	l.stop, l.done = make(chan struct{}), make(chan struct{})
+	go l.run(l.stop, l.done)
+}
+
+// Stop halts the background loop and waits for it to exit. Safe to call
+// when not started; idempotent.
+func (l *loop) Stop() {
+	l.mu.Lock()
+	stop, done := l.stop, l.done
+	l.stop = nil
+	l.mu.Unlock()
+	if stop != nil {
+		close(stop)
+		<-done
+	}
+}
+
+func (l *loop) run(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	tk := time.NewTicker(l.tick)
+	defer tk.Stop()
+	last := time.Now()
+	for {
+		select {
+		case <-stop:
+			return
+		case now := <-tk.C:
+			l.step(now.Sub(last))
+			last = now
+		}
+	}
 }

@@ -119,9 +119,7 @@ type Selector struct {
 	cooldown int
 	prev     core.OpStats
 	hist     []SelectorRecord
-	started  bool
-	stopCh   chan struct{}
-	doneCh   chan struct{}
+	loop
 }
 
 // NewSelector builds a selector for target; the policy is defaulted, then
@@ -132,12 +130,14 @@ func NewSelector(target BackendTarget, pol SelectorPolicy) (*Selector, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
-	return &Selector{
+	s := &Selector{
 		target:  target,
 		pol:     pol,
 		kbudget: pol.KBudget,
 		prev:    target.StatsSnapshot(),
-	}, nil
+	}
+	s.loop = loop{tick: pol.Tick, step: func(d time.Duration) { s.Step(d) }}
+	return s, nil
 }
 
 // Policy returns the defaulted policy the selector runs.
@@ -158,51 +158,6 @@ func (s *Selector) SetKBudget(k int64) {
 	s.mu.Lock()
 	s.kbudget = k
 	s.mu.Unlock()
-}
-
-// Start launches the background sampling loop; no-op when running.
-func (s *Selector) Start() {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	s.stopCh = make(chan struct{})
-	s.doneCh = make(chan struct{})
-	stop, done := s.stopCh, s.doneCh
-	s.mu.Unlock()
-	go s.run(stop, done)
-}
-
-// Stop halts the background loop and waits for it; idempotent.
-func (s *Selector) Stop() {
-	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = false
-	stop, done := s.stopCh, s.doneCh
-	s.mu.Unlock()
-	close(stop)
-	<-done
-}
-
-func (s *Selector) run(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	tk := time.NewTicker(s.pol.Tick)
-	defer tk.Stop()
-	last := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-tk.C:
-			s.Step(now.Sub(last))
-			last = now
-		}
-	}
 }
 
 // Step performs one selection decision over an interval of the given

@@ -55,6 +55,60 @@ func TestConcurrentConservation(t *testing.T) {
 	}
 }
 
+// TestConcurrentTryPopConservation: TryPop runs Pop's search, so under
+// concurrent pushes, pops and TryPops on a narrow window — lost CASes,
+// restarts on a moving ceiling, misses — every value is still recovered
+// exactly once (pops, TryPops and the final drain).
+func TestConcurrentTryPopConservation(t *testing.T) {
+	const (
+		workers = 4
+		perW    = 3000
+	)
+	s := MustNew[uint64](Config{Width: 4, Depth: 2, Shift: 2, RandomHops: 1})
+	var wg sync.WaitGroup
+	popped := make([][]uint64, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := s.NewHandle()
+			for i := 0; i < perW; i++ {
+				h.Push(uint64(w*perW + i))
+				var v uint64
+				ok := false
+				switch i % 3 {
+				case 1:
+					v, ok = h.TryPop()
+				case 2:
+					v, ok = h.Pop()
+				}
+				if ok {
+					popped[w] = append(popped[w], v)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	seen := make(map[uint64]int, workers*perW)
+	for _, vs := range popped {
+		for _, v := range vs {
+			seen[v]++
+		}
+	}
+	for _, v := range s.Drain() {
+		seen[v]++
+	}
+	if len(seen) != workers*perW {
+		t.Fatalf("distinct values recovered = %d, want %d", len(seen), workers*perW)
+	}
+	for v, n := range seen {
+		if n != 1 {
+			t.Fatalf("value %d recovered %d times", v, n)
+		}
+	}
+}
+
 // TestConcurrentDrainExactlyOnce: concurrent pure poppers never duplicate or
 // lose an item from a prefilled stack, and all report empty at the end.
 func TestConcurrentDrainExactlyOnce(t *testing.T) {

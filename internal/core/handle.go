@@ -93,7 +93,19 @@ func (h *Handle[T]) Push(v T) {
 // only when the stack is empty: the window is at its floor (validity
 // threshold zero) and a full coverage pass saw every sub-stack at count
 // zero.
-func (h *Handle[T]) Pop() (v T, ok bool) {
+func (h *Handle[T]) Pop() (v T, ok bool) { return h.pop(true) }
+
+// TryPop is Pop without the window move, for callers that prefer an
+// immediate miss over window maintenance (the public stack2d
+// Handle.TryPop): after one search that finds nothing at the current
+// ceiling it reports ok=false, which means "nothing in the current
+// window", not necessarily that the stack is empty.
+func (h *Handle[T]) TryPop() (v T, ok bool) { return h.pop(false) }
+
+// pop is the body of Pop and TryPop; move says whether a search that finds
+// nothing lowers the window and searches again (or reports empty at the
+// floor) or reports a miss.
+func (h *Handle[T]) pop(move bool) (v T, ok bool) {
 	geo := h.PinOp()
 	s := h.s
 	depth := geo.Depth
@@ -124,6 +136,10 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 			h.Unpin()
 			return v, true
 		}
+		if !move {
+			h.Unpin()
+			return v, false
+		}
 		if global <= depth {
 			// Window at its floor: the coverage pass proved every
 			// sub-stack held zero items at this Global. Report empty.
@@ -138,56 +154,4 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 			h.Count.WindowLowers++
 		}
 	}
-}
-
-// TryPop performs a single search pass without moving the window, for
-// callers that prefer an immediate miss over window maintenance (the
-// public stack2d Handle.TryPop); ok=false means "nothing in the current
-// window", not necessarily that the stack is empty.
-func (h *Handle[T]) TryPop() (v T, ok bool) {
-	geo := h.PinOp()
-	s := h.s
-	width := geo.Width
-	ord, pos, _ := h.probe(geo)                  // single pass, same-socket slots first
-	floor := max(s.global.V.Load()-geo.Depth, 0) // see Pop
-	idx := h.Last[0]
-	at := 0
-	if ord != nil {
-		at = pos[idx]
-	}
-	for probes := 0; probes < width; probes++ {
-		ss := geo.Subs[idx]
-		d := ss.load()
-		h.Count.Probes++
-		if d.count > 0 && ss.base+d.count > floor {
-			next := h.beneath(d)
-			if ss.cas(d, next) {
-				v := d.top.value
-				h.retire(d)
-				h.Last[0] = idx
-				h.Count.Pops++
-				h.Unpin()
-				return v, true
-			}
-			h.lost(d, next)
-			h.Count.CASFailures++
-			h.Count.SocketCAS[h.sockIdx(geo)]++
-			yield.Fire(yield.PointCASFail)
-		}
-		if ord == nil {
-			idx++
-			if idx == width {
-				idx = 0
-			}
-		} else {
-			at++
-			if at == width {
-				at = 0
-			}
-			idx = ord[at]
-		}
-	}
-	h.Unpin()
-	var zero T
-	return zero, false
 }

@@ -31,59 +31,48 @@ import (
 // produced the trace; RandomHops must be 0 for steering to be exact. An
 // error reports the first step whose outcome diverges from the trace.
 func ReplayStackTrace(cfg core.Config, steps []seqspec.ExploreStep) ([]seqspec.IntervalOp, error) {
-	if cfg.RandomHops != 0 {
-		return nil, fmt.Errorf("director: trace replay needs RandomHops=0, got %d", cfg.RandomHops)
-	}
 	s, err := core.New[uint64](cfg)
 	if err != nil {
 		return nil, err
 	}
 	h := s.NewHandle()
-	ops := make([]seqspec.Op, 0, len(steps))
-	for i, st := range steps {
-		h.SetAnchor(st.Sub)
-		if st.Push {
-			h.Push(uint64(st.Value))
-			ops = append(ops, seqspec.Op{Kind: seqspec.OpPush, Value: uint64(st.Value)})
-			continue
-		}
-		v, ok := h.Pop()
-		if !ok {
-			return nil, fmt.Errorf("director: step %d (%v): real stack empty, trace expects label %d", i, st, st.Value)
-		}
-		if v != uint64(st.Value) {
-			return nil, fmt.Errorf("director: step %d (%v): real stack popped %d, trace expects %d", i, st, v, st.Value)
-		}
-		ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: v})
-	}
-	return seqspec.SequentialIntervals(ops), nil
+	return replay(cfg, "stack", steps, h.SetAnchor, h.Push, h.Pop)
 }
 
 // ReplayQueueTrace is ReplayStackTrace's 2D-Queue counterpart (OpPush =
 // enqueue, OpPop = dequeue, as in seqspec.ExploreQueue traces).
 func ReplayQueueTrace(cfg twodqueue.Config, steps []seqspec.ExploreStep) ([]seqspec.IntervalOp, error) {
-	if cfg.RandomHops != 0 {
-		return nil, fmt.Errorf("director: trace replay needs RandomHops=0, got %d", cfg.RandomHops)
-	}
 	q, err := twodqueue.New[uint64](cfg)
 	if err != nil {
 		return nil, err
 	}
 	h := q.NewHandle()
+	return replay(cfg, "queue", steps, h.SetAnchor, h.Enqueue, h.Dequeue)
+}
+
+// replay is the loop both replays run over one handle of a fresh
+// structure: before each step it anchors the handle at the step's
+// sub-structure, then pushes the step's label or pops and checks the label
+// against the trace.
+func replay(cfg core.Config, structure string, steps []seqspec.ExploreStep,
+	anchor func(int), push func(uint64), pop func() (uint64, bool)) ([]seqspec.IntervalOp, error) {
+	if cfg.RandomHops != 0 {
+		return nil, fmt.Errorf("director: trace replay needs RandomHops=0, got %d", cfg.RandomHops)
+	}
 	ops := make([]seqspec.Op, 0, len(steps))
 	for i, st := range steps {
-		h.SetAnchor(st.Sub)
+		anchor(st.Sub)
 		if st.Push {
-			h.Enqueue(uint64(st.Value))
+			push(uint64(st.Value))
 			ops = append(ops, seqspec.Op{Kind: seqspec.OpPush, Value: uint64(st.Value)})
 			continue
 		}
-		v, ok := h.Dequeue()
+		v, ok := pop()
 		if !ok {
-			return nil, fmt.Errorf("director: step %d (%v): real queue empty, trace expects label %d", i, st, st.Value)
+			return nil, fmt.Errorf("director: step %d (%v): real %s empty, trace expects label %d", i, st, structure, st.Value)
 		}
 		if v != uint64(st.Value) {
-			return nil, fmt.Errorf("director: step %d (%v): real queue dequeued %d, trace expects %d", i, st, v, st.Value)
+			return nil, fmt.Errorf("director: step %d (%v): real %s popped %d, trace expects %d", i, st, structure, v, st.Value)
 		}
 		ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: v})
 	}

@@ -1,6 +1,9 @@
 package seqspec
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the exhaustive sequential state-space explorer that
 // settles the Theorem-1 constant (DESIGN.md §2): a breadth-first search over
@@ -95,6 +98,86 @@ func (r ExploreResult) Certified() bool { return r.Counterexample == nil }
 // Exhaustive exploration is hopeless long before this limit anyway.
 const maxExploreOps = 200
 
+// exploreModel is one structure's sequential window model as the
+// breadth-first driver sees it: a canonical state that serialises itself
+// for memoisation and lists the transitions out of it.
+type exploreModel[S any] interface {
+	key() string
+	// successors appends each transition to out, pushes before pops, each
+	// by sub-structure index; a pop's step carries its distance, and its
+	// Value the popped item's age rank. The order decides which trace
+	// first reaches a state, so it fixes every returned trace.
+	successors(cfg ExploreConfig, out []transition[S]) []transition[S]
+}
+
+// transition is one operation out of a model state: the state it leads to
+// and the step that takes it there.
+type transition[S any] struct {
+	next S
+	step ExploreStep
+}
+
+// explore is the breadth-first driver both explorers run. It validates
+// cfg, expands states level by level from start up to the horizon,
+// memoises canonical states, keeps a witness of the largest distance, and
+// with a non-negative Bound stops at the first pop beyond it, returning the
+// minimal trace that reaches it.
+func explore[S exploreModel[S]](cfg ExploreConfig, start func() S) (ExploreResult, error) {
+	var res ExploreResult
+	switch {
+	case cfg.Width < 1:
+		return res, fmt.Errorf("seqspec: explore Width must be >= 1, got %d", cfg.Width)
+	case cfg.Depth < 1:
+		return res, fmt.Errorf("seqspec: explore Depth must be >= 1, got %d", cfg.Depth)
+	case cfg.Shift < 1 || cfg.Shift > cfg.Depth:
+		return res, fmt.Errorf("seqspec: explore Shift must be in [1, Depth=%d], got %d", cfg.Depth, cfg.Shift)
+	case cfg.MaxOps < 1 || cfg.MaxOps > maxExploreOps:
+		return res, fmt.Errorf("seqspec: explore MaxOps must be in [1, %d], got %d", maxExploreOps, cfg.MaxOps)
+	}
+
+	first := start()
+	startKey := first.key()
+	seen := map[string]traceNode{startKey: {}}
+	frontier := []S{first}
+	var succ []transition[S]
+
+	var witnessKey string
+	var witnessStep ExploreStep
+
+	for depth := 0; depth < cfg.MaxOps && len(frontier) > 0; depth++ {
+		var next []S
+		for _, st := range frontier {
+			stKey := st.key()
+			succ = st.successors(cfg, succ[:0])
+			for _, tr := range succ {
+				if tr.step.Dist > res.MaxDistance {
+					res.MaxDistance = tr.step.Dist
+					witnessKey, witnessStep = stKey, tr.step
+				}
+				if cfg.Bound >= 0 && tr.step.Dist > cfg.Bound {
+					res.Counterexample = rebuildTrace(seen, startKey, stKey, tr.step)
+					res.Witness = res.Counterexample
+					res.States = len(seen)
+					res.Ops = depth + 1
+					return res, nil
+				}
+				k := tr.next.key()
+				if _, dup := seen[k]; !dup {
+					seen[k] = traceNode{parent: stKey, step: tr.step}
+					next = append(next, tr.next)
+				}
+			}
+		}
+		frontier = next
+		res.Ops = depth + 1
+	}
+	res.States = len(seen)
+	if witnessKey != "" {
+		res.Witness = rebuildTrace(seen, startKey, witnessKey, witnessStep)
+	}
+	return res, nil
+}
+
 // exploreState is one canonical state of the abstract machine. Sub-stack
 // items are age ranks (0 = oldest item currently resident); ranks are
 // recomputed after every pop so states reached by different histories with
@@ -108,7 +191,7 @@ type exploreState struct {
 // item count <= MaxOps) and Global is bounded by depth + shift·pushes, so
 // both fit comfortably in a compact byte encoding: two bytes of Global,
 // then each sub-stack's ranks terminated by 0xff (ranks are capped well
-// below 0xff by the exploration horizon limit enforced in ExploreStack).
+// below 0xff by the exploration horizon limit maxExploreOps).
 func (st *exploreState) key() string {
 	n := 3 + len(st.subs)
 	for _, sub := range st.subs {
@@ -125,17 +208,64 @@ func (st *exploreState) key() string {
 	return string(buf)
 }
 
-// clone deep-copies the state.
-func (st *exploreState) clone() *exploreState {
-	n := &exploreState{global: st.global, subs: make([][]int16, len(st.subs))}
+// successors lists the stack model's transitions (see the file comment):
+// a push onto every sub-stack below the ceiling, then a pop from every
+// sub-stack above the floor.
+func (st *exploreState) successors(cfg ExploreConfig, out []transition[*exploreState]) []transition[*exploreState] {
+	// Pushes. If every sub-stack is at the ceiling the window rises once
+	// (deterministic), then every sub-stack is valid.
+	pushGlobal := st.global
+	if !slices.ContainsFunc(st.subs, func(sub []int16) bool { return len(sub) < pushGlobal }) {
+		pushGlobal += cfg.Shift
+	}
+	newRank := int16(countItems(st.subs)) // denser than any existing rank
 	for i, sub := range st.subs {
-		n.subs[i] = append([]int16(nil), sub...)
+		if len(sub) >= pushGlobal {
+			continue
+		}
+		ns := &exploreState{global: pushGlobal, subs: cloneSubs(st.subs)}
+		// Ranks stay dense after a push (new item = max rank), so no
+		// re-densify needed. Value is assigned by relabelSteps when a
+		// trace is reconstructed.
+		ns.subs[i] = append(ns.subs[i], newRank)
+		out = append(out, transition[*exploreState]{ns, ExploreStep{Push: true, Sub: i}})
+	}
+
+	// Pops. Lower the window (deterministically) until some sub-stack is
+	// poppable or the floor is reached; an empty report at the floor
+	// changes nothing and is exact, so it is not a transition.
+	popGlobal := st.global
+	floor := max(popGlobal-cfg.Depth, 0)
+	for !slices.ContainsFunc(st.subs, func(sub []int16) bool { return len(sub) > floor }) {
+		if popGlobal <= cfg.Depth {
+			return out
+		}
+		popGlobal = max(popGlobal-cfg.Shift, cfg.Depth)
+		floor = max(popGlobal-cfg.Depth, 0)
+	}
+	for i, sub := range st.subs {
+		if len(sub) <= floor {
+			continue
+		}
+		top := sub[len(sub)-1]
+		ns := &exploreState{global: popGlobal, subs: cloneSubs(st.subs)}
+		ns.subs[i] = ns.subs[i][:len(sub)-1]
+		dist := dropRank(ns.subs, top, false)
+		out = append(out, transition[*exploreState]{ns, ExploreStep{Sub: i, Value: int(top), Dist: dist}})
+	}
+	return out
+}
+
+// cloneSubs deep-copies sub-structure rank lists.
+func cloneSubs(subs [][]int16) [][]int16 {
+	n := make([][]int16, len(subs))
+	for i, sub := range subs {
+		n[i] = append([]int16(nil), sub...)
 	}
 	return n
 }
 
-// countItems counts the items resident across sub-structure rank lists;
-// shared by the stack and queue explorers.
+// countItems counts the items resident across sub-structure rank lists.
 func countItems(subs [][]int16) int {
 	n := 0
 	for _, sub := range subs {
@@ -144,18 +274,25 @@ func countItems(subs [][]int16) int {
 	return n
 }
 
-// dropRank re-densifies age ranks after the item with rank `removed` was
-// popped: ranks are dense 0..n-1 before a pop, so removing one rank shifts
-// every larger rank down by one. (Pushes keep density by construction: the
-// new item takes rank n.) Shared by the stack and queue explorers.
-func dropRank(subs [][]int16, removed int16) {
+// dropRank takes out age rank `removed`, which a pop just took off its
+// sub-structure, and returns the pop's out-of-order distance: the resident
+// items younger than it for a stack, older than it for a queue (fifo).
+// Ranks are dense 0..n-1 before a pop, so every larger rank shifts down by
+// one. (Pushes keep density by construction: the new item takes rank n.)
+func dropRank(subs [][]int16, removed int16, fifo bool) (dist int) {
 	for _, sub := range subs {
 		for i, it := range sub {
 			if it > removed {
 				sub[i] = it - 1
+				if !fifo {
+					dist++
+				}
+			} else if fifo {
+				dist++
 			}
 		}
 	}
+	return dist
 }
 
 // traceNode records how a state was first reached, for minimal trace
@@ -167,7 +304,7 @@ type traceNode struct {
 
 // rebuildTrace reconstructs the minimal history that first reached `key`
 // by walking the BFS parent links, appends the final step, and rewrites
-// rank Values into push labels; shared by the stack and queue explorers.
+// rank Values into push labels.
 func rebuildTrace(seen map[string]traceNode, startKey, key string, last ExploreStep) []ExploreStep {
 	var steps []ExploreStep
 	for key != startKey {
@@ -175,17 +312,15 @@ func rebuildTrace(seen map[string]traceNode, startKey, key string, last ExploreS
 		steps = append(steps, n.step)
 		key = n.parent
 	}
-	for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
-		steps[i], steps[j] = steps[j], steps[i]
-	}
+	slices.Reverse(steps)
 	return relabelSteps(append(steps, last))
 }
 
 // relabelSteps rewrites a reconstructed trace's Values from the search's
 // internal age ranks to push labels (n-th push = label n), replaying the
-// trace to track which label each rank denotes at every pop. Both
-// explorers store a pop's Value as the popped item's rank among residents
-// (0 = oldest) and a push's Value as an arbitrary placeholder.
+// trace to track which label each rank denotes at every pop. A pop's Value
+// is the popped item's rank among residents (0 = oldest), a push's an
+// arbitrary placeholder.
 func relabelSteps(steps []ExploreStep) []ExploreStep {
 	var resident []int // index = age rank among residents, value = label
 	pushes := 0
@@ -206,138 +341,7 @@ func relabelSteps(steps []ExploreStep) []ExploreStep {
 // file comment for the semantics; the search is breadth-first in history
 // length, so a returned counterexample is minimal.
 func ExploreStack(cfg ExploreConfig) (ExploreResult, error) {
-	var res ExploreResult
-	switch {
-	case cfg.Width < 1:
-		return res, fmt.Errorf("seqspec: explore Width must be >= 1, got %d", cfg.Width)
-	case cfg.Depth < 1:
-		return res, fmt.Errorf("seqspec: explore Depth must be >= 1, got %d", cfg.Depth)
-	case cfg.Shift < 1 || cfg.Shift > cfg.Depth:
-		return res, fmt.Errorf("seqspec: explore Shift must be in [1, Depth=%d], got %d", cfg.Depth, cfg.Shift)
-	case cfg.MaxOps < 1 || cfg.MaxOps > maxExploreOps:
-		return res, fmt.Errorf("seqspec: explore MaxOps must be in [1, %d], got %d", maxExploreOps, cfg.MaxOps)
-	}
-
-	start := &exploreState{global: cfg.Depth, subs: make([][]int16, cfg.Width)}
-	startKey := start.key()
-	seen := map[string]traceNode{startKey: {}}
-	frontier := []*exploreState{start}
-
-	var witnessKey string
-	var witnessStep ExploreStep
-
-	for depth := 0; depth < cfg.MaxOps && len(frontier) > 0; depth++ {
-		var next []*exploreState
-		for _, st := range frontier {
-			stKey := st.key()
-
-			// Pushes. If every sub-stack is at the ceiling the window
-			// rises once (deterministic), then every sub-stack is valid.
-			pushGlobal := st.global
-			anyValid := false
-			for _, sub := range st.subs {
-				if len(sub) < pushGlobal {
-					anyValid = true
-					break
-				}
-			}
-			if !anyValid {
-				pushGlobal += cfg.Shift
-			}
-			newRank := int16(countItems(st.subs)) // denser than any existing rank
-			for i, sub := range st.subs {
-				if len(sub) >= pushGlobal {
-					continue
-				}
-				ns := st.clone()
-				ns.global = pushGlobal
-				ns.subs[i] = append(ns.subs[i], newRank)
-				// Ranks stay dense after a push (new item = max rank), so no
-				// re-densify needed. Value is assigned by relabelSteps when a
-				// trace is reconstructed.
-				step := ExploreStep{Push: true, Sub: i}
-				k := ns.key()
-				if _, dup := seen[k]; !dup {
-					seen[k] = traceNode{parent: stKey, step: step}
-					next = append(next, ns)
-				}
-			}
-
-			// Pops. Lower the window (deterministically) until some
-			// sub-stack is poppable or the floor is reached; an empty
-			// report at the floor changes nothing and is exact, so it is
-			// not a transition.
-			popGlobal := st.global
-			for {
-				floor := popGlobal - cfg.Depth
-				if floor < 0 {
-					floor = 0
-				}
-				anyValid = false
-				for _, sub := range st.subs {
-					if len(sub) > floor {
-						anyValid = true
-						break
-					}
-				}
-				if anyValid || popGlobal <= cfg.Depth {
-					break
-				}
-				popGlobal -= cfg.Shift
-				if popGlobal < cfg.Depth {
-					popGlobal = cfg.Depth
-				}
-			}
-			if anyValid {
-				floor := popGlobal - cfg.Depth
-				if floor < 0 {
-					floor = 0
-				}
-				for i, sub := range st.subs {
-					if len(sub) <= floor {
-						continue
-					}
-					top := sub[len(sub)-1]
-					dist := 0
-					for _, other := range st.subs {
-						for _, it := range other {
-							if it > top {
-								dist++
-							}
-						}
-					}
-					ns := st.clone()
-					ns.global = popGlobal
-					ns.subs[i] = ns.subs[i][:len(ns.subs[i])-1]
-					dropRank(ns.subs, top)
-					// Value carries the popped item's age rank until
-					// relabelSteps rewrites it into a push label.
-					step := ExploreStep{Push: false, Sub: i, Value: int(top), Dist: dist}
-					if dist > res.MaxDistance {
-						res.MaxDistance = dist
-						witnessKey, witnessStep = stKey, step
-					}
-					if cfg.Bound >= 0 && dist > cfg.Bound {
-						res.Counterexample = rebuildTrace(seen, startKey, stKey, step)
-						res.Witness = res.Counterexample
-						res.States = len(seen)
-						res.Ops = depth + 1
-						return res, nil
-					}
-					k := ns.key()
-					if _, dup := seen[k]; !dup {
-						seen[k] = traceNode{parent: stKey, step: step}
-						next = append(next, ns)
-					}
-				}
-			}
-		}
-		frontier = next
-		res.Ops = depth + 1
-	}
-	res.States = len(seen)
-	if witnessKey != "" {
-		res.Witness = rebuildTrace(seen, startKey, witnessKey, witnessStep)
-	}
-	return res, nil
+	return explore(cfg, func() *exploreState {
+		return &exploreState{global: cfg.Depth, subs: make([][]int16, cfg.Width)}
+	})
 }

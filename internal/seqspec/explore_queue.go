@@ -1,6 +1,8 @@
 package seqspec
 
-import "fmt"
+import (
+	"slices"
+)
 
 // This file is the queue counterpart of explore.go: an exhaustive
 // breadth-first exploration of the sequential 2D-Queue window discipline
@@ -52,16 +54,76 @@ func (st *exploreQState) key() string {
 	return string(buf)
 }
 
-func (st *exploreQState) clone() *exploreQState {
-	n := &exploreQState{
-		enqGap: append([]int16(nil), st.enqGap...),
-		deqGap: append([]int16(nil), st.deqGap...),
-		subs:   make([][]int16, len(st.subs)),
+// successors lists the queue model's transitions (see the file comment):
+// an enqueue onto every sub-queue below the enqueue ceiling, then a
+// dequeue from every productive sub-queue.
+func (st *exploreQState) successors(cfg ExploreConfig, out []transition[*exploreQState]) []transition[*exploreQState] {
+	// Enqueues: raise the ceiling once if every sub-queue is at it.
+	enqBump := int16(0)
+	if !slices.ContainsFunc(st.enqGap, func(gap int16) bool { return gap > 0 }) {
+		enqBump = int16(cfg.Shift)
+	}
+	newRank := int16(countItems(st.subs))
+	for i := range st.subs {
+		if st.enqGap[i]+enqBump <= 0 {
+			continue
+		}
+		ns := st.clone()
+		for j := range ns.enqGap {
+			ns.enqGap[j] += enqBump
+		}
+		ns.enqGap[i]--
+		ns.subs[i] = append(ns.subs[i], newRank)
+		out = append(out, transition[*exploreQState]{ns, ExploreStep{Push: true, Sub: i}})
+	}
+
+	// Dequeues: raise the dequeue ceiling while no sub-queue is productive
+	// but a non-empty one sits at the ceiling; all-empty states report
+	// empty exactly (not a transition).
+	deqBump := int16(0)
+	for {
+		productive, blocked := false, false
+		for i, sub := range st.subs {
+			if len(sub) == 0 {
+				continue
+			}
+			if st.deqGap[i]+deqBump > 0 {
+				productive = true
+				break
+			}
+			blocked = true
+		}
+		if productive {
+			break
+		}
+		if !blocked {
+			return out
+		}
+		deqBump += int16(cfg.Shift)
 	}
 	for i, sub := range st.subs {
-		n.subs[i] = append([]int16(nil), sub...)
+		if len(sub) == 0 || st.deqGap[i]+deqBump <= 0 {
+			continue
+		}
+		front := sub[0]
+		ns := st.clone()
+		for j := range ns.deqGap {
+			ns.deqGap[j] += deqBump
+		}
+		ns.deqGap[i]--
+		ns.subs[i] = ns.subs[i][1:]
+		dist := dropRank(ns.subs, front, true)
+		out = append(out, transition[*exploreQState]{ns, ExploreStep{Sub: i, Value: int(front), Dist: dist}})
 	}
-	return n
+	return out
+}
+
+func (st *exploreQState) clone() *exploreQState {
+	return &exploreQState{
+		enqGap: slices.Clone(st.enqGap),
+		deqGap: slices.Clone(st.deqGap),
+		subs:   cloneSubs(st.subs),
+	}
 }
 
 // ExploreQueue exhaustively explores the sequential 2D-Queue model
@@ -69,144 +131,17 @@ func (st *exploreQState) clone() *exploreQState {
 // the file comment; breadth-first order makes a returned counterexample
 // minimal.
 func ExploreQueue(cfg ExploreConfig) (ExploreResult, error) {
-	var res ExploreResult
-	switch {
-	case cfg.Width < 1:
-		return res, fmt.Errorf("seqspec: explore Width must be >= 1, got %d", cfg.Width)
-	case cfg.Depth < 1:
-		return res, fmt.Errorf("seqspec: explore Depth must be >= 1, got %d", cfg.Depth)
-	case cfg.Shift < 1 || cfg.Shift > cfg.Depth:
-		return res, fmt.Errorf("seqspec: explore Shift must be in [1, Depth=%d], got %d", cfg.Depth, cfg.Shift)
-	case cfg.MaxOps < 1 || cfg.MaxOps > maxExploreOps:
-		return res, fmt.Errorf("seqspec: explore MaxOps must be in [1, %d], got %d", maxExploreOps, cfg.MaxOps)
-	}
-
-	start := &exploreQState{
-		enqGap: make([]int16, cfg.Width),
-		deqGap: make([]int16, cfg.Width),
-		subs:   make([][]int16, cfg.Width),
-	}
-	for i := 0; i < cfg.Width; i++ {
+	return explore(cfg, func() *exploreQState {
 		// Both ceilings start at depth with zero counters.
-		start.enqGap[i] = int16(cfg.Depth)
-		start.deqGap[i] = int16(cfg.Depth)
-	}
-	startKey := start.key()
-	seen := map[string]traceNode{startKey: {}}
-	frontier := []*exploreQState{start}
-
-	var witnessKey string
-	var witnessStep ExploreStep
-
-	for depth := 0; depth < cfg.MaxOps && len(frontier) > 0; depth++ {
-		var next []*exploreQState
-		for _, st := range frontier {
-			stKey := st.key()
-
-			// Enqueues: raise the ceiling once if every sub-queue is at it.
-			enqBump := int16(0)
-			anyValid := false
-			for _, gap := range st.enqGap {
-				if gap > 0 {
-					anyValid = true
-					break
-				}
-			}
-			if !anyValid {
-				enqBump = int16(cfg.Shift)
-			}
-			newRank := int16(countItems(st.subs))
-			for i := range st.subs {
-				if st.enqGap[i]+enqBump <= 0 {
-					continue
-				}
-				ns := st.clone()
-				for j := range ns.enqGap {
-					ns.enqGap[j] += enqBump
-				}
-				ns.enqGap[i]--
-				ns.subs[i] = append(ns.subs[i], newRank)
-				// Value is assigned by relabelSteps at trace reconstruction.
-				step := ExploreStep{Push: true, Sub: i}
-				k := ns.key()
-				if _, dup := seen[k]; !dup {
-					seen[k] = traceNode{parent: stKey, step: step}
-					next = append(next, ns)
-				}
-			}
-
-			// Dequeues: raise the dequeue ceiling while no sub-queue is
-			// productive but a non-empty one sits at the ceiling; all-empty
-			// states report empty exactly (not a transition).
-			deqBump := int16(0)
-			for {
-				productive := false
-				blocked := false
-				for i := range st.subs {
-					if len(st.subs[i]) == 0 {
-						continue
-					}
-					if st.deqGap[i]+deqBump > 0 {
-						productive = true
-						break
-					}
-					blocked = true
-				}
-				if productive || !blocked {
-					anyValid = productive
-					break
-				}
-				deqBump += int16(cfg.Shift)
-			}
-			if anyValid {
-				for i := range st.subs {
-					if len(st.subs[i]) == 0 || st.deqGap[i]+deqBump <= 0 {
-						continue
-					}
-					front := st.subs[i][0]
-					dist := 0
-					for _, other := range st.subs {
-						for _, it := range other {
-							if it < front {
-								dist++
-							}
-						}
-					}
-					ns := st.clone()
-					for j := range ns.deqGap {
-						ns.deqGap[j] += deqBump
-					}
-					ns.deqGap[i]--
-					ns.subs[i] = append([]int16(nil), ns.subs[i][1:]...)
-					dropRank(ns.subs, front)
-					// Value carries the dequeued item's age rank until
-					// relabelSteps rewrites it into a push label.
-					step := ExploreStep{Push: false, Sub: i, Value: int(front), Dist: dist}
-					if dist > res.MaxDistance {
-						res.MaxDistance = dist
-						witnessKey, witnessStep = stKey, step
-					}
-					if cfg.Bound >= 0 && dist > cfg.Bound {
-						res.Counterexample = rebuildTrace(seen, startKey, stKey, step)
-						res.Witness = res.Counterexample
-						res.States = len(seen)
-						res.Ops = depth + 1
-						return res, nil
-					}
-					k := ns.key()
-					if _, dup := seen[k]; !dup {
-						seen[k] = traceNode{parent: stKey, step: step}
-						next = append(next, ns)
-					}
-				}
-			}
+		st := &exploreQState{
+			enqGap: make([]int16, cfg.Width),
+			deqGap: make([]int16, cfg.Width),
+			subs:   make([][]int16, cfg.Width),
 		}
-		frontier = next
-		res.Ops = depth + 1
-	}
-	res.States = len(seen)
-	if witnessKey != "" {
-		res.Witness = rebuildTrace(seen, startKey, witnessKey, witnessStep)
-	}
-	return res, nil
+		for i := range st.subs {
+			st.enqGap[i] = int16(cfg.Depth)
+			st.deqGap[i] = int16(cfg.Depth)
+		}
+		return st
+	})
 }
