@@ -88,7 +88,6 @@ import (
 	"stack2d/internal/adapt"
 	"stack2d/internal/core"
 	"stack2d/internal/harness"
-	"stack2d/internal/obs"
 	"stack2d/internal/sim"
 	"stack2d/internal/stats"
 	"stack2d/internal/twodqueue"
@@ -180,12 +179,18 @@ func main() {
 			// oracle recording adds the same again (see twodqueue.Config.K
 			// and harness.runPhased), so the realised FIFO distance is
 			// checked against ceiling + 2·threads.
-			queue := nativeStructure[*twodqueue.Queue[uint64]]{"queue", twodqueue.MustNew[uint64], harness.RunPhasedQueue, 2 * int64(*threads), checkConservation}
+			queue := nativeStructure[*twodqueue.Queue[uint64]]{
+				name: "queue", build: twodqueue.MustNew[uint64], run: harness.RunPhasedQueue,
+				slack: 2 * int64(*threads), check: checkConservation,
+			}
 			ok = nativeDemo(queue, spec, start, placement, *kceil, *threads, *phaseDur, *tick, *prefill, *seed, *quality, *maxDepth, sink, plane)
 		} else {
 			// The LIFO oracle needs no in-flight slack: a late head-insert
 			// can only shrink a distance (DESIGN.md §5).
-			stack := nativeStructure[*core.Stack[uint64]]{"stack", core.MustNew[uint64], harness.RunPhased, 0, (*core.Stack[uint64]).CheckInvariants}
+			stack := nativeStructure[*core.Stack[uint64]]{
+				name: "stack", build: core.MustNew[uint64], run: harness.RunPhased,
+				check: (*core.Stack[uint64]).CheckInvariants,
+			}
 			ok = nativeDemo(stack, spec, start, placement, *kceil, *threads, *phaseDur, *tick, *prefill, *seed, *quality, *maxDepth, sink, plane)
 		}
 		if !ok {
@@ -715,11 +720,11 @@ func simDemo(spec goalSpec, structure string, start core.Config, placement core.
 	return ok
 }
 
-// nativeTarget is what the native run steers and observes; the 2D-Stack
-// and the 2D-Queue both provide it.
+// nativeTarget is what the native run steers and observes (an
+// adapt.Reconfigurable is also an obs.Source); the 2D-Stack and the
+// 2D-Queue both provide it.
 type nativeTarget interface {
 	adapt.Reconfigurable
-	obs.Source
 	SetObserver(core.Observer)
 	SetPlacement(core.PlacementPolicy, int)
 	ShrinkDisplacementBound() int64

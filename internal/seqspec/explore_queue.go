@@ -1,8 +1,6 @@
 package seqspec
 
-import (
-	"slices"
-)
+import "slices"
 
 // This file is the queue counterpart of explore.go: an exhaustive
 // breadth-first exploration of the sequential 2D-Queue window discipline

@@ -107,7 +107,7 @@ func (h *Handle[T]) Flush() {
 	}
 }
 
-// TryPop attempts a single search pass without moving the window; ok=false
+// TryPop runs Pop's window search but never moves the window; ok=false
 // means "nothing found in the current window", which is cheaper but weaker
 // than Pop's empty guarantee. A buffered handle first serves its own items
 // as Pop does — the newest pending push, then the undelivered prefetch —
