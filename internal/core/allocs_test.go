@@ -92,7 +92,7 @@ func TestOpAllocsPinned(t *testing.T) {
 		// cycles move the era until the second round's are reusable.
 		reusable := func() int {
 			n, era := 0, s.era.V.Load()
-			for n < h.retiredN && h.ring[(h.ringHead+n)%recycleCap].era+2 <= era {
+			for n < h.ring.n && h.ring.buf[(h.ring.head+n)%recycleCap].era+2 <= era {
 				n++
 			}
 			return n

@@ -339,16 +339,14 @@ func (s *Stack[T]) CheckInvariants() error {
 // exclusively ours — no slot can reach their descriptors any more — so
 // writing the chain bottom's next pointer is race-free until the CAS
 // publishes it; a CAS loss to a concurrent operation on the target just
-// re-picks the least-loaded target and retries. The survivors' descriptors
-// are read under the reader pin, so none is reused between the read and
-// the CAS that expects it.
+// re-picks the least-loaded target and retries. The shell runs the handoff
+// under its reader pin (Window.Reconfigure), so no survivor descriptor is
+// reused between the read and the CAS that expects it.
 //
 // The returned value is this migration's addition to the displacement
 // bound, which the shell accumulates into ShrinkDisplacementBound and
 // forwards to the shrink-handoff observer event.
 func (s *Stack[T]) spliceStranded(next *Geometry[subStack[T]], dropped []*subStack[T]) int64 {
-	s.pinRead()
-	defer s.unpinRead()
 	var disp int64
 	for _, ss := range dropped {
 		d := ss.load()

@@ -250,8 +250,13 @@ func (w *Window[T, S]) reconfigureLocked(cfg Config, requester int) error {
 		// Wait until no operation can touch them through the old one, then
 		// move them into the live window. After quiescence the slots are
 		// exclusively ours (new-geometry searches never index past width).
+		// The handoff runs under the reader pin: it reads the survivors'
+		// descriptors or tails while clients pop and dequeue, and none of
+		// those may be reused before its CAS.
 		w.waitQuiesce()
+		w.pinRead()
 		disp := w.hooks.Handoff(next, dropped)
+		w.unpinRead()
 		w.shrinkDisp.Add(disp)
 		w.emitStruct(StructEvent{
 			Kind: StructShrinkHandoff, Epoch: next.Epoch,

@@ -12,13 +12,10 @@ import "stack2d/internal/yield"
 type Handle[T any] struct {
 	WindowHandle[T, subStack[T]]
 	s *Stack[T]
-	// ring holds the descriptors this handle's pops removed (retiredN of
-	// them from ringHead, oldest first), each with the era read after its
-	// removing CAS; the oldest are reusable once their grace period has
-	// passed (reclaim.go).
-	ring     *[recycleCap]retired[T]
-	ringHead int
-	retiredN int
+	// ring holds the descriptors this handle's pops removed, oldest
+	// first, each with the era read after its removing CAS; the oldest
+	// are reusable once their grace period has passed (reclaim.go).
+	ring Ring[*descriptor[T]]
 }
 
 // NewHandle returns an operation handle anchored at a random sub-stack and

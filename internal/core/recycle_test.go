@@ -133,6 +133,42 @@ func TestReaderPinHoldsEra(t *testing.T) {
 	}
 }
 
+// TestReaderPinHoldsHandoff: the shell runs a width shrink's Handoff hook
+// under the reader pin, whatever the structure (the queue's handoff
+// enqueues onto survivor tails its clients may be unlinking), so while the
+// hook runs the era moves at most one step past the pin.
+func TestReaderPinHoldsHandoff(t *testing.T) {
+	s := MustNew[uint64](DefaultConfig(2))
+	h := s.NewHandle()
+	for i := range uint64(64) {
+		h.Push(i)
+	}
+	var pinned, era uint64
+	handoff := s.hooks.Handoff
+	s.hooks.Handoff = func(next *Geometry[subStack[uint64]], dropped []*subStack[uint64]) int64 {
+		pinned = s.readPin.Load()
+		s.tryAdvance()
+		s.tryAdvance()
+		era = s.era.V.Load()
+		return handoff(next, dropped)
+	}
+	if err := s.SetWidth(1); err != nil {
+		t.Fatal(err)
+	}
+	if pinned == 0 {
+		t.Fatal("the handoff ran without the reader pin")
+	}
+	if era > pinned+1 {
+		t.Fatalf("era %d during a handoff pinned at %d, want at most %d", era, pinned, pinned+1)
+	}
+	if p := s.readPin.Load(); p != 0 {
+		t.Fatalf("reader pin left at %d after the handoff", p)
+	}
+	if got := s.Len(); got != 64 {
+		t.Fatalf("Len = %d after the shrink, want 64", got)
+	}
+}
+
 // TestRecycleNeverWaitsOnRegistryLock: the era advance only tries the
 // registry lock, so pushes and pops complete while another goroutine
 // holds it; the pushes allocate instead of reusing, and the era stays.
@@ -231,9 +267,9 @@ func TestRecycleConservationUnderReconfig(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				// A push only takes from the handle's ring: it shrinks
 				// exactly when the push reuses a descriptor.
-				n := h.retiredN
+				n := h.ring.Len()
 				h.Push(uint64(w*perW + i))
-				if h.retiredN < n {
+				if h.ring.Len() < n {
 					reused[w]++
 				}
 				if rng.IntN(2) == 0 {

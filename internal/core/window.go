@@ -15,10 +15,11 @@ import (
 // technique that does not depend on what the window's slots hold. S is the
 // sub-structure type — the descriptor sub-stack here, the Michael–Scott
 // sub-queue there. The shell owns the published geometry and its epochs,
-// the era clock every operation pins (shrink quiescence, and descriptor
-// reclamation on the stack), the weak-handle Registry (quiescence
-// detection, stats aggregation, the buffered-resident and abandoned-item
-// totals), socket placement, reconfiguration and the structural observer.
+// the era clock every operation pins (shrink quiescence, and the
+// reclamation of stack descriptors and queue node slabs), the weak-handle
+// Registry (quiescence detection, stats aggregation, the buffered-resident
+// and abandoned-item totals), socket placement, reconfiguration and the
+// structural observer.
 // A structure embeds a Window by value, next to its own window ceilings,
 // and supplies its Hooks for the three reconfiguration steps that do
 // depend on S; its handles embed a WindowHandle the same way. DESIGN.md §4
@@ -39,12 +40,14 @@ type Window[T, S any] struct {
 	// era, then loads the geometry. It starts at 1 and moves from g to
 	// g + 1 only while no handle and no reader is pinned below g
 	// (advanceLocked), under the registry lock: on a width shrink
-	// (waitQuiesce) and, on the stack, when a push finds nothing to reuse
-	// (DESIGN.md §3–4).
+	// (waitQuiesce), on the stack when a push finds nothing to reuse, and
+	// on the queue when a slab refill finds nothing ripe or a dequeue
+	// finds its slab ring full (WindowHandle.Ripe; DESIGN.md §3–4).
 	era pad.Uint64Line
 	// readMu serialises the readers that pin outside any operation (the
-	// stack's Len, Empty, SubCounts, CheckInvariants and its shrink
-	// splice); readPin is their one pin word, 0 when no reader is in.
+	// stack's Len, Empty, SubCounts and CheckInvariants, and the shrink
+	// handoff of both structures); readPin is their one pin word, 0 when
+	// no reader is in.
 	// A reader is not a registered handle: it takes no handle seed and no
 	// registry entry, and no operation ever waits on it.
 	readMu  sync.Mutex
@@ -94,8 +97,10 @@ type Hooks[S any] struct {
 	Raise func(depth int64)
 	// Handoff migrates the items stranded in the dropped slots into next
 	// once no operation can reach them through the superseded geometry,
-	// and returns the displacement bound the migration adds. The stack
-	// splices chains; the queue drains round-robin.
+	// and returns the displacement bound the migration adds. It runs
+	// under the reader pin (pinRead), so nothing it loads from a survivor
+	// is reused under it. The stack splices chains; the queue drains
+	// round-robin.
 	Handoff func(next *Geometry[S], dropped []*S) int64
 }
 
@@ -159,8 +164,8 @@ func (w *Window[T, S]) Register(h *WindowHandle[T, S], anchors int, buf BufferHo
 }
 
 // pinRead pins the era for a reader outside any operation, so the
-// descriptors it loads are not reused under it; readers serialise on
-// readMu. Pair with unpinRead.
+// descriptors and queue nodes it loads are not reused under it; readers
+// serialise on readMu. Pair with unpinRead.
 func (w *Window[T, S]) pinRead() {
 	w.readMu.Lock()
 	w.readPin.Store(w.era.V.Load())

@@ -5,9 +5,14 @@
 //
 // The queue is a singly linked list with a dummy head node. Enqueue links a
 // node after the current tail and swings the tail pointer (helping a lagging
-// tail forward when needed); Dequeue advances the head past the dummy. ABA
-// is precluded by the garbage collector, as in the other list-based
-// structures of this module.
+// tail forward when needed); Dequeue advances the head past the dummy.
+// For this package's own methods ABA is precluded by the garbage
+// collector, as in the other list-based structures of this module: they
+// allocate every node and never reuse one. TryEnqueue and TryUnlink hand
+// node ownership to the caller instead, and a caller that reuses the
+// nodes TryUnlink hands back (the 2D-Queue's slabs, internal/twodqueue)
+// must itself keep a node from reuse while another operation may still
+// hold it.
 //
 // The queue counts its two ends separately: Enqueued and Dequeued are
 // monotonic counts of completed operations, each incremented by the
@@ -26,15 +31,18 @@ import (
 )
 
 // Node is one cell of the queue's list. Enqueue builds its own;
-// TryEnqueue links one its caller built with NewNode, so a caller that
-// retries elsewhere after a failed attempt allocates the node once.
+// TryEnqueue links one its caller built — a zero Node whose Value it has
+// set — so a caller that retries elsewhere after a failed attempt builds
+// the node once.
 type Node[T any] struct {
 	value T
 	next  atomic.Pointer[Node[T]]
 }
 
-// NewNode returns an unlinked node holding v, for TryEnqueue.
-func NewNode[T any](v T) *Node[T] { return &Node[T]{value: v} }
+// Value returns the node's value cell, for the party that owns the node:
+// its builder before TryEnqueue links it, and the caller whose TryUnlink
+// returned it as the front.
+func (n *Node[T]) Value() *T { return &n.value }
 
 // Queue is a lock-free FIFO queue. Create with New; it must not be copied.
 // Its size is one cache line, which the allocator's 64-byte size class
@@ -110,37 +118,36 @@ func (q *Queue[T]) Dequeue() (v T, ok bool) {
 	}
 }
 
-// TryDequeue attempts a single CAS round. contended distinguishes
-// interference from emptiness, mirroring treiber.Stack.TryPop for the
-// window search in the 2D-Queue.
-func (q *Queue[T]) TryDequeue() (v T, ok bool, contended bool) {
+// TryUnlink attempts a single CAS round to unlink the front node. On
+// success it returns the old dummy, which has left the list, and front,
+// the node whose value was the front item and which is now the dummy: the
+// caller moves that value out through front.Value() and clears it (only
+// the CAS winner may touch it), so the queue does not keep the item
+// reachable until the following dequeue. front is nil when the queue was
+// observed empty or the CAS lost; contended distinguishes the two,
+// mirroring treiber.Stack.TryPop for the window search in the 2D-Queue.
+func (q *Queue[T]) TryUnlink() (old, front *Node[T], contended bool) {
 	head := q.head.Load()
 	tail := q.tail.Load()
 	next := head.next.Load()
 	if next == nil {
-		var zero T
-		return zero, false, false
+		return nil, nil, false
 	}
 	if head == tail {
 		q.tail.CompareAndSwap(tail, next)
 	}
 	if q.head.CompareAndSwap(head, next) {
 		q.dequeued.Add(1)
-		// As in Dequeue: the winner moves the value out of the new dummy.
-		v = next.value
-		var zero T
-		next.value = zero
-		return v, true, false
+		return head, next, false
 	}
-	var zero T
-	return zero, false, true
+	return nil, nil, true
 }
 
-// TryEnqueue attempts a single CAS round to link n — from NewNode, not yet
-// linked — at the back. It reports whether it succeeded; a false return
-// means another enqueuer interfered (or the tail was lagging and was
-// helped forward), and leaves n unlinked for the caller's next attempt,
-// here or on another queue. It exists for the 2D-Queue's window search,
+// TryEnqueue attempts a single CAS round to link n — a node with a nil
+// next pointer, not yet linked — at the back. It reports whether it
+// succeeded; a false return means another enqueuer interfered (or the
+// tail was lagging and was helped forward), and leaves n unlinked for the
+// caller's next attempt, here or on another queue. It exists for the 2D-Queue's window search,
 // which treats a failed attempt as a contention signal and hops to
 // another sub-queue instead of spinning here.
 func (q *Queue[T]) TryEnqueue(n *Node[T]) bool {

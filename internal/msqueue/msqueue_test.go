@@ -68,15 +68,27 @@ func TestLenTracksQuiescent(t *testing.T) {
 	}
 }
 
-func TestTryDequeue(t *testing.T) {
+// TestTryUnlink exercises the single-round unlink the 2D-Queue's window
+// search runs: it reports an empty queue as neither a success nor
+// contention, and hands back the old dummy and the front node, whose
+// value the caller moves out, leaving the front as the new dummy.
+func TestTryUnlink(t *testing.T) {
 	q := New[int]()
-	if _, ok, contended := q.TryDequeue(); ok || contended {
-		t.Fatal("TryDequeue on empty misreported")
+	if old, front, contended := q.TryUnlink(); old != nil || front != nil || contended {
+		t.Fatal("TryUnlink on empty misreported")
 	}
+	dummy := q.head.Load()
 	q.Enqueue(1)
-	v, ok, contended := q.TryDequeue()
-	if !ok || contended || v != 1 {
-		t.Fatalf("TryDequeue = (%d,%v,%v), want (1,true,false)", v, ok, contended)
+	q.Enqueue(2)
+	old, front, contended := q.TryUnlink()
+	if old != dummy || front == nil || contended || *front.Value() != 1 {
+		t.Fatalf("TryUnlink = (%p, %v, %v), want the dummy %p and the front holding 1", old, front, contended, dummy)
+	}
+	if q.head.Load() != front || q.Dequeued() != 1 {
+		t.Fatal("the front node is not the new dummy, or the unlink went uncounted")
+	}
+	if v, ok := q.Dequeue(); !ok || v != 2 {
+		t.Fatalf("Dequeue = (%d, %v), want (2, true)", v, ok)
 	}
 }
 
@@ -230,41 +242,12 @@ func TestDequeuedValueIsCollectable(t *testing.T) {
 	}
 }
 
-// TestTryDequeuedValueIsCollectable covers the TryDequeue path of the same
-// pinning bug.
-func TestTryDequeuedValueIsCollectable(t *testing.T) {
-	q := New[*[]byte]()
-	big := new([]byte)
-	*big = make([]byte, 1<<16)
-	collected := make(chan struct{})
-	runtime.SetFinalizer(big, func(*[]byte) { close(collected) })
-	q.Enqueue(big)
-	q.Enqueue(new([]byte))
-	got, ok, _ := q.TryDequeue()
-	if !ok || got != big {
-		t.Fatalf("TryDequeue = (%p,%v), want the enqueued pointer", got, ok)
-	}
-	got, big = nil, nil
-	deadline := time.After(5 * time.Second)
-	for {
-		runtime.GC()
-		select {
-		case <-collected:
-			return
-		case <-deadline:
-			t.Fatal("try-dequeued value still reachable: the dummy node pinned it")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
 // TestTryEnqueue exercises the single-round enqueue used by the 2D-Queue's
 // contention-hopping search.
 func TestTryEnqueue(t *testing.T) {
 	q := New[int]()
 	for i := 0; i < 100; i++ {
-		n := NewNode(i)
+		n := &Node[int]{value: i}
 		for !q.TryEnqueue(n) {
 		}
 	}
@@ -287,7 +270,7 @@ func TestTryEnqueueKeepsItsNodeAcrossAttempts(t *testing.T) {
 	const runs = 100
 	lag := make([]*Node[int], runs+1) // AllocsPerRun adds a warm-up run
 	for i := range lag {
-		lag[i] = NewNode(-1)
+		lag[i] = &Node[int]{value: -1}
 	}
 	i := 0
 	got := testing.AllocsPerRun(runs, func() {
@@ -298,7 +281,7 @@ func TestTryEnqueueKeepsItsNodeAcrossAttempts(t *testing.T) {
 		}
 		q.enqueued.Add(1)
 		i++
-		n := NewNode(i)
+		n := &Node[int]{value: i}
 		if q.TryEnqueue(n) {
 			t.Fatal("attempt over a lagging tail succeeded")
 		}
@@ -327,7 +310,7 @@ func TestTryEnqueueKeepsItsNodeAcrossAttempts(t *testing.T) {
 // the paused enqueuer counts its operation.
 func TestLenNotNegativeWhenDequeueOvertakesEnqueue(t *testing.T) {
 	q := New[int]()
-	if !q.tail.Load().next.CompareAndSwap(nil, NewNode(7)) {
+	if !q.tail.Load().next.CompareAndSwap(nil, &Node[int]{value: 7}) {
 		t.Fatal("link CAS failed on an empty queue")
 	}
 	if v, ok := q.Dequeue(); !ok || v != 7 {

@@ -135,20 +135,26 @@ func explore[S exploreModel[S]](cfg ExploreConfig, start func() S) (ExploreResul
 		return res, fmt.Errorf("seqspec: explore MaxOps must be in [1, %d], got %d", maxExploreOps, cfg.MaxOps)
 	}
 
+	// A frontier entry carries the key its state was memoised under, so
+	// each state is serialised once: its successors' parent is that key.
+	type reached struct {
+		st  S
+		key string
+	}
 	first := start()
 	startKey := first.key()
 	seen := map[string]traceNode{startKey: {}}
-	frontier := []S{first}
+	frontier := []reached{{first, startKey}}
 	var succ []transition[S]
 
 	var witnessKey string
 	var witnessStep ExploreStep
 
 	for depth := 0; depth < cfg.MaxOps && len(frontier) > 0; depth++ {
-		var next []S
-		for _, st := range frontier {
-			stKey := st.key()
-			succ = st.successors(cfg, succ[:0])
+		var next []reached
+		for _, r := range frontier {
+			stKey := r.key
+			succ = r.st.successors(cfg, succ[:0])
 			for _, tr := range succ {
 				if tr.step.Dist > res.MaxDistance {
 					res.MaxDistance = tr.step.Dist
@@ -164,7 +170,7 @@ func explore[S exploreModel[S]](cfg ExploreConfig, start func() S) (ExploreResul
 				k := tr.next.key()
 				if _, dup := seen[k]; !dup {
 					seen[k] = traceNode{parent: stKey, step: tr.step}
-					next = append(next, tr.next)
+					next = append(next, reached{tr.next, k})
 				}
 			}
 		}

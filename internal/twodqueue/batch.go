@@ -2,7 +2,6 @@ package twodqueue
 
 import (
 	"stack2d/internal/core"
-	"stack2d/internal/msqueue"
 	"stack2d/internal/yield"
 )
 
@@ -26,7 +25,7 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 	remaining := vs
 	// n holds remaining[0] once built: an attempt that fails leaves it
 	// unlinked, and the next attempt links the same node.
-	var n *msqueue.Node[T]
+	var n *node[T]
 	visit := func(sub *subQueue[T], global int64) core.Visit {
 		headroom := global - sub.enqs()
 		if headroom <= 0 {
@@ -36,7 +35,7 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 		done := int64(0)
 		for done < m {
 			if n == nil {
-				n = msqueue.NewNode(remaining[done])
+				n = h.carve(remaining[done])
 			}
 			if !sub.q.TryEnqueue(n) {
 				break
@@ -95,12 +94,12 @@ func (h *Handle[T]) dequeueBatchInto(out []T, limit int) []T {
 		done := int64(0)
 		contended := false
 		for done < m {
-			val, got, cont := sub.q.TryDequeue()
-			if !got {
+			old, front, cont := sub.q.TryUnlink()
+			if front == nil {
 				contended = cont
 				break
 			}
-			out = append(out, val)
+			out = append(out, h.take(old, front))
 			done++
 		}
 		switch {

@@ -66,7 +66,7 @@ func (q *Queue[T]) handoffStranded(next *core.Geometry[subQueue[T]], dropped []*
 	for moved := true; moved; {
 		moved = false
 		for _, sq := range dropped {
-			v, ok := sq.q.Dequeue()
+			e, ok := sq.q.Dequeue()
 			if !ok {
 				continue
 			}
@@ -77,7 +77,7 @@ func (q *Queue[T]) handoffStranded(next *core.Geometry[subQueue[T]], dropped []*
 					j = i
 				}
 			}
-			next.Subs[j].q.Enqueue(v)
+			next.Subs[j].q.Enqueue(elem[T]{v: e.v}) // a node of its own, no slab
 			loads[j]++
 		}
 	}

@@ -50,7 +50,17 @@
 // with the stack (core.Window and core.WindowHandle, embedded by value).
 // This package supplies what is FIFO-specific: the sub-queues and their
 // window counters, the two ceilings, the search visitors, the growth floors,
-// the round-robin shrink handoff and the queue's buffer policy.
+// the round-robin shrink handoff, the queue's buffer policy and its node
+// slabs.
+//
+// # Node recycling
+//
+// Each handle carves its enqueues' Michael–Scott nodes in address order
+// from slabs of 63, and the dequeue that unlinks a slab's last node
+// retires the slab for its own handle's later enqueues, once the era pin
+// every operation takes shows that no operation can still hold a node of
+// it (slab.go, DESIGN.md §3). A balanced enqueue/dequeue mix therefore
+// allocates nothing in steady state.
 package twodqueue
 
 import (
@@ -79,7 +89,7 @@ func DefaultConfig(p int) Config { return core.DefaultConfig(p) }
 // held by pointer so successive geometries can share surviving sub-queues
 // without moving an item.
 type subQueue[T any] struct {
-	q                *msqueue.Queue[T]
+	q                *msqueue.Queue[elem[T]]
 	enqBase, deqBase int64 // join floors, see newSubQueue
 }
 
@@ -90,7 +100,7 @@ type subQueue[T any] struct {
 // an unbounded relaxation hole. Starting at the current window floor lets it
 // absorb at most `depth` operations per window, like every other sub-queue.
 func newSubQueue[T any](enqFloor, deqFloor int64) *subQueue[T] {
-	return &subQueue[T]{q: msqueue.New[T](), enqBase: enqFloor, deqBase: deqFloor}
+	return &subQueue[T]{q: msqueue.New[elem[T]](), enqBase: enqFloor, deqBase: deqFloor}
 }
 
 // enqs is the sub-queue's enqueue-end window counter: its join floor plus
@@ -202,6 +212,13 @@ const (
 type Handle[T any] struct {
 	core.WindowHandle[T, subQueue[T]]
 	q *Queue[T]
+	// slab is the slab this handle's enqueues carve nodes from, carved of
+	// them so far; slabs holds the slabs its dequeues retired, oldest
+	// first, each with the era read after its last unlinking CAS
+	// (slab.go).
+	slab   *slab[T]
+	carved int
+	slabs  core.Ring[*slab[T]]
 }
 
 // NewHandle returns an operation handle anchored at random sub-queues and
@@ -209,7 +226,7 @@ type Handle[T any] struct {
 // core.Window.Register: registration is weak for the handle itself, so an
 // abandoned handle is collectable).
 func (q *Queue[T]) NewHandle() *Handle[T] {
-	h := &Handle[T]{q: q}
+	h := &Handle[T]{q: q, carved: slabNodes}
 	q.Register(&h.WindowHandle, 2, core.BufferHooks[T]{Publish: h.EnqueueBatch, Refill: h.dequeueBatchInto, Return: h.returnPrefetch})
 	return h
 }
@@ -236,9 +253,12 @@ func (h *Handle[T]) SetAnchor(idx int) {
 // verdict. When a full coverage pass finds every sub-queue at the ceiling,
 // Enqueue raises the window and searches again.
 func (h *Handle[T]) Enqueue(v T) {
+	// The node is carved once, before the pin, like the stack's push
+	// descriptor: a slab refill may move the era. A lost attempt leaves it
+	// for the next.
+	n := h.carve(v)
 	geo := h.PinOp()
 	q := h.q
-	n := msqueue.NewNode(v) // once; a lost attempt leaves it for the next
 	visit := func(sub *subQueue[T], global int64) core.Visit {
 		if sub.enqs() >= global {
 			return core.Skip
@@ -274,10 +294,10 @@ func (h *Handle[T]) Dequeue() (v T, ok bool) {
 		if sub.deqs() >= global {
 			return heldIfNonEmpty(sub)
 		}
-		val, got, contended := sub.q.TryDequeue()
+		old, front, contended := sub.q.TryUnlink()
 		switch {
-		case got:
-			v = val
+		case front != nil:
+			v = h.take(old, front)
 			h.Count.Pops++
 			return core.Done
 		case contended:
